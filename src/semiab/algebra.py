@@ -265,10 +265,6 @@ class Algebra:
     def is_gpd(self) -> bool:
         return self.kind == GPD_IN_GROUP
 
-    def relabel(self, name: str | None) -> "Algebra":
-        object.__setattr__(self, "name", name)
-        return self
-
 
 def group_algebra(op, inv=None, name: str | None = None) -> Algebra:
     n = len(op)

@@ -34,6 +34,7 @@ from .factorisation import cube_torsion_meet, unit_square
 from .families import trivial_of_variety, zmod_free
 from .homs import find_isomorphism, is_isomorphic, surjections
 from .ops import (
+    image_elements,
     induced_on_quotient,
     into_pullback,
     join_normal,
@@ -98,19 +99,12 @@ class BirkhoffContext:
         object.__setattr__(self, "comparison_sequences", compared)
 
 
-def _push_elements(f: Morphism, sub: Subobject):
-    if f.dom.is_gpd:
-        return (frozenset(f.map1[x] for x in sub.elements[0]),
-                frozenset(f.map0[x] for x in sub.elements[1]))
-    return frozenset(f.mapping[x] for x in sub.elements)
-
-
 def birkhoff_radical(ctx: BirkhoffContext, f: Morphism) -> Subobject:
     """The kernel-pair radical of a surjection, in dom(f)."""
     R, p1, p2 = kernel_pair(f)
     rad = radical(ctx.B, R)
     cut = meet_subobjects(R, rad, kernel(p1))
-    return normal_closure(f.dom, _push_elements(p2, cut))
+    return normal_closure(f.dom, image_elements(p2, cut))
 
 
 def _kernel_pair_cube(c: NCube) -> tuple[NCube, Morphism, Morphism]:
@@ -237,7 +231,7 @@ def _radical_n_cube(ctx: BirkhoffContext, c: NCube) -> Subobject:
     rcube, p1, p2 = _kernel_pair_cube(c)
     inner = radical_n(ctx, rcube)
     cut = meet_subobjects(rcube.top_vertex, inner, kernel(p1))
-    return normal_closure(c.top_vertex, _push_elements(p2, cut))
+    return normal_closure(c.top_vertex, image_elements(p2, cut))
 
 
 def is_birkhoff_normal(ctx: BirkhoffContext, c: NCube) -> bool:

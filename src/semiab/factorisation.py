@@ -34,6 +34,7 @@ from .cubes import (
 )
 from .homs import enumerate_homs
 from .ops import (
+    image_elements,
     induced_on_quotient,
     into_pullback,
     kernel,
@@ -52,13 +53,7 @@ def torsion_of_kernel(R: Reflector, f: Morphism) -> Subobject:
     """
     K = kernel(f)
     sub, incl = sub_algebra(f.dom, K)
-    T = radical(R, sub)
-    if f.dom.is_gpd:
-        elems = (frozenset(incl.map1[x] for x in T.elements[0]),
-                 frozenset(incl.map0[x] for x in T.elements[1]))
-    else:
-        elems = frozenset(incl.mapping[x] for x in T.elements)
-    return subobject(f.dom, elems)
+    return subobject(f.dom, image_elements(incl, radical(R, sub)))
 
 
 def condition_N_check(R: Reflector, f: Morphism) -> bool:
@@ -177,13 +172,7 @@ def cube_torsion_meet(R: Reflector, c: NCube) -> Subobject:
     top = c.top_vertex
     inter = rib_kernel_meet(c)
     sub, incl = sub_algebra(top, inter)
-    T = radical(R, sub)
-    if top.is_gpd:
-        elems = (frozenset(incl.map1[x] for x in T.elements[0]),
-                 frozenset(incl.map0[x] for x in T.elements[1]))
-    else:
-        elems = frozenset(incl.mapping[x] for x in T.elements)
-    return subobject(top, elems)
+    return subobject(top, image_elements(incl, radical(R, sub)))
 
 
 def nfold_normal_by_criterion(R: Reflector, c: NCube) -> bool:

@@ -39,8 +39,8 @@ from .ops import (
     power_subobject,
     quotient,
 )
-from .report import Report
-from .serialize import algebra_to_doc, morphism_to_doc, subobject_to_doc
+from .report import Report, check
+from .serialize import algebra_to_doc, subobject_to_doc
 
 
 class ReflectorError(ValueError):
@@ -267,20 +267,6 @@ def short_exact_sequences(corpus) -> list[ExactSequence]:
     return out
 
 
-def _sequence_witness(check: str, R: Reflector, seq: ExactSequence, detail: dict | None = None) -> dict:
-    doc = {
-        "check": check,
-        "reflector": R.name,
-        "kernel": morphism_to_doc(seq.k),
-        "epi": morphism_to_doc(seq.f),
-    }
-    if seq.splitting is not None:
-        doc["section"] = morphism_to_doc(seq.splitting)
-    if detail:
-        doc.update(detail)
-    return doc
-
-
 def preserves_split_sequence(R: Reflector, seq: ExactSequence) -> bool:
     """Does applying the reflector keep the sequence split short exact?"""
     Fk = map_reflect(R, seq.k)
@@ -290,23 +276,46 @@ def preserves_split_sequence(R: Reflector, seq: ExactSequence) -> bool:
     return image(Fk).elements == kernel(Ff).elements
 
 
+def breaks_extension_closure(member, R: Reflector, seq: ExactSequence) -> bool:
+    """Kernel and quotient satisfy ``member`` but the extension does not."""
+    K, A, B = seq.k.dom, seq.f.dom, seq.f.cod
+    return member(R, K) and member(R, B) and not member(R, A)
+
+
+@check("split-preservation", ("reflector", "reflector"), (None, "sequence"))
+def _split_not_preserved(R: Reflector, seq: ExactSequence) -> bool:
+    return not preserves_split_sequence(R, seq)
+
+
+@check("idempotent-radical", ("reflector", "reflector"), ("algebra", "algebra"))
+def _radical_not_idempotent(R: Reflector, A: Algebra) -> bool:
+    return not radical(R, radical_algebra(R, A)).is_whole()
+
+
+@check("hom-vanishing", ("reflector", "reflector"), ("morphism", "morphism"))
+def _torsion_to_free_nonzero(R: Reflector, f: Morphism) -> bool:
+    nonzero = any(v != 0 for v in (f.map1 + f.map0 if f.dom.is_gpd else f.mapping))
+    return nonzero and is_torsion_member(R, f.dom) and is_free_member(R, f.cod)
+
+
+@check("torsion-extension-closure", ("reflector", "reflector"), (None, "sequence"))
+def _torsion_not_extension_closed(R: Reflector, seq: ExactSequence) -> bool:
+    return breaks_extension_closure(is_torsion_member, R, seq)
+
+
+@check("free-extension-closure", ("reflector", "reflector"), (None, "sequence"))
+def _free_not_extension_closed(R: Reflector, seq: ExactSequence) -> bool:
+    return breaks_extension_closure(is_free_member, R, seq)
+
+
 def is_protoadditive(R: Reflector, sequences) -> Report:
     """Scan split short exact sequences for preservation failures."""
     seqs = list(sequences)
     for seq in seqs:
         if seq.splitting is None:
             raise AlgebraError("protoadditivity takes split sequences only")
-    witnesses = []
-    for seq in seqs:
-        if not preserves_split_sequence(R, seq):
-            witnesses.append(_sequence_witness("split-preservation", R, seq))
-    return Report(
-        suite=f"protoadditive[{R.name}]",
-        verdict="pass" if not witnesses else "fail",
-        witnesses=witnesses,
-        sample={"split-sequences": len(seqs)},
-        notes=["corpus-restricted verdict"],
-    )
+    witnesses = _split_not_preserved.violations((R, seq) for seq in seqs)
+    return Report.scan(f"protoadditive[{R.name}]", witnesses, {"split-sequences": len(seqs)})
 
 
 def is_idempotent_radical(R: Reflector, corpus) -> Report:
@@ -316,24 +325,12 @@ def is_idempotent_radical(R: Reflector, corpus) -> Report:
         if not R.applies_to(A.variety):
             continue
         count += 1
-        T = radical(R, A)
-        sub, _ = sub_algebra(A, T)
-        TT = radical(R, sub)
-        if not TT.is_whole():
-            witnesses.append({
-                "check": "idempotent-radical",
-                "reflector": R.name,
-                "algebra": algebra_to_doc(A),
-                "radical": subobject_to_doc(T),
-                "radical-of-radical": subobject_to_doc(TT),
-            })
-    return Report(
-        suite=f"idempotent-radical[{R.name}]",
-        verdict="pass" if not witnesses else "fail",
-        witnesses=witnesses,
-        sample={"objects": count},
-        notes=["corpus-restricted verdict"],
-    )
+        if _radical_not_idempotent(R, A):
+            witnesses.append(_radical_not_idempotent.witness(R, A, extra={
+                "radical": subobject_to_doc(radical(R, A)),
+                "radical-of-radical": subobject_to_doc(radical(R, radical_algebra(R, A))),
+            }))
+    return Report.scan(f"idempotent-radical[{R.name}]", witnesses, {"objects": count})
 
 
 def torsion_theory_report(R: Reflector, corpus) -> Report:
@@ -349,28 +346,15 @@ def torsion_theory_report(R: Reflector, corpus) -> Report:
             if T.variety != F.variety:
                 continue
             hom_pairs += 1
-            nonzero = [f for f in enumerate_homs(T, F)
-                       if any(v != 0 for v in (f.map1 + f.map0 if T.is_gpd else f.mapping))]
-            if nonzero:
-                witnesses.append({
-                    "check": "hom-vanishing",
-                    "reflector": R.name,
-                    "torsion": algebra_to_doc(T),
-                    "free": algebra_to_doc(F),
-                    "morphism": morphism_to_doc(nonzero[0]),
-                })
+            bad = next((f for f in enumerate_homs(T, F) if _torsion_to_free_nonzero(R, f)), None)
+            if bad is not None:
+                witnesses.append(_torsion_to_free_nonzero.witness(R, bad, extra={
+                    "torsion": algebra_to_doc(T), "free": algebra_to_doc(F)}))
     seq_count = 0
     for seq in short_exact_sequences(algebras):
         seq_count += 1
-        K, A, B = seq.k.dom, seq.f.dom, seq.f.cod
-        if is_torsion_member(R, K) and is_torsion_member(R, B) and not is_torsion_member(R, A):
-            witnesses.append(_sequence_witness("torsion-extension-closure", R, seq))
-        if is_free_member(R, K) and is_free_member(R, B) and not is_free_member(R, A):
-            witnesses.append(_sequence_witness("free-extension-closure", R, seq))
-    return Report(
-        suite=f"torsion-theory[{R.name}]",
-        verdict="pass" if not witnesses else "fail",
-        witnesses=witnesses,
-        sample={"objects": len(algebras), "hom-pairs": hom_pairs, "sequences": seq_count},
-        notes=["corpus-restricted verdict"],
-    )
+        for closure in (_torsion_not_extension_closed, _free_not_extension_closed):
+            if closure(R, seq):
+                witnesses.append(closure.witness(R, seq))
+    return Report.scan(f"torsion-theory[{R.name}]", witnesses, {
+        "objects": len(algebras), "hom-pairs": hom_pairs, "sequences": seq_count})

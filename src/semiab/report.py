@@ -1,12 +1,30 @@
-"""Sweep reports: verdict, witnesses, sample counts.
+"""Sweep reports: verdict, witnesses, sample counts, and the checks behind them.
 
 A pass never claims more than the sweep saw; summaries always state the
 instance count, and a failing report carries replayable witnesses.
+Every witness names a registered check, whose one predicate serves both
+the sweep that finds the instance and the replay of its document.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
+
+from .algebra import AlgebraError
+from .ops import ExactSequence
+from .serialize import (
+    FormatError,
+    _need,
+    algebra_from_doc,
+    algebra_to_doc,
+    cube_from_doc,
+    cube_to_doc,
+    morphism_from_doc,
+    morphism_to_doc,
+)
+
+CORPUS_NOTE = "corpus-restricted verdict"
 
 
 @dataclass
@@ -22,6 +40,11 @@ class Report:
             raise ValueError(f"bad verdict {self.verdict!r}")
         if self.verdict == "fail" and not self.witnesses:
             raise ValueError("a failing report needs at least one witness")
+
+    @classmethod
+    def scan(cls, suite: str, witnesses: list[dict], sample: dict[str, int]) -> "Report":
+        """A corpus scan's report: it fails exactly when it found witnesses."""
+        return cls(suite, "fail" if witnesses else "pass", witnesses, sample, [CORPUS_NOTE])
 
     @property
     def passed(self) -> bool:
@@ -64,3 +87,105 @@ def merge_reports(suite: str, parts: list[Report]) -> Report:
                 notes.append(n)
     verdict = "pass" if all(p.passed for p in parts) else "fail"
     return Report(suite, verdict, witnesses, sample, notes)
+
+
+# ---------------------------------------------------------------------------
+# checks
+
+
+_DOCS = {
+    "algebra": (algebra_to_doc, algebra_from_doc),
+    "morphism": (morphism_to_doc, morphism_from_doc),
+    "cube": (cube_to_doc, cube_from_doc),
+}
+
+
+def _write_field(doc: dict, key, kind, value) -> None:
+    if kind == "sequence":
+        doc["kernel"] = morphism_to_doc(value.k)
+        doc["epi"] = morphism_to_doc(value.f)
+        if value.splitting is not None:
+            doc["section"] = morphism_to_doc(value.splitting)
+    elif kind == "reflector":
+        doc[key] = value.name
+    elif kind in _DOCS:
+        doc[key] = _DOCS[kind][0](value)
+    else:
+        doc[key] = value
+
+
+def _read_field(doc: dict, key, kind):
+    if kind == "sequence":
+        k = morphism_from_doc(_need(doc, "kernel", "$"), "$.kernel")
+        f = morphism_from_doc(_need(doc, "epi", "$"), "$.epi")
+        s = morphism_from_doc(doc["section"], "$.section") if "section" in doc else None
+        try:
+            return ExactSequence(k, f, s)
+        except AlgebraError as exc:
+            raise FormatError("$", str(exc)) from None
+    path = f"$.{key}"
+    if kind in _DOCS:
+        return _DOCS[kind][1](_need(doc, key, "$"), path)
+    value = _need(doc, key, "$", str)
+    if kind == "reflector":
+        from .reflectors import ReflectorError, reflector_by_id
+
+        try:
+            return reflector_by_id(value)
+        except ReflectorError as exc:
+            raise FormatError(path, str(exc)) from None
+    if value not in kind:
+        raise FormatError(path, f"expected one of {', '.join(kind)}")
+    return value
+
+
+@dataclass(frozen=True)
+class Check:
+    """A named check: the witness fields it reads and its one predicate.
+
+    ``fields`` pairs each witness key with its kind: "reflector" (an id),
+    "algebra", "morphism", "cube", "sequence" (the keys ``kernel``,
+    ``epi`` and an optional ``section``; its own key is None) or a tuple
+    of allowed labels.  Calling the check runs ``predicate`` on values
+    in field order; True means the check is violated.  A check with a
+    ``context`` hands the predicate a context first: the one the caller
+    passes (a sweep builds one per configuration), else the one
+    ``context`` builds from the values.
+    """
+
+    name: str
+    fields: tuple
+    predicate: Callable[..., bool]
+    context: Callable[..., object] | None = None
+
+    def __call__(self, *values, ctx=None) -> bool:
+        if self.context is None:
+            return self.predicate(*values)
+        return self.predicate(ctx if ctx is not None else self.context(*values), *values)
+
+    def witness(self, *values, extra: dict | None = None) -> dict:
+        """The witness document of a violated instance."""
+        doc = {"check": self.name}
+        for (key, kind), value in zip(self.fields, values):
+            _write_field(doc, key, kind, value)
+        doc.update(extra or {})
+        return doc
+
+    def violations(self, instances, ctx=None) -> list[dict]:
+        """The witnesses of the violated ones among ``instances`` (value tuples)."""
+        return [self.witness(*values) for values in instances if self(*values, ctx=ctx)]
+
+    def replay(self, doc: dict) -> bool:
+        """Parse the declared fields of ``doc`` and run the predicate."""
+        return self(*(_read_field(doc, key, kind) for key, kind in self.fields))
+
+
+CHECKS: dict[str, Check] = {}
+
+
+def check(name: str, *fields, context=None):
+    """Register the decorated predicate as the check ``name``."""
+    def register(predicate) -> Check:
+        entry = CHECKS[name] = Check(name, fields, predicate, context)
+        return entry
+    return register

@@ -27,7 +27,7 @@ from .algebra import (
     zero_morphism,
 )
 from .birkhoff import BirkhoffContext, birkhoff_radical, composite_radical, object_cube
-from .corpus import corpus_by_id, corpus_ids
+from .corpus import corpus_by_id
 from .cubes import NCube, cube_of_morphism, is_nfold_extension, is_pushout_square, square
 from .factorisation import (
     classify_em,
@@ -44,10 +44,12 @@ from .ops import (
     ExactSequence,
     huq_commutator,
     image,
+    image_elements,
     induced_on_quotient,
     into_pullback,
     join_normal,
     kernel,
+    meet_subobjects,
     normal_closure,
     power_subobject,
     pullback,
@@ -55,6 +57,7 @@ from .ops import (
 )
 from .reflectors import (
     Reflector,
+    breaks_extension_closure,
     is_free_member,
     is_protoadditive,
     is_torsion_member,
@@ -67,17 +70,7 @@ from .reflectors import (
     short_exact_sequences,
     torsion_theory_report,
 )
-from .report import Report, merge_reports
-from .serialize import (
-    algebra_from_doc,
-    algebra_to_doc,
-    cube_from_doc,
-    cube_to_doc,
-    morphism_from_doc,
-    morphism_to_doc,
-)
-
-CORPUS_NOTE = "corpus-restricted verdict"
+from .report import CHECKS, CORPUS_NOTE, Report, check, merge_reports
 
 
 class SuiteError(ValueError):
@@ -123,17 +116,6 @@ def _kernel_algebra(f: Morphism) -> Algebra:
     return sub
 
 
-def _seq_doc(check: str, R: Reflector | None, seq: ExactSequence, detail: dict | None = None) -> dict:
-    doc = {"check": check, "kernel": morphism_to_doc(seq.k), "epi": morphism_to_doc(seq.f)}
-    if R is not None:
-        doc["reflector"] = R.name
-    if seq.splitting is not None:
-        doc["section"] = morphism_to_doc(seq.splitting)
-    if detail:
-        doc.update(detail)
-    return doc
-
-
 def _pushout_square(f: Morphism, g: Morphism) -> NCube:
     j = join_normal(f.dom, kernel(f), kernel(g))
     _, q = quotient(f.dom, j)
@@ -171,8 +153,7 @@ def protoadditive_by_definition(R: Reflector, corpus) -> Report:
     """Split-sequence preservation, checked sequence by sequence."""
     seqs = split_exact_sequences(_applicable(R, corpus))
     report = is_protoadditive(R, seqs)
-    return Report("protoadditive-definition", report.verdict, report.witnesses,
-                  report.sample, [CORPUS_NOTE])
+    return Report.scan("protoadditive-definition", report.witnesses, report.sample)
 
 
 def protoadditive_by_pullbacks(R: Reflector, corpus, seed: int = 0) -> Report:
@@ -189,42 +170,145 @@ def protoadditive_by_pullbacks(R: Reflector, corpus, seed: int = 0) -> Report:
                 others.extend(enumerate_homs(C, f.cod))
         for g in _sample(others, seed, 6):
             checked += 1
-            P, p1, p2 = pullback(f, g)
-            Q, q1, q2 = pullback(map_reflect(R, f), map_reflect(R, g))
-            cmp = into_pullback(Q, q1, q2, map_reflect(R, p1), map_reflect(R, p2))
-            if not is_isomorphism_map(cmp):
-                witnesses.append(_seq_doc("pullback-not-preserved", R, seq,
-                                          {"along": morphism_to_doc(g)}))
+            if _pullback_not_preserved(R, seq, g):
+                witnesses.append(_pullback_not_preserved.witness(R, seq, g))
                 break
-    return Report("protoadditive-pullbacks",
-                  "pass" if not witnesses else "fail", witnesses,
-                  {"split-sequences": len(seqs), "pullbacks": checked},
-                  [CORPUS_NOTE])
+    return Report.scan("protoadditive-pullbacks", witnesses,
+                       {"split-sequences": len(seqs), "pullbacks": checked})
 
 
 def protoadditive_by_protosplit_monos(R: Reflector, corpus) -> Report:
     """Reflected protosplit monomorphisms staying normal monomorphisms."""
     seqs = split_exact_sequences(_applicable(R, corpus))
-    witnesses = []
-    for seq in seqs:
-        Fk = map_reflect(R, seq.k)
-        if not (is_injective(Fk) and image(Fk).normal):
-            witnesses.append(_seq_doc("protosplit-mono-image", R, seq))
-    return Report("protoadditive-protosplit-monos",
-                  "pass" if not witnesses else "fail", witnesses,
-                  {"protosplit-monos": len(seqs)}, [CORPUS_NOTE])
+    witnesses = _mono_image_not_normal.violations((R, seq) for seq in seqs)
+    return Report.scan("protoadditive-protosplit-monos", witnesses,
+                       {"protosplit-monos": len(seqs)})
 
 
-def _image_set(f: Morphism):
-    if f.dom.is_gpd:
-        return (frozenset(f.map1), frozenset(f.map0))
-    return frozenset(f.mapping)
+# ---------------------------------------------------------------------------
+# checks: each predicate is True when its instance violates the claim
 
 
-def _flat(elements):
-    if isinstance(elements, tuple) and len(elements) == 2 and isinstance(elements[0], frozenset):
-        return [("g1", x) for x in elements[0]] + [("g0", x) for x in elements[1]]
-    return list(elements)
+_REFLECTOR = ("reflector", "reflector")
+_SEQUENCE = (None, "sequence")
+_EPI = ("epi", "morphism")
+_MEMBERS = {"torsion": is_torsion_member, "free": is_free_member,
+            "subvariety": is_free_member}
+
+
+@check("unit-pullback-not-inverted", _REFLECTOR, ("algebra", "algebra"), ("along", "morphism"))
+def _unit_pullback_not_inverted(R: Reflector, A: Algebra, g: Morphism) -> bool:
+    _, _, p2 = pullback(reflect(R, A).unit, g)
+    return not is_isomorphism_map(map_reflect(R, p2))
+
+
+@check("pullback-not-preserved", _REFLECTOR, _SEQUENCE, ("along", "morphism"))
+def _pullback_not_preserved(R: Reflector, seq: ExactSequence, g: Morphism) -> bool:
+    f = seq.f
+    P, p1, p2 = pullback(f, g)
+    Q, q1, q2 = pullback(map_reflect(R, f), map_reflect(R, g))
+    return not is_isomorphism_map(
+        into_pullback(Q, q1, q2, map_reflect(R, p1), map_reflect(R, p2)))
+
+
+@check("protosplit-mono-image", _REFLECTOR, _SEQUENCE)
+def _mono_image_not_normal(R: Reflector, seq: ExactSequence) -> bool:
+    Fk = map_reflect(R, seq.k)
+    return not (is_injective(Fk) and image(Fk).normal)
+
+
+@check("heredity-mismatch", _REFLECTOR, _SEQUENCE)
+def _heredity_mismatch(R: Reflector, seq: ExactSequence) -> bool:
+    k = seq.k
+    TA_in_K = meet_subobjects(k.cod, radical(R, k.cod), image(k))
+    return image_elements(k, radical(R, k.dom)) != TA_in_K.elements
+
+
+@check("class-extension-closure", _REFLECTOR, _SEQUENCE, ("class", tuple(_MEMBERS)))
+def _class_not_extension_closed(R: Reflector, seq: ExactSequence, label: str) -> bool:
+    return breaks_extension_closure(_MEMBERS[label], R, seq)
+
+
+@check("normal-vs-kernel-mismatch", _REFLECTOR, _EPI)
+def _normal_vs_kernel_mismatch(R: Reflector, f: Morphism) -> bool:
+    return is_normal_extension(R, f) != is_free_member(R, _kernel_algebra(f))
+
+
+@check("orthogonality-failure", _REFLECTOR, ("e", "morphism"), ("m", "morphism"),
+       ("top", "morphism"), ("bottom", "morphism"))
+def _orthogonality_failure(R: Reflector, e: Morphism, m: Morphism,
+                           u: Morphism, v: Morphism) -> bool:
+    status, _ = check_orthogonal(e, m, (u, v))
+    return status != "unique"
+
+
+@check("factorisation-classes", _REFLECTOR, _EPI)
+def _factorisation_classes(R: Reflector, f: Morphism) -> bool:
+    fac = em_factorize(R, f)
+    return (classify_em(R, fac.e) not in ("e", "both")
+            or classify_em(R, fac.m) not in ("m", "both"))
+
+
+@check("e-class-not-stable", _REFLECTOR, ("e", "morphism"), ("along", "morphism"))
+def _e_class_not_stable(R: Reflector, e: Morphism, g: Morphism) -> bool:
+    _, _, p2 = pullback(e, g)
+    return classify_em(R, p2) not in ("e", "both")
+
+
+@check("factorisation-not-unique", _REFLECTOR, _EPI, ("alt-epi", "morphism"))
+def _factorisation_not_unique(R: Reflector, f: Morphism, alt_e: Morphism) -> bool:
+    return not _factorisation_unique(R, f, alt_e)
+
+
+@check("pushout-vs-double-extension", ("square", "cube"))
+def _pushout_vs_double_extension(sq: NCube) -> bool:
+    return is_nfold_extension(sq) != is_pushout_square(sq)
+
+
+@check("criterion-vs-galois", _REFLECTOR, ("square", "cube"))
+def _criterion_vs_galois(R: Reflector, sq: NCube) -> bool:
+    return nfold_normal_by_criterion(R, sq) != double_normal_by_galois(R, sq)
+
+
+@check("radical-vs-commutator", _REFLECTOR, _EPI,
+       context=lambda R, f: BirkhoffContext(R, (f.dom, f.cod)))
+def _radical_vs_commutator(ctx: BirkhoffContext, R: Reflector, f: Morphism) -> bool:
+    comm = huq_commutator(f.dom, kernel(f), full_subobject(f.dom))
+    return birkhoff_radical(ctx, f).elements != comm.elements
+
+
+@check("normal-vs-kernel-membership", _REFLECTOR, _EPI,
+       context=lambda R, f: BirkhoffContext(R, (f.dom, f.cod)))
+def _normal_vs_kernel_membership(ctx: BirkhoffContext, R: Reflector, f: Morphism) -> bool:
+    return birkhoff_radical(ctx, f).is_zero() != is_free_member(R, _kernel_algebra(f))
+
+
+@check("composite-normal-routes", _REFLECTOR, _EPI,
+       context=lambda R, f: BirkhoffContext(R.inner, (f.dom, f.cod), C=R))
+def _composite_normal_routes(ctx: BirkhoffContext, R: Reflector, f: Morphism) -> bool:
+    via_join = composite_radical(ctx, cube_of_morphism(f), "join").is_zero()
+    b_normal = birkhoff_radical(ctx, f).is_zero()
+    kernel_in_c = is_free_member(R, _kernel_algebra(f))
+    return not (via_join == (b_normal and kernel_in_c) == is_normal_extension(R, f))
+
+
+@check("join-vs-direct", _REFLECTOR, _EPI,
+       context=lambda R, f: (BirkhoffContext(R.inner, (f.dom, f.cod), C=R),
+                             BirkhoffContext(R, (f.dom, f.cod))))
+def _join_vs_direct(ctxs: tuple, R: Reflector, f: Morphism) -> bool:
+    """``ctxs``: the inner context relative to R, then R's own context."""
+    joined = composite_radical(ctxs[0], cube_of_morphism(f), "join")
+    direct = birkhoff_radical(ctxs[1], f)
+    return joined.elements != direct.elements
+
+
+@check("composite-object-radical", _REFLECTOR, ("algebra", "algebra"),
+       context=lambda R, A: BirkhoffContext(R.inner, (A,), C=R.outer))
+def _composite_object_radical(ctx: BirkhoffContext, R: Reflector, A: Algebra) -> bool:
+    via_cube = composite_radical(ctx, object_cube(A), "intersection")
+    oracle = join_normal(A, radical(R.inner, A),
+                         normal_closure(A, power_subobject(A, R.outer.k).elements))
+    return not (radical(R, A).elements == via_cube.elements == oracle.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -245,24 +329,16 @@ def _suite_thm_1_6(R: Reflector, corpus, seed: int) -> Report:
             free_Y = is_free_member(R, Y)
             for g in _sample(enumerate_homs(Y, dec.reflection), seed, 4):
                 pullbacks += 1
-                _, _, p2 = pullback(dec.unit, g)
-                if not is_isomorphism_map(map_reflect(R, p2)):
-                    witnesses.append({
-                        "check": "unit-pullback-not-inverted",
-                        "reflector": R.name,
-                        "algebra": algebra_to_doc(A),
-                        "along": morphism_to_doc(g),
-                        "semi-left-exact-instance": free_Y,
-                    })
+                if _unit_pullback_not_inverted(R, A, g):
+                    witnesses.append(_unit_pullback_not_inverted.witness(
+                        R, A, g, extra={"semi-left-exact-instance": free_Y}))
     sample["unit-pullbacks"] = pullbacks
-    return Report("thm-1.6", "pass" if not witnesses else "fail",
-                  witnesses, sample, [CORPUS_NOTE])
+    return Report.scan("thm-1.6", witnesses, sample)
 
 
 def _suite_prop_2_2(R: Reflector, corpus, seed: int) -> Report:
     report = protoadditive_by_pullbacks(R, corpus, seed)
-    return Report("prop-2.2", report.verdict, report.witnesses, report.sample,
-                  report.notes)
+    return Report.scan("prop-2.2", report.witnesses, report.sample)
 
 
 def _suite_prop_2_3(R: Reflector, corpus, seed: int) -> Report:
@@ -286,15 +362,8 @@ def _suite_prop_2_3(R: Reflector, corpus, seed: int) -> Report:
 
 def _suite_thm_2_4(R: Reflector, corpus, seed: int) -> Report:
     lhs = protoadditive_by_definition(R, corpus)
-    witnesses = []
     seqs = split_exact_sequences(_applicable(R, corpus))
-    for seq in seqs:
-        K = seq.k.dom
-        TK_in_A = set(_flat(_push(seq.k, radical(R, K).elements)))
-        TA = set(_flat(radical(R, seq.f.dom).elements))
-        imgK = set(_flat(_image_set(seq.k)))
-        if TK_in_A != (TA & imgK):
-            witnesses.append(_seq_doc("heredity-mismatch", R, seq))
+    witnesses = _heredity_mismatch.violations((R, seq) for seq in seqs)
     hereditary = not witnesses
     agree = lhs.passed == hereditary
     if agree and not hereditary:
@@ -311,19 +380,9 @@ def _suite_thm_2_4(R: Reflector, corpus, seed: int) -> Report:
                   {"protosplit-monos": len(seqs), **lhs.sample}, notes)
 
 
-def _push(f: Morphism, elements):
-    if f.dom.is_gpd:
-        return (frozenset(f.map1[x] for x in elements[0]),
-                frozenset(f.map0[x] for x in elements[1]))
-    return frozenset(f.mapping[x] for x in elements)
-
-
 def _suite_prop_2_5_2_7(R: Reflector, corpus, seed: int) -> Report:
     algebras = _applicable(R, corpus)
-    if R.torsion_theory:
-        classes = [("torsion", is_torsion_member), ("free", is_free_member)]
-    else:
-        classes = [("subvariety", is_free_member)]
+    classes = ("torsion", "free") if R.torsion_theory else ("subvariety",)
     witnesses = []
     split_n = seq_n = 0
     for split, seqs in ((True, split_exact_sequences(algebras)),
@@ -333,30 +392,18 @@ def _suite_prop_2_5_2_7(R: Reflector, corpus, seed: int) -> Report:
                 split_n += 1
             else:
                 seq_n += 1
-            K = seq.k.dom
-            A, B = seq.f.dom, seq.f.cod
-            for label, member in classes:
-                if member(R, K) and member(R, B) and not member(R, A):
-                    witnesses.append(_seq_doc("class-extension-closure", R, seq,
-                                              {"class": label, "split": split}))
-    return Report("prop-2.5/2.7", "pass" if not witnesses else "fail", witnesses,
-                  {"split-sequences": split_n, "sequences": seq_n}, [CORPUS_NOTE])
+            for label in classes:
+                if _class_not_extension_closed(R, seq, label):
+                    witnesses.append(_class_not_extension_closed.witness(
+                        R, seq, label, extra={"split": split}))
+    return Report.scan("prop-2.5/2.7", witnesses,
+                       {"split-sequences": split_n, "sequences": seq_n})
 
 
 def _suite_prop_3_1(R: Reflector, corpus, seed: int) -> Report:
-    witnesses = []
-    surjs = [f for f in _surjections_in(_applicable(R, corpus))]
-    for f in surjs:
-        lhs = is_normal_extension(R, f)
-        rhs = is_free_member(R, _kernel_algebra(f))
-        if lhs != rhs:
-            witnesses.append({
-                "check": "normal-vs-kernel-mismatch",
-                "reflector": R.name,
-                "epi": morphism_to_doc(f),
-            })
-    return Report("prop-3.1", "pass" if not witnesses else "fail", witnesses,
-                  {"surjections": len(surjs)}, [CORPUS_NOTE])
+    surjs = _surjections_in(_applicable(R, corpus))
+    witnesses = _normal_vs_kernel_mismatch.violations((R, f) for f in surjs)
+    return Report.scan("prop-3.1", witnesses, {"surjections": len(surjs)})
 
 
 def _em_classes(R: Reflector, corpus):
@@ -380,16 +427,8 @@ def _orthogonality_witnesses(R: Reflector, es, ms, seed: int, cap: int):
             if v is None:
                 continue
             checked += 1
-            status, _ = check_orthogonal(e, m, (u, v))
-            if status != "unique":
-                witnesses.append({
-                    "check": "orthogonality-failure",
-                    "reflector": R.name,
-                    "e": morphism_to_doc(e),
-                    "m": morphism_to_doc(m),
-                    "top": morphism_to_doc(u),
-                    "bottom": morphism_to_doc(v),
-                })
+            if _orthogonality_failure(R, e, m, u, v):
+                witnesses.append(_orthogonality_failure.witness(R, e, m, u, v))
     return witnesses, checked
 
 
@@ -404,25 +443,15 @@ def _induced_on_cod(e: Morphism, through: Morphism) -> Morphism | None:
 def _suite_lemma_3_2(R: Reflector, corpus, seed: int) -> Report:
     es, ms = _em_classes(R, corpus)
     witnesses, checked = _orthogonality_witnesses(R, es, ms, seed, 150)
-    return Report("lemma-3.2", "pass" if not witnesses else "fail", witnesses,
-                  {"e-maps": len(es), "m-maps": len(ms), "squares": checked},
-                  [CORPUS_NOTE])
+    return Report.scan("lemma-3.2", witnesses,
+                       {"e-maps": len(es), "m-maps": len(ms), "squares": checked})
 
 
 def _suite_prop_3_4(R: Reflector, corpus, seed: int) -> Report:
     algebras = _applicable(R, corpus)
     es, ms = _em_classes(R, corpus)
-    witnesses = []
-    fact_n = 0
-    for f in _surjections_in(algebras):
-        fact_n += 1
-        fac = em_factorize(R, f)
-        if classify_em(R, fac.e) not in ("e", "both") or classify_em(R, fac.m) not in ("m", "both"):
-            witnesses.append({
-                "check": "factorisation-classes",
-                "reflector": R.name,
-                "epi": morphism_to_doc(f),
-            })
+    surjs = _surjections_in(algebras)
+    witnesses = _factorisation_classes.violations((R, f) for f in surjs)
     ortho_w, ortho_n = _orthogonality_witnesses(R, es, ms, seed, 60)
     witnesses.extend(ortho_w)
     stable_n = 0
@@ -432,17 +461,11 @@ def _suite_prop_3_4(R: Reflector, corpus, seed: int) -> Report:
                 continue
             for g in _sample(enumerate_homs(C, e.cod), seed, 3):
                 stable_n += 1
-                _, _, p2 = pullback(e, g)
-                if classify_em(R, p2) not in ("e", "both"):
-                    witnesses.append({
-                        "check": "e-class-not-stable",
-                        "reflector": R.name,
-                        "e": morphism_to_doc(e),
-                        "along": morphism_to_doc(g),
-                    })
-    return Report("prop-3.4", "pass" if not witnesses else "fail", witnesses,
-                  {"factorisations": fact_n, "orthogonal-squares": ortho_n,
-                   "pullbacks": stable_n}, [CORPUS_NOTE])
+                if _e_class_not_stable(R, e, g):
+                    witnesses.append(_e_class_not_stable.witness(R, e, g))
+    return Report.scan("prop-3.4", witnesses, {"factorisations": len(surjs),
+                                               "orthogonal-squares": ortho_n,
+                                               "pullbacks": stable_n})
 
 
 def _factorisation_unique(R: Reflector, f: Morphism, alt_e: Morphism) -> bool:
@@ -467,13 +490,8 @@ def _suite_thm_3_5(R: Reflector, corpus, seed: int) -> Report:
         if not condition_N_check(R, f):
             continue
         count += 1
-        fac = em_factorize(R, f)
-        if classify_em(R, fac.e) not in ("e", "both") or classify_em(R, fac.m) not in ("m", "both"):
-            witnesses.append({
-                "check": "factorisation-classes",
-                "reflector": R.name,
-                "epi": morphism_to_doc(f),
-            })
+        if _factorisation_classes(R, f):
+            witnesses.append(_factorisation_classes.witness(R, f))
             continue
         # every corpus-constructible rival factorisation must agree up to
         # a unique middle isomorphism
@@ -482,47 +500,23 @@ def _suite_thm_3_5(R: Reflector, corpus, seed: int) -> Report:
                 continue
             for alt_e in surjections(f.dom, M):
                 alternatives += 1
-                if not _factorisation_unique(R, f, alt_e):
-                    witnesses.append({
-                        "check": "factorisation-not-unique",
-                        "reflector": R.name,
-                        "epi": morphism_to_doc(f),
-                        "alt-epi": morphism_to_doc(alt_e),
-                    })
-    return Report("thm-3.5", "pass" if not witnesses else "fail", witnesses,
-                  {"factorisations": count, "alternatives": alternatives},
-                  [CORPUS_NOTE])
+                if _factorisation_not_unique(R, f, alt_e):
+                    witnesses.append(_factorisation_not_unique.witness(R, f, alt_e))
+    return Report.scan("thm-3.5", witnesses,
+                       {"factorisations": count, "alternatives": alternatives})
 
 
 def _suite_remark_4_3(R: Reflector | None, corpus, seed: int) -> Report:
-    witnesses = []
     squares = _derived_squares(tuple(corpus), seed, 140)
-    for sq in squares:
-        if is_nfold_extension(sq) != is_pushout_square(sq):
-            witnesses.append({"check": "pushout-vs-double-extension",
-                              "square": cube_to_doc(sq)})
-    return Report("remark-4.3", "pass" if not witnesses else "fail", witnesses,
-                  {"squares": len(squares)}, [CORPUS_NOTE])
+    witnesses = _pushout_vs_double_extension.violations((sq,) for sq in squares)
+    return Report.scan("remark-4.3", witnesses, {"squares": len(squares)})
 
 
 def _suite_thm_4_6(R: Reflector, corpus, seed: int) -> Report:
-    algebras = _applicable(R, corpus)
-    witnesses = []
-    checked = 0
-    for sq in _derived_squares(algebras, seed, 120):
-        if not is_nfold_extension(sq):
-            continue
-        checked += 1
-        lhs = nfold_normal_by_criterion(R, sq)
-        rhs = double_normal_by_galois(R, sq)
-        if lhs != rhs:
-            witnesses.append({
-                "check": "criterion-vs-galois",
-                "reflector": R.name,
-                "square": cube_to_doc(sq),
-            })
-    return Report("thm-4.6", "pass" if not witnesses else "fail", witnesses,
-                  {"double-extensions": checked}, [CORPUS_NOTE])
+    squares = [sq for sq in _derived_squares(_applicable(R, corpus), seed, 120)
+               if is_nfold_extension(sq)]
+    witnesses = _criterion_vs_galois.violations((R, sq) for sq in squares)
+    return Report.scan("thm-4.6", witnesses, {"double-extensions": len(squares)})
 
 
 def _suite_prop_5_5(R: Reflector, corpus, seed: int) -> Report:
@@ -538,26 +532,13 @@ def _suite_prop_5_5(R: Reflector, corpus, seed: int) -> Report:
             "needs the commutator oracle (ab on groups) or a protoadditive reflector")
     witnesses = []
     surjs = _surjections_in(algebras)
+    checks = ([_radical_vs_commutator] if group_oracle else []) + (
+        [_normal_vs_kernel_membership] if proto else [])
     for f in surjs:
-        rad = birkhoff_radical(ctx, f)
-        if group_oracle:
-            K = kernel(f)
-            comm = huq_commutator(f.dom, K, full_subobject(f.dom))
-            if set(rad.elements) != set(comm.elements):
-                witnesses.append({
-                    "check": "radical-vs-commutator",
-                    "reflector": R.name,
-                    "epi": morphism_to_doc(f),
-                })
-        if proto:
-            if rad.is_zero() != is_free_member(R, _kernel_algebra(f)):
-                witnesses.append({
-                    "check": "normal-vs-kernel-membership",
-                    "reflector": R.name,
-                    "epi": morphism_to_doc(f),
-                })
-    return Report("prop-5.5", "pass" if not witnesses else "fail", witnesses,
-                  {"surjections": len(surjs)}, [CORPUS_NOTE])
+        for c in checks:
+            if c(R, f, ctx=ctx):
+                witnesses.append(c.witness(R, f))
+    return Report.scan("prop-5.5", witnesses, {"surjections": len(surjs)})
 
 
 def _composite_parts(R: Reflector) -> tuple[Reflector, Reflector]:
@@ -570,42 +551,18 @@ def _suite_thm_6_2(R: Reflector, corpus, seed: int) -> Report:
     _, inner = _composite_parts(R)
     algebras = _applicable(R, corpus)
     ctx = BirkhoffContext(inner, algebras, C=R)
-    witnesses = []
     surjs = _surjections_in(algebras)
-    for f in surjs:
-        c = cube_of_morphism(f)
-        via_join = composite_radical(ctx, c, "join").is_zero()
-        b_normal = birkhoff_radical(ctx, f).is_zero()
-        kernel_in_c = is_free_member(R, _kernel_algebra(f))
-        direct = is_normal_extension(R, f)
-        if not (via_join == (b_normal and kernel_in_c) == direct):
-            witnesses.append({
-                "check": "composite-normal-routes",
-                "reflector": R.name,
-                "epi": morphism_to_doc(f),
-            })
-    return Report("thm-6.2", "pass" if not witnesses else "fail", witnesses,
-                  {"surjections": len(surjs)}, [CORPUS_NOTE])
+    witnesses = _composite_normal_routes.violations(((R, f) for f in surjs), ctx=ctx)
+    return Report.scan("thm-6.2", witnesses, {"surjections": len(surjs)})
 
 
 def _suite_thm_6_5(R: Reflector, corpus, seed: int) -> Report:
     _, inner = _composite_parts(R)
     algebras = _applicable(R, corpus)
-    ctx = BirkhoffContext(inner, algebras, C=R)
-    direct_ctx = BirkhoffContext(R, algebras)
-    witnesses = []
+    ctxs = (BirkhoffContext(inner, algebras, C=R), BirkhoffContext(R, algebras))
     surjs = _surjections_in(algebras)
-    for f in surjs:
-        joined = composite_radical(ctx, cube_of_morphism(f), "join")
-        direct = birkhoff_radical(direct_ctx, f)
-        if set(_flat(joined.elements)) != set(_flat(direct.elements)):
-            witnesses.append({
-                "check": "join-vs-direct",
-                "reflector": R.name,
-                "epi": morphism_to_doc(f),
-            })
-    return Report("thm-6.5", "pass" if not witnesses else "fail", witnesses,
-                  {"surjections": len(surjs)}, [CORPUS_NOTE])
+    witnesses = _join_vs_direct.violations(((R, f) for f in surjs), ctx=ctxs)
+    return Report.scan("thm-6.5", witnesses, {"surjections": len(surjs)})
 
 
 def _suite_lemma_6_6(R: Reflector, corpus, seed: int) -> Report:
@@ -615,21 +572,8 @@ def _suite_lemma_6_6(R: Reflector, corpus, seed: int) -> Report:
             "the join identity is stated for burnside:k over abelianisation")
     algebras = _applicable(R, corpus)
     ctx = BirkhoffContext(inner, algebras, C=outer)
-    witnesses = []
-    for A in algebras:
-        composite = radical(R, A)
-        via_cube = composite_radical(ctx, object_cube(A), "intersection")
-        oracle = join_normal(A, radical(inner, A),
-                             normal_closure(A, power_subobject(A, outer.k).elements))
-        sets = [set(_flat(s.elements)) for s in (composite, via_cube, oracle)]
-        if not (sets[0] == sets[1] == sets[2]):
-            witnesses.append({
-                "check": "composite-object-radical",
-                "reflector": R.name,
-                "algebra": algebra_to_doc(A),
-            })
-    return Report("lemma-6.6", "pass" if not witnesses else "fail", witnesses,
-                  {"objects": len(algebras)}, [CORPUS_NOTE])
+    witnesses = _composite_object_radical.violations(((R, A) for A in algebras), ctx=ctx)
+    return Report.scan("lemma-6.6", witnesses, {"objects": len(algebras)})
 
 
 # ---------------------------------------------------------------------------
@@ -769,209 +713,15 @@ def verify_all(seed: int = 0) -> list[Report]:
 # witness replay
 
 
-def _replay_sequence(doc) -> ExactSequence:
-    k = morphism_from_doc(doc["kernel"])
-    f = morphism_from_doc(doc["epi"])
-    s = morphism_from_doc(doc["section"]) if "section" in doc else None
-    return ExactSequence(k, f, s)
-
-
-def _replay_split_preservation(doc) -> bool:
-    from .reflectors import preserves_split_sequence
-    R = reflector_by_id(doc["reflector"])
-    return not preserves_split_sequence(R, _replay_sequence(doc))
-
-
-def _replay_idempotent(doc) -> bool:
-    R = reflector_by_id(doc["reflector"])
-    A = algebra_from_doc(doc["algebra"])
-    T = radical(R, A)
-    sub, _ = sub_algebra(A, T)
-    return not radical(R, sub).is_whole()
-
-
-def _replay_hom_vanishing(doc) -> bool:
-    R = reflector_by_id(doc["reflector"])
-    f = morphism_from_doc(doc["morphism"])
-    nonzero = any(v != 0 for v in (f.map1 + f.map0 if f.dom.is_gpd else f.mapping))
-    return (nonzero and is_torsion_member(R, f.dom) and is_free_member(R, f.cod))
-
-
-def _replay_closure(doc, member) -> bool:
-    R = reflector_by_id(doc["reflector"])
-    seq = _replay_sequence(doc)
-    K, A, B = seq.k.dom, seq.f.dom, seq.f.cod
-    return member(R, K) and member(R, B) and not member(R, A)
-
-
-def _replay_class_closure(doc) -> bool:
-    member = {"torsion": is_torsion_member, "free": is_free_member,
-              "subvariety": is_free_member}[doc["class"]]
-    return _replay_closure(doc, member)
-
-
-def _replay_unit_pullback(doc) -> bool:
-    R = reflector_by_id(doc["reflector"])
-    A = algebra_from_doc(doc["algebra"])
-    g = morphism_from_doc(doc["along"])
-    dec = reflect(R, A)
-    _, _, p2 = pullback(dec.unit, g)
-    return not is_isomorphism_map(map_reflect(R, p2))
-
-
-def _replay_pullback_preservation(doc) -> bool:
-    R = reflector_by_id(doc["reflector"])
-    f = morphism_from_doc(doc["epi"])
-    g = morphism_from_doc(doc["along"])
-    P, p1, p2 = pullback(f, g)
-    Q, q1, q2 = pullback(map_reflect(R, f), map_reflect(R, g))
-    cmp = into_pullback(Q, q1, q2, map_reflect(R, p1), map_reflect(R, p2))
-    return not is_isomorphism_map(cmp)
-
-
-def _replay_protosplit_mono(doc) -> bool:
-    R = reflector_by_id(doc["reflector"])
-    k = morphism_from_doc(doc["kernel"])
-    Fk = map_reflect(R, k)
-    return not (is_injective(Fk) and image(Fk).normal)
-
-
-def _replay_heredity(doc) -> bool:
-    R = reflector_by_id(doc["reflector"])
-    k = morphism_from_doc(doc["kernel"])
-    TK_in_A = set(_flat(_push(k, radical(R, k.dom).elements)))
-    TA = set(_flat(radical(R, k.cod).elements))
-    imgK = set(_flat(_image_set(k)))
-    return TK_in_A != (TA & imgK)
-
-
-def _replay_normal_vs_kernel(doc) -> bool:
-    R = reflector_by_id(doc["reflector"])
-    f = morphism_from_doc(doc["epi"])
-    return is_normal_extension(R, f) != is_free_member(R, _kernel_algebra(f))
-
-
-def _replay_orthogonality(doc) -> bool:
-    R = reflector_by_id(doc["reflector"])
-    e = morphism_from_doc(doc["e"])
-    m = morphism_from_doc(doc["m"])
-    u = morphism_from_doc(doc["top"])
-    v = morphism_from_doc(doc["bottom"])
-    status, _ = check_orthogonal(e, m, (u, v))
-    return status != "unique"
-
-
-def _replay_factorisation_classes(doc) -> bool:
-    R = reflector_by_id(doc["reflector"])
-    f = morphism_from_doc(doc["epi"])
-    fac = em_factorize(R, f)
-    return (classify_em(R, fac.e) not in ("e", "both")
-            or classify_em(R, fac.m) not in ("m", "both"))
-
-
-def _replay_e_stability(doc) -> bool:
-    R = reflector_by_id(doc["reflector"])
-    e = morphism_from_doc(doc["e"])
-    g = morphism_from_doc(doc["along"])
-    _, _, p2 = pullback(e, g)
-    return classify_em(R, p2) not in ("e", "both")
-
-
-def _replay_uniqueness(doc) -> bool:
-    R = reflector_by_id(doc["reflector"])
-    f = morphism_from_doc(doc["epi"])
-    alt_e = morphism_from_doc(doc["alt-epi"])
-    return not _factorisation_unique(R, f, alt_e)
-
-
-def _replay_pushout_square(doc) -> bool:
-    sq = cube_from_doc(doc["square"])
-    return is_nfold_extension(sq) != is_pushout_square(sq)
-
-
-def _replay_criterion_galois(doc) -> bool:
-    R = reflector_by_id(doc["reflector"])
-    sq = cube_from_doc(doc["square"])
-    return nfold_normal_by_criterion(R, sq) != double_normal_by_galois(R, sq)
-
-
-def _replay_radical_commutator(doc) -> bool:
-    R = reflector_by_id(doc["reflector"])
-    f = morphism_from_doc(doc["epi"])
-    ctx = BirkhoffContext(R, (f.dom, f.cod))
-    rad = birkhoff_radical(ctx, f)
-    comm = huq_commutator(f.dom, kernel(f), full_subobject(f.dom))
-    return set(rad.elements) != set(comm.elements)
-
-
-def _replay_normal_vs_membership(doc) -> bool:
-    R = reflector_by_id(doc["reflector"])
-    f = morphism_from_doc(doc["epi"])
-    ctx = BirkhoffContext(R, (f.dom, f.cod))
-    return birkhoff_radical(ctx, f).is_zero() != is_free_member(R, _kernel_algebra(f))
-
-
-def _replay_composite_routes(doc) -> bool:
-    R = reflector_by_id(doc["reflector"])
-    f = morphism_from_doc(doc["epi"])
-    ctx = BirkhoffContext(R.inner, (f.dom, f.cod), C=R)
-    via_join = composite_radical(ctx, cube_of_morphism(f), "join").is_zero()
-    b_normal = birkhoff_radical(ctx, f).is_zero()
-    kernel_in_c = is_free_member(R, _kernel_algebra(f))
-    direct = is_normal_extension(R, f)
-    return not (via_join == (b_normal and kernel_in_c) == direct)
-
-
-def _replay_join_vs_direct(doc) -> bool:
-    R = reflector_by_id(doc["reflector"])
-    f = morphism_from_doc(doc["epi"])
-    ctx = BirkhoffContext(R.inner, (f.dom, f.cod), C=R)
-    joined = composite_radical(ctx, cube_of_morphism(f), "join")
-    direct = birkhoff_radical(BirkhoffContext(R, (f.dom, f.cod)), f)
-    return set(_flat(joined.elements)) != set(_flat(direct.elements))
-
-
-def _replay_object_radical(doc) -> bool:
-    R = reflector_by_id(doc["reflector"])
-    A = algebra_from_doc(doc["algebra"])
-    ctx = BirkhoffContext(R.inner, (A,), C=R.outer)
-    composite = radical(R, A)
-    via_cube = composite_radical(ctx, object_cube(A), "intersection")
-    oracle = join_normal(A, radical(R.inner, A),
-                         normal_closure(A, power_subobject(A, R.outer.k).elements))
-    sets = [set(_flat(s.elements)) for s in (composite, via_cube, oracle)]
-    return not (sets[0] == sets[1] == sets[2])
-
-
-_REPLAYERS = {
-    "split-preservation": _replay_split_preservation,
-    "idempotent-radical": _replay_idempotent,
-    "hom-vanishing": _replay_hom_vanishing,
-    "torsion-extension-closure": lambda d: _replay_closure(d, is_torsion_member),
-    "free-extension-closure": lambda d: _replay_closure(d, is_free_member),
-    "class-extension-closure": _replay_class_closure,
-    "unit-pullback-not-inverted": _replay_unit_pullback,
-    "pullback-not-preserved": _replay_pullback_preservation,
-    "protosplit-mono-image": _replay_protosplit_mono,
-    "heredity-mismatch": _replay_heredity,
-    "normal-vs-kernel-mismatch": _replay_normal_vs_kernel,
-    "orthogonality-failure": _replay_orthogonality,
-    "factorisation-classes": _replay_factorisation_classes,
-    "e-class-not-stable": _replay_e_stability,
-    "factorisation-not-unique": _replay_uniqueness,
-    "pushout-vs-double-extension": _replay_pushout_square,
-    "criterion-vs-galois": _replay_criterion_galois,
-    "radical-vs-commutator": _replay_radical_commutator,
-    "normal-vs-kernel-membership": _replay_normal_vs_membership,
-    "composite-normal-routes": _replay_composite_routes,
-    "join-vs-direct": _replay_join_vs_direct,
-    "composite-object-radical": _replay_object_radical,
-}
-
-
 def replay_witness(doc: dict) -> bool:
-    """Re-run a witness; True when the violation reproduces."""
-    check = doc.get("check")
-    if check not in _REPLAYERS:
-        raise SuiteError(f"unknown witness check {check!r}")
-    return _REPLAYERS[check](doc)
+    """Re-run a witness; True when the violation reproduces.
+
+    Unknown checks and non-object documents raise SuiteError; a missing
+    or malformed field raises FormatError with its JSON path.
+    """
+    if not isinstance(doc, dict):
+        raise SuiteError(f"a witness is a JSON object, got {type(doc).__name__}")
+    name = doc.get("check")
+    if not isinstance(name, str) or name not in CHECKS:
+        raise SuiteError(f"unknown witness check {name!r}")
+    return CHECKS[name].replay(doc)

@@ -1,6 +1,10 @@
 """End-to-end runs of the command line entry point."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -211,3 +215,12 @@ def test_corpus_override_reaches_cli(tmp_path, capsys, monkeypatch):
     assert run(["check-protoadditive", "--reflector", "ab", "--corpus", "groups"]) == 0
     out = capsys.readouterr().out
     assert "protoadditive" in out
+
+
+def test_python_dash_m_semiab_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "semiab", "radical", "--reflector", "burnside:2", "--algebra", "c4"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "radical of c4" in proc.stdout

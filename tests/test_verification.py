@@ -1,8 +1,23 @@
 """The named verification suites: verdicts, witnesses and replay."""
 
+import json
+
 import pytest
 
-from semiab import corpus_by_id, reflector_by_id
+from semiab import (
+    FormatError,
+    corpus_by_id,
+    enumerate_homs,
+    identity_morphism,
+    named_algebra,
+    reflect,
+    reflector_by_id,
+    short_exact_sequences,
+    split_exact_sequences,
+    square,
+    surjections,
+)
+from semiab.report import CHECKS
 from semiab.verification import (
     SUITES,
     SuiteCompatibilityError,
@@ -166,3 +181,79 @@ def test_replay_rejects_unknown_check():
 def test_merged_default_notes_mention_configurations():
     rep = verify_suite("thm-1.6")
     assert any("configuration" in n for n in rep.notes)
+
+
+@pytest.mark.parametrize("doc, error, path", [
+    ({"check": "idempotent-radical"}, FormatError, "$.reflector"),
+    ({"check": "pullback-not-preserved", "reflector": "ab"}, FormatError, "$.kernel"),
+    ({"check": "class-extension-closure", "reflector": "boole", "kernel": {}, "epi": {}},
+     FormatError, "$.kernel.format"),
+    (["x"], SuiteError, None),
+])
+def test_malformed_witness_is_a_clean_error(doc, error, path):
+    with pytest.raises(error) as info:
+        replay_witness(doc)
+    assert getattr(info.value, "path", None) == path
+
+
+def test_witness_label_must_be_a_known_class():
+    seq = short_exact_sequences([named_algebra("bool2")])[0]
+    doc = CHECKS["class-extension-closure"].witness(reflector_by_id("boole"), seq, "free")
+    doc["class"] = "other"
+    with pytest.raises(FormatError) as info:
+        replay_witness(doc)
+    assert info.value.path == "$.class"
+
+
+def _check_instances():
+    """One small live instance of every registered check, as its field values."""
+    c2, c4, s3 = (named_algebra(n) for n in ("c2", "c4", "s3"))
+    z2, z4 = named_algebra("z2"), named_algebra("z4")
+    ab, reduced = reflector_by_id("ab"), reflector_by_id("reduced")
+    b2, comp = reflector_by_id("burnside:2"), reflector_by_id("composite:burnside:2∘ab")
+    # the split sequence c3 -> s3 -> c2, which ab does not preserve
+    split = next(seq for seq in split_exact_sequences([s3, c2]) if seq.f.cod == c2 != seq.f.dom)
+    ring_seq = short_exact_sequences([z4, z2])[1]
+    e = surjections(z4, z2)[0]
+    sq = square(e, e, identity_morphism(z2), identity_morphism(z2))
+    g = enumerate_homs(c2, reflect(b2, c4).reflection)[-1]
+    return {
+        "split-preservation": (ab, split),
+        "idempotent-radical": (b2, c4),
+        "hom-vanishing": (reduced, e),
+        "torsion-extension-closure": (reduced, ring_seq),
+        "free-extension-closure": (reduced, ring_seq),
+        "class-extension-closure": (reflector_by_id("boole"),
+                                    short_exact_sequences([named_algebra("bool2")])[0], "free"),
+        "unit-pullback-not-inverted": (b2, c4, g),
+        "pullback-not-preserved": (ab, split, identity_morphism(c2)),
+        "protosplit-mono-image": (ab, split),
+        "heredity-mismatch": (ab, split),
+        "normal-vs-kernel-mismatch": (reduced, e),
+        "orthogonality-failure": (reduced, e, identity_morphism(z2), e, identity_morphism(z2)),
+        "factorisation-classes": (reduced, e),
+        "e-class-not-stable": (reduced, e, identity_morphism(z2)),
+        "factorisation-not-unique": (reduced, e, e),
+        "pushout-vs-double-extension": (sq,),
+        "criterion-vs-galois": (reduced, sq),
+        "radical-vs-commutator": (ab, surjections(s3, c2)[0]),
+        "normal-vs-kernel-membership": (b2, surjections(named_algebra("m4-c4"),
+                                                        named_algebra("m4-c2"))[0]),
+        "composite-normal-routes": (comp, surjections(c4, c2)[0]),
+        "join-vs-direct": (comp, surjections(c4, c2)[0]),
+        "composite-object-radical": (comp, c4),
+    }
+
+
+def test_every_check_replays_its_own_predicate():
+    instances = _check_instances()
+    assert set(instances) == set(CHECKS)
+    outcomes = set()
+    for name, values in instances.items():
+        entry = CHECKS[name]
+        live = entry(*values)
+        doc = json.loads(json.dumps(entry.witness(*values)))
+        assert doc["check"] == name
+        assert replay_witness(doc) == live, name
+        outcomes.add(live)
+    assert outcomes == {True, False}
