@@ -17,11 +17,20 @@ checks are exhaustive in effect: associativity on large carriers uses
 the generator-based associativity test, which is equivalent to the
 full triple loop, and distributivity is checked on additive
 generators, which implies it everywhere.
+
+Each kind's operations and the levels of a groupoid are defined once,
+here, and every construction in this module, ``ops`` and ``homs`` is
+written against them: ``_signature`` lists a kind's tables (group
+operation and inverse first) and ``_rebuild`` builds an algebra from
+tables derived from them; ``_levels``, ``_arrays`` and ``_sets`` view
+an algebra, a morphism and a subobject level by level, ``_pack`` joins
+levels again, and ``_respects_structure``, ``_structure_images`` and
+``_assemble`` hold what is groupoid-only (d, c and i).  ``_close`` is
+the one closure routine.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 GROUP = "group"
@@ -61,10 +70,6 @@ class Variety:
         if self.modulus is not None and self.modulus < 1:
             raise AlgebraError("modulus must be >= 1")
 
-    @property
-    def single_sorted(self) -> bool:
-        return self.kind != GPD_IN_GROUP
-
     def __str__(self) -> str:
         if self.kind == ZMOD_MODULE:
             return f"zmod-module({self.modulus})"
@@ -94,30 +99,60 @@ def _as_map(values, n: int, cod: int, what: str) -> tuple[int, ...]:
     return m
 
 
-def _op_closure(table, start: frozenset[int]) -> frozenset[int]:
-    closed = set(start)
-    frontier = list(closed)
+def _close(binary, unary, closed: set[int], frontier, steps: list | None = None) -> set[int]:
+    """Close ``closed`` under the binary tables and unary maps, in place.
+
+    ``closed`` must already be closed except for the elements in
+    ``frontier``, so growing a closed set by new elements costs only
+    the products that involve them.  When ``steps`` is a list, each
+    new element v is recorded as (v, t, x, y): binary table t applied
+    to x, y, or unary map -1-t applied to x.
+    """
     while frontier:
         nxt = []
         for x in frontier:
-            for y in list(closed):
-                for z in (table[x][y], table[y][x]):
+            for k, u in enumerate(unary):
+                z = u[x]
+                if z not in closed:
+                    closed.add(z)
+                    nxt.append(z)
+                    if steps is not None:
+                        steps.append((z, -1 - k, x, 0))
+            for k, t in enumerate(binary):
+                tx = t[x]
+                for y in list(closed):
+                    z = tx[y]
                     if z not in closed:
                         closed.add(z)
                         nxt.append(z)
+                        if steps is not None:
+                            steps.append((z, k, x, y))
+                    z = t[y][x]
+                    if z not in closed:
+                        closed.add(z)
+                        nxt.append(z)
+                        if steps is not None:
+                            steps.append((z, k, y, x))
         frontier = nxt
-    return frozenset(closed)
+    return closed
 
 
-def _op_generators(table) -> list[int]:
-    """A small generating set for the binary operation, 0 assumed present."""
-    n = len(table)
+def _generators(binary, unary, order: int, plan: list | None = None) -> list[int]:
+    """Greedy generating set in index order, 0 taken as given.
+
+    When ``plan`` is a list, one (generator, steps) pair is appended
+    per generator, deriving every element it adds (see ``_close``).
+    """
+    closed = _close(binary, unary, {0}, [0])
     gens: list[int] = []
-    closed = _op_closure(table, frozenset({0}))
-    for x in range(n):
+    for x in range(order):
         if x not in closed:
             gens.append(x)
-            closed = _op_closure(table, closed | {x})
+            closed.add(x)
+            steps = None if plan is None else []
+            _close(binary, unary, closed, [x], steps)
+            if plan is not None:
+                plan.append((x, tuple(steps)))
     return gens
 
 
@@ -134,7 +169,7 @@ def _check_associative(table, what: str) -> None:
                         raise AlgebraError(f"{what} not associative at ({x},{y},{z})")
         return
     # generator-based test: (x*g)*z == x*(g*z) for generators g is equivalent
-    for g in _op_generators(table):
+    for g in _generators((table,), (), n):
         for x in range(n):
             xg = table[x][g]
             tg = table[g]
@@ -166,7 +201,7 @@ def _check_abelian(op, what: str) -> None:
 def _check_bilinear(add, mul, what: str) -> None:
     # additivity in each argument on additive generators implies it everywhere
     n = len(add)
-    gens = _op_generators(add) if n > _EXHAUSTIVE_LIMIT else list(range(n))
+    gens = _generators((add,), (), n) if n > _EXHAUSTIVE_LIMIT else list(range(n))
     for x in range(n):
         mx = mul[x]
         for g in gens:
@@ -197,8 +232,24 @@ def derive_inverses(op) -> tuple[int, ...]:
     return tuple(inv)
 
 
+class _Structural:
+    """Equality and a cached hash by ``_key()``, for frozen dataclasses."""
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(self._key())
+            object.__setattr__(self, "_hash", h)
+        return h
+
+
 @dataclass(frozen=True, eq=False)
-class Algebra:
+class Algebra(_Structural):
     """A finite algebra of one of the supported kinds.
 
     Single-sorted kinds use ``op``/``inv`` (groups) or
@@ -241,18 +292,6 @@ class Algebra:
             self.i,
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Algebra):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self._key())
-            object.__setattr__(self, "_hash", h)
-        return h
-
     def __repr__(self) -> str:
         label = self.name or str(self.variety)
         return f"<Algebra {label} order={self.order}>"
@@ -263,7 +302,7 @@ class Algebra:
 
     @property
     def is_gpd(self) -> bool:
-        return self.kind == GPD_IN_GROUP
+        return self.variety.kind == GPD_IN_GROUP
 
 
 def group_algebra(op, inv=None, name: str | None = None) -> Algebra:
@@ -309,7 +348,7 @@ def module_algebra(modulus: int, add, act, name: str | None = None) -> Algebra:
     for x in range(n):
         if act_t[1 % modulus][x] != (x if modulus > 1 else 0):
             raise AlgebraError(f"{what}: 1*x != x at {x}")
-    gens = _op_generators(add_t) if n > _EXHAUSTIVE_LIMIT else list(range(n))
+    gens = _generators((add_t,), (), n) if n > _EXHAUSTIVE_LIMIT else list(range(n))
     for s in range(modulus):
         row = act_t[s]
         for t in range(modulus):
@@ -349,12 +388,9 @@ def gpd_algebra(g1: Algebra, g0: Algebra, d, c, i, name: str | None = None) -> A
         (c_t, g1, g0, "c"),
         (i_t, g0, g1, "i"),
     ):
-        if m[0] != 0:
-            raise AlgebraError(f"{what}: {label} must preserve the constant")
-        for x in range(dom.order):
-            for y in range(dom.order):
-                if m[dom.op[x][y]] != cod.op[m[x]][m[y]]:
-                    raise AlgebraError(f"{what}: {label} is not a homomorphism")
+        bad = _violation(dom, cod, m)
+        if bad is not None:
+            raise AlgebraError(f"{what}: {label} {bad}")
     for x in range(g0.order):
         if d_t[i_t[x]] != x or c_t[i_t[x]] != x:
             raise AlgebraError(f"{what}: i is not a section of d and c")
@@ -385,11 +421,134 @@ def gpd_algebra(g1: Algebra, g0: Algebra, d, c, i, name: str | None = None) -> A
 
 
 # ---------------------------------------------------------------------------
+# the signature of each kind, and groupoids level by level
+
+
+def _signature(A: Algebra):
+    """(binary tables, unary maps) of a single-sorted algebra.
+
+    The group operation and its inverse come first: ``op``/``inv`` for
+    groups, ``add``/``neg`` for rings and modules; rings add ``mul``
+    and modules one unary map per scalar (the ``act`` rows).
+    """
+    if A.kind == GROUP:
+        return (A.op,), (A.inv,)
+    if A.kind in RING_KINDS:
+        return (A.add, A.mul), (A.neg,)
+    if A.kind == ZMOD_MODULE:
+        return (A.add,), (A.neg, *A.act)
+    raise AlgebraError("groupoids have no single signature; work level by level")
+
+
+def _rebuild(parents, binary_map, unary_map) -> Algebra:
+    """An algebra of the parents' variety from tables derived from theirs.
+
+    ``binary_map`` gets the parents' matching binary tables and
+    ``unary_map`` their matching unary maps (one of each per parent);
+    the results go through the public constructor of the kind.
+    """
+    sigs = [_signature(P) for P in parents]
+    binary = [binary_map(*ts) for ts in zip(*(s[0] for s in sigs))]
+    unary = [unary_map(*us) for us in zip(*(s[1] for s in sigs))]
+    V = parents[0].variety
+    if V.kind == GROUP:
+        return group_algebra(binary[0], unary[0])
+    if V.kind in RING_KINDS:
+        return ring_algebra(V.kind, *binary)
+    return module_algebra(V.modulus, binary[0], unary[1:])
+
+
+def _violation(dom: Algebra, cod: Algebra, m) -> str | None:
+    """How the array m fails to be a homomorphism, or None if it is one."""
+    if m[0] != 0:
+        return "does not send 0 to 0"
+    (db, du), (cb, cu) = _signature(dom), _signature(cod)
+    n = dom.order
+    for dt, ct in zip(db, cb):
+        for x in range(n):
+            dx = dt[x]
+            cx = ct[m[x]]
+            for y in range(n):
+                if m[dx[y]] != cx[m[y]]:
+                    return f"does not preserve an operation at ({x},{y})"
+    for du_k, cu_k in zip(du, cu):
+        for x in range(n):
+            if m[du_k[x]] != cu_k[m[x]]:
+                return f"does not preserve a unary operation at {x}"
+    return None
+
+
+def _levels(A: Algebra) -> tuple[Algebra, ...]:
+    """A groupoid as its levels (g1, g0); any other algebra as (A,)."""
+    return (A.g1, A.g0) if A.is_gpd else (A,)
+
+
+def _split(A: Algebra, value) -> tuple:
+    """Per-level parts of a mapping or element set whose algebra is A."""
+    return tuple(value) if A.is_gpd else (value,)
+
+
+def _pack(A: Algebra, parts):
+    """The inverse of ``_split``."""
+    return tuple(parts) if A.is_gpd else parts[0]
+
+
+def _arrays(f: "Morphism") -> tuple:
+    return _split(f.dom, f.mapping)
+
+
+def _sets(S: "Subobject") -> tuple:
+    return _split(S.parent, S.elements)
+
+
+def _respects_structure(dom: Algebra, cod: Algebra, arrays) -> bool:
+    """Whether level arrays (m1, m0) commute with d, c and i."""
+    if not dom.is_gpd:
+        return True
+    m1, m0 = arrays
+    return (all(cod.d[m1[g]] == m0[dom.d[g]] and cod.c[m1[g]] == m0[dom.c[g]]
+                for g in range(dom.g1.order))
+            and all(m1[dom.i[x]] == cod.i[m0[x]] for x in range(dom.g0.order)))
+
+
+def _structure_images(A: Algebra, sets) -> tuple:
+    """Per level, the elements that d, c and i send the level sets to."""
+    if not A.is_gpd:
+        return (frozenset(),)
+    e1, e0 = sets
+    return {A.i[x] for x in e0}, {A.d[g] for g in e1} | {A.c[g] for g in e1}
+
+
+def _structure_closed(A: Algebra, sets) -> bool:
+    return not A.is_gpd or all(img <= S for img, S in zip(_structure_images(A, sets), sets))
+
+
+def _assemble(parents, levels, legs, backs) -> Algebra:
+    """The algebra with these levels, derived from ``parents``.
+
+    Element e of level k stands for the elements ``legs[k][j][e]`` of
+    level k of ``parents[j]``, and ``backs[k]`` takes such elements
+    back to e; a groupoid's d, c and i are carried over through them.
+    """
+    if len(levels) == 1:
+        return levels[0]
+
+    def carry(name, level_legs, back):
+        maps = [getattr(P, name) for P in parents]
+        return tuple(back(*(m[leg[e]] for m, leg in zip(maps, level_legs)))
+                     for e in range(len(level_legs[0])))
+
+    (legs1, legs0), (back1, back0) = legs, backs
+    return gpd_algebra(levels[0], levels[1], carry("d", legs1, back0),
+                       carry("c", legs1, back0), carry("i", legs0, back1))
+
+
+# ---------------------------------------------------------------------------
 # morphisms
 
 
 @dataclass(frozen=True, eq=False)
-class Morphism:
+class Morphism(_Structural):
     """A structure-preserving map, stored as an image array.
 
     For groupoids ``mapping`` is a pair (level-1 array, level-0
@@ -406,28 +565,16 @@ class Morphism:
     def _key(self):
         return (self.dom, self.cod, self.mapping)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Morphism):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self._key())
-            object.__setattr__(self, "_hash", h)
-        return h
-
     def __repr__(self) -> str:
         return f"<Morphism {self.dom!r} -> {self.cod!r}>"
 
     @property
     def map1(self) -> tuple[int, ...]:
-        return self.mapping[0] if self.dom.is_gpd else self.mapping
+        return _arrays(self)[0]
 
     @property
     def map0(self) -> tuple[int, ...]:
-        return self.mapping[1] if self.dom.is_gpd else self.mapping
+        return _arrays(self)[-1]
 
     def __call__(self, x: int) -> int:
         if self.dom.is_gpd:
@@ -435,118 +582,54 @@ class Morphism:
         return self.mapping[x]
 
 
-def _check_map_tables(dom: Algebra, cod: Algebra, m: tuple[int, ...], what: str) -> None:
-    if m[0] != 0:
-        raise AlgebraError(f"{what} must send 0 to 0")
-    binary = []
-    if dom.kind == GROUP:
-        binary.append((dom.op, cod.op, "op"))
-    else:
-        binary.append((dom.add, cod.add, "add"))
-        if dom.mul is not None:
-            binary.append((dom.mul, cod.mul, "mul"))
-    for dt, ct, label in binary:
-        for x in range(dom.order):
-            mx = m[x]
-            dx = dt[x]
-            for y in range(dom.order):
-                if m[dx[y]] != ct[mx][m[y]]:
-                    raise AlgebraError(f"{what} does not preserve {label} at ({x},{y})")
-    if dom.kind == ZMOD_MODULE:
-        for s in range(dom.variety.modulus):
-            da, ca = dom.act[s], cod.act[s]
-            for x in range(dom.order):
-                if m[da[x]] != ca[m[x]]:
-                    raise AlgebraError(f"{what} does not preserve the scalar {s}")
-
-
 def validate_morphism(f: Morphism) -> None:
     dom, cod = f.dom, f.cod
-    if dom.kind != cod.kind or dom.variety != cod.variety:
+    if dom.variety != cod.variety:
         raise AlgebraError("morphism endpoints must share a variety")
-    if dom.is_gpd:
-        if len(f.mapping) != 2:
-            raise AlgebraError("groupoid morphism needs a (map1, map0) pair")
-        m1 = _as_map(f.mapping[0], dom.g1.order, cod.g1.order, "map1")
-        m0 = _as_map(f.mapping[1], dom.g0.order, cod.g0.order, "map0")
-        _check_map_tables(dom.g1, cod.g1, m1, "map1")
-        _check_map_tables(dom.g0, cod.g0, m0, "map0")
-        for g in range(dom.g1.order):
-            if cod.d[m1[g]] != m0[dom.d[g]] or cod.c[m1[g]] != m0[dom.c[g]]:
-                raise AlgebraError("map does not commute with source/target")
-        for x in range(dom.g0.order):
-            if m1[dom.i[x]] != cod.i[m0[x]]:
-                raise AlgebraError("map does not commute with the unit")
-        return
-    m = _as_map(f.mapping, dom.order, cod.order, "map")
-    _check_map_tables(dom, cod, m, "map")
+    levels = _levels(dom)
+    arrays = _arrays(f)
+    if len(arrays) != len(levels):
+        raise AlgebraError("groupoid morphism needs a (map1, map0) pair")
+    names = ("map1", "map0") if len(levels) > 1 else ("map",)
+    for D, C, m, what in zip(levels, _levels(cod), arrays, names):
+        bad = _violation(D, C, _as_map(m, D.order, C.order, what))
+        if bad is not None:
+            raise AlgebraError(f"{what} {bad}")
+    if not _respects_structure(dom, cod, arrays):
+        raise AlgebraError("map does not commute with source, target and unit")
 
 
 def morphism(dom: Algebra, cod: Algebra, mapping) -> Morphism:
-    if dom.is_gpd:
-        return Morphism(dom, cod, (tuple(mapping[0]), tuple(mapping[1])))
-    return Morphism(dom, cod, tuple(mapping))
+    return Morphism(dom, cod, _pack(dom, [tuple(m) for m in _split(dom, mapping)]))
 
 
 def identity_morphism(A: Algebra) -> Morphism:
-    if A.is_gpd:
-        return Morphism(A, A, (tuple(range(A.g1.order)), tuple(range(A.g0.order))))
-    return Morphism(A, A, tuple(range(A.order)))
+    return Morphism(A, A, _pack(A, [tuple(range(L.order)) for L in _levels(A)]))
 
 
 def zero_morphism(A: Algebra, B: Algebra) -> Morphism:
-    if A.is_gpd:
-        return Morphism(A, B, ((0,) * A.g1.order, (0,) * A.g0.order))
-    return Morphism(A, B, (0,) * A.order)
+    return Morphism(A, B, _pack(A, [(0,) * L.order for L in _levels(A)]))
 
 
 def compose(outer: Morphism, inner: Morphism) -> Morphism:
     """outer after inner."""
     if inner.cod != outer.dom:
         raise AlgebraError("morphisms do not compose")
-    if inner.dom.is_gpd:
-        m1 = tuple(outer.map1[v] for v in inner.map1)
-        m0 = tuple(outer.map0[v] for v in inner.map0)
-        return Morphism(inner.dom, outer.cod, (m1, m0))
-    return Morphism(inner.dom, outer.cod, tuple(outer.mapping[v] for v in inner.mapping))
+    return Morphism(inner.dom, outer.cod, _pack(inner.dom, [
+        tuple(map(o.__getitem__, i)) for o, i in zip(_arrays(outer), _arrays(inner))]))
 
 
 def is_surjective(f: Morphism) -> bool:
-    if f.dom.is_gpd:
-        return (len(set(f.map1)) == f.cod.g1.order
-                and len(set(f.map0)) == f.cod.g0.order)
-    return len(set(f.mapping)) == f.cod.order
+    return all(len(set(m)) == L.order for m, L in zip(_arrays(f), _levels(f.cod)))
 
 
 def is_injective(f: Morphism) -> bool:
-    if f.dom.is_gpd:
-        return (len(set(f.map1)) == f.dom.g1.order
-                and len(set(f.map0)) == f.dom.g0.order)
-    return len(set(f.mapping)) == f.dom.order
+    return all(len(set(m)) == L.order for m, L in zip(_arrays(f), _levels(f.dom)))
 
 
 def is_isomorphism_map(f: Morphism) -> bool:
-    if f.dom.is_gpd:
-        return f.dom.g1.order == f.cod.g1.order and f.dom.g0.order == f.cod.g0.order \
-            and is_injective(f)
-    return f.dom.order == f.cod.order and is_injective(f)
-
-
-def inverse_morphism(f: Morphism) -> Morphism:
-    if not is_isomorphism_map(f):
-        raise AlgebraError("not an isomorphism")
-    if f.dom.is_gpd:
-        inv1 = [0] * f.cod.g1.order
-        inv0 = [0] * f.cod.g0.order
-        for x, v in enumerate(f.map1):
-            inv1[v] = x
-        for x, v in enumerate(f.map0):
-            inv0[v] = x
-        return Morphism(f.cod, f.dom, (tuple(inv1), tuple(inv0)))
-    inv = [0] * f.cod.order
-    for x, v in enumerate(f.mapping):
-        inv[v] = x
-    return Morphism(f.cod, f.dom, tuple(inv))
+    return (all(D.order == C.order for D, C in zip(_levels(f.dom), _levels(f.cod)))
+            and is_injective(f))
 
 
 # ---------------------------------------------------------------------------
@@ -568,61 +651,34 @@ class Subobject:
     normal: bool
 
     def __post_init__(self) -> None:
-        if self.parent.is_gpd:
-            e1, e0 = self.elements
-            if 0 not in e1 or 0 not in e0:
+        sets = _sets(self)
+        for L, S in zip(_levels(self.parent), sets):
+            if 0 not in S:
                 raise AlgebraError("subobject must contain the constant")
-            if not _closed_subset(self.parent.g1, e1) or not _closed_subset(self.parent.g0, e0):
+            if not _closed_subset(L, S):
                 raise AlgebraError("subobject is not closed under the operations")
-            if any(self.parent.d[g] not in e0 or self.parent.c[g] not in e0 for g in e1):
-                raise AlgebraError("subobject is not closed under source/target")
-            if any(self.parent.i[x] not in e1 for x in e0):
-                raise AlgebraError("subobject is not closed under the unit")
-        else:
-            if 0 not in self.elements:
-                raise AlgebraError("subobject must contain the constant")
-            if not _closed_subset(self.parent, self.elements):
-                raise AlgebraError("subobject is not closed under the operations")
+        if not _structure_closed(self.parent, sets):
+            raise AlgebraError("subobject is not closed under source, target and unit")
 
     @property
     def size(self) -> int:
-        if self.parent.is_gpd:
-            return len(self.elements[0])
-        return len(self.elements)
+        return len(_sets(self)[0])
 
     def is_zero(self) -> bool:
-        if self.parent.is_gpd:
-            return self.elements[0] == frozenset({0}) and self.elements[1] == frozenset({0})
-        return self.elements == frozenset({0})
+        return all(S == {0} for S in _sets(self))
 
     def is_whole(self) -> bool:
-        if self.parent.is_gpd:
-            return (len(self.elements[0]) == self.parent.g1.order
-                    and len(self.elements[1]) == self.parent.g0.order)
-        return len(self.elements) == self.parent.order
+        return all(len(S) == L.order for S, L in zip(_sets(self), _levels(self.parent)))
 
     def __le__(self, other: "Subobject") -> bool:
         if self.parent != other.parent:
             raise AlgebraError("subobjects of different parents")
-        if self.parent.is_gpd:
-            return (self.elements[0] <= other.elements[0]
-                    and self.elements[1] <= other.elements[1])
-        return self.elements <= other.elements
+        return all(a <= b for a, b in zip(_sets(self), _sets(other)))
 
 
 def _closed_subset(A: Algebra, S) -> bool:
-    tables = []
-    if A.kind == GROUP:
-        tables.append(A.op)
-        unary = [A.inv]
-    else:
-        tables.append(A.add)
-        unary = [A.neg]
-        if A.mul is not None:
-            tables.append(A.mul)
-        if A.act is not None:
-            unary.extend(A.act)
-    for t in tables:
+    binary, unary = _signature(A)
+    for t in binary:
         for x in S:
             row = t[x]
             for y in S:
@@ -635,108 +691,82 @@ def _closed_subset(A: Algebra, S) -> bool:
     return True
 
 
+def _normal_demands(A: Algebra, S):
+    """Elements that a normal subset containing S must also contain.
+
+    Groups: conjugates.  Rings: products with any element on either
+    side.  Modules: nothing.
+    """
+    if A.kind == GROUP:
+        op, inv = A.op, A.inv
+        for g in range(A.order):
+            og, ig = op[g], inv[g]
+            for x in S:
+                yield op[og[x]][ig]
+    elif A.kind in RING_KINDS:
+        mul = A.mul
+        for a in range(A.order):
+            ma = mul[a]
+            for x in S:
+                yield ma[x]
+                yield mul[x][a]
+
+
 def is_normal_subset(A: Algebra, S) -> bool:
     """Whether a closed subset is the kernel of some quotient.
 
     Groups: closed under conjugation.  Rings: a two-sided ideal.
     Modules: always.  Groupoids: levelwise normal and closed under
-    source, target and unit.
+    source, target and unit.  S is a (frozen)set, or a pair of them.
     """
-    if A.is_gpd:
-        e1, e0 = S
-        if not (is_normal_subset(A.g1, e1) and is_normal_subset(A.g0, e0)):
-            return False
-        if any(A.d[g] not in e0 or A.c[g] not in e0 for g in e1):
-            return False
-        return all(A.i[x] in e1 for x in e0)
-    if A.kind == GROUP:
-        op, inv = A.op, A.inv
-        return all(op[op[g][x]][inv[g]] in S for g in range(A.order) for x in S)
-    if A.kind in RING_KINDS:
-        mul = A.mul
-        return all(mul[a][x] in S and mul[x][a] in S for a in range(A.order) for x in S)
-    return True  # modules: every submodule is a kernel
+    sets = _split(A, S)
+    return (all(X.issuperset(_normal_demands(L, X)) for L, X in zip(_levels(A), sets))
+            and _structure_closed(A, sets))
 
 
 def subobject(parent: Algebra, elements) -> Subobject:
-    if parent.is_gpd:
-        elems = (frozenset(elements[0]), frozenset(elements[1]))
-    else:
-        elems = frozenset(elements)
+    elems = _pack(parent, [frozenset(S) for S in _split(parent, elements)])
     return Subobject(parent, elems, is_normal_subset(parent, elems))
 
 
 def zero_subobject(A: Algebra) -> Subobject:
-    if A.is_gpd:
-        return subobject(A, (frozenset({0}), frozenset({0})))
-    return subobject(A, frozenset({0}))
+    return subobject(A, _pack(A, [{0} for _ in _levels(A)]))
 
 
 def full_subobject(A: Algebra) -> Subobject:
-    if A.is_gpd:
-        return subobject(A, (frozenset(range(A.g1.order)), frozenset(range(A.g0.order))))
-    return subobject(A, frozenset(range(A.order)))
+    return subobject(A, _pack(A, [range(L.order) for L in _levels(A)]))
 
 
 def sub_algebra(A: Algebra, sub: Subobject) -> tuple[Algebra, Morphism]:
-    """The subobject as an algebra of its own, with its inclusion."""
+    """The subobject as an algebra of its own, with its inclusion.
+
+    Each level's carrier is the sorted element set.
+    """
     if sub.parent != A:
         raise AlgebraError("subobject of a different parent")
-    if A.is_gpd:
-        s1, i1 = sub_algebra(A.g1, subobject(A.g1, sub.elements[0]))
-        s0, i0 = sub_algebra(A.g0, subobject(A.g0, sub.elements[1]))
-        back1 = {v: k for k, v in enumerate(i1.mapping)}
-        back0 = {v: k for k, v in enumerate(i0.mapping)}
-        d = tuple(back0[A.d[i1.mapping[g]]] for g in range(s1.order))
-        c = tuple(back0[A.c[i1.mapping[g]]] for g in range(s1.order))
-        unit = tuple(back1[A.i[i0.mapping[x]]] for x in range(s0.order))
-        S = gpd_algebra(s1, s0, d, c, unit)
-        return S, Morphism(S, A, (i1.mapping, i0.mapping))
-    elems = sorted(sub.elements)
-    back = {e: k for k, e in enumerate(elems)}
-    n = len(elems)
-
-    def tab(t):
-        return tuple(tuple(back[t[x][y]] for y in elems) for x in elems)
-
-    if A.kind == GROUP:
-        S = group_algebra(tab(A.op), tuple(back[A.inv[x]] for x in elems))
-    elif A.kind in RING_KINDS:
-        S = ring_algebra(A.kind, tab(A.add), tab(A.mul))
-    else:
-        act = tuple(tuple(back[A.act[s][x]] for x in elems) for s in range(A.variety.modulus))
-        S = module_algebra(A.variety.modulus, tab(A.add), act)
-    return S, Morphism(S, A, tuple(elems))
+    levels, incls, backs = [], [], []
+    for L, S in zip(_levels(A), _sets(sub)):
+        elems = tuple(sorted(S))
+        back = {e: k for k, e in enumerate(elems)}
+        levels.append(_rebuild(
+            (L,),
+            lambda t: tuple(tuple(back[t[x][y]] for y in elems) for x in elems),
+            lambda u: tuple(back[u[x]] for x in elems)))
+        incls.append(elems)
+        backs.append(back.__getitem__)
+    S = _assemble((A,), levels, [(m,) for m in incls], backs)
+    return S, Morphism(S, A, _pack(A, incls))
 
 
 def closure_under_ops(A: Algebra, seed) -> frozenset[int]:
     """Smallest subalgebra element set containing ``seed`` (single-sorted)."""
-    if A.is_gpd:
-        raise AlgebraError("use levelwise closures for groupoids")
     closed = set(seed) | {0}
-    tables = [A.op] if A.kind == GROUP else [A.add] + ([A.mul] if A.mul is not None else [])
-    unary = [A.inv] if A.kind == GROUP else [A.neg] + (list(A.act) if A.act is not None else [])
-    frontier = list(closed)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for u in unary:
-                if u[x] not in closed:
-                    closed.add(u[x])
-                    nxt.append(u[x])
-            for t in tables:
-                for y in list(closed):
-                    for z in (t[x][y], t[y][x]):
-                        if z not in closed:
-                            closed.add(z)
-                            nxt.append(z)
-        frontier = nxt
-    return frozenset(closed)
+    return frozenset(_close(*_signature(A), closed, list(closed)))
 
 
 def element_order(A: Algebra, x: int) -> int:
     """Order of x under the group operation (additive for rings/modules)."""
-    t = A.op if A.kind == GROUP else A.add
+    t = _signature(A)[0][0]
     k, y = 1, x
     while y != 0:
         y = t[y][x]
@@ -745,17 +775,10 @@ def element_order(A: Algebra, x: int) -> int:
 
 
 def order_profile(A: Algebra):
-    if A.is_gpd:
-        return (order_profile(A.g1), order_profile(A.g0))
-    return tuple(sorted(element_order(A, x) for x in range(A.order)))
+    return _pack(A, [tuple(sorted(element_order(L, x) for x in range(L.order)))
+                     for L in _levels(A)])
 
 
 def generating_set(A: Algebra) -> list[int]:
     """Greedy small generating set under all operations (single-sorted)."""
-    gens: list[int] = []
-    closed = closure_under_ops(A, ())
-    for x in range(A.order):
-        if x not in closed:
-            gens.append(x)
-            closed = closure_under_ops(A, closed | {x})
-    return gens
+    return _generators(*_signature(A), A.order)

@@ -42,6 +42,7 @@ from .ops import (
     kernel_pair,
     meet_subobjects,
     normal_closure,
+    preimage_subobject,
     pullback,
     quotient,
 )
@@ -376,9 +377,7 @@ def build_presentation(A: Algebra, n: int, variant: int = 0) -> Presentation:
 def _quotient_of_sub(parent: Algebra, num: Subobject, den: Subobject) -> Algebra:
     """The quotient num/den as an algebra, for den normal inside num."""
     sub, incl = sub_algebra(parent, num)
-    index_of = {incl.mapping[i]: i for i in range(sub.order)}
-    den_in_sub = subobject(sub, frozenset(index_of[x] for x in den.elements))
-    H, _ = quotient(sub, den_in_sub)
+    H, _ = quotient(sub, preimage_subobject(incl, den))
     return H
 
 

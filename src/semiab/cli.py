@@ -33,7 +33,6 @@ from .verification import (
     SuiteCompatibilityError,
     SuiteError,
     protoadditive_by_definition,
-    suite_ids,
     verify_all,
     verify_suite,
 )
@@ -375,3 +374,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

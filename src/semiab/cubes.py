@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .algebra import Algebra, AlgebraError, Morphism, compose, is_surjective
+from .algebra import Algebra, AlgebraError, Morphism, _arrays, _levels, compose, is_surjective
 from .ops import into_pullback, join_normal, kernel, meet_subobjects, pullback
 
 
@@ -72,10 +72,6 @@ class NCube:
 
     def rib(self, axis: int) -> Morphism:
         return self.edges[(0, axis)]
-
-    @property
-    def ribs(self) -> tuple[Morphism, ...]:
-        return tuple(self.edges[(0, i)] for i in range(self.dim))
 
     @property
     def arrow(self) -> Morphism:
@@ -157,17 +153,10 @@ def square_comparison(sq: NCube) -> tuple[Morphism, Algebra, Morphism, Morphism]
     return cmp, P, p1, p2
 
 
-def _mask_tables(cube: NCube, level: int | None):
-    """Vertex sizes and plain edge arrays, per sort for groupoid cubes."""
-    sizes = {}
-    maps = {}
-    for mask, V in cube.vertices.items():
-        sizes[mask] = V.order if level is None else (V.g1.order if level == 1 else V.g0.order)
-    for key, f in cube.edges.items():
-        if level is None:
-            maps[key] = f.mapping
-        else:
-            maps[key] = f.map1 if level == 1 else f.map0
+def _mask_tables(cube: NCube, level: int):
+    """Vertex sizes and edge arrays of one level (see ``algebra._levels``)."""
+    sizes = {mask: _levels(V)[level].order for mask, V in cube.vertices.items()}
+    maps = {key: _arrays(f)[level] for key, f in cube.edges.items()}
     return sizes, maps
 
 
@@ -209,8 +198,7 @@ def is_nfold_extension(cube: NCube) -> bool:
     """
     if cube.dim == 1:
         return is_surjective(cube.arrow)
-    levels = (1, 0) if cube.top_vertex.is_gpd else (None,)
-    for level in levels:
+    for level in range(len(_levels(cube.top_vertex))):
         sizes, maps = _mask_tables(cube, level)
         for mask in range((1 << cube.dim) - 1):
             if not _punctured_limit_surjective(cube.dim, sizes, maps, mask):

@@ -156,13 +156,6 @@ def is_normal_extension(R: Reflector, f: Morphism) -> bool:
     return is_trivial_extension(R, p1)
 
 
-def derived_reflect(R: Reflector, f: Morphism) -> Morphism:
-    """The torsion-free-kernel part of the factorisation of f."""
-    if not is_surjective(f):
-        raise AlgebraError("derived reflection takes surjections")
-    return em_factorize(R, f).m
-
-
 # ---------------------------------------------------------------------------
 # higher dimensions
 

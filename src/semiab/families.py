@@ -106,10 +106,6 @@ def semidirect_product(A: Algebra, B: Algebra, action, name: str | None = None) 
     return group_algebra(op, name=name)
 
 
-def trivial_action(A: Algebra, B: Algebra):
-    return tuple(tuple(range(A.order)) for _ in range(B.order))
-
-
 def zring(n: int, name: str | None = None) -> Algebra:
     if n < 1:
         raise AlgebraError("zring order must be >= 1")

@@ -14,11 +14,13 @@ from functools import lru_cache
 
 from .algebra import (
     Algebra,
-    GROUP,
     Morphism,
+    _generators,
+    _respects_structure,
+    _signature,
+    _violation,
     compose,
     element_order,
-    generating_set,
     identity_morphism,
     is_surjective,
     order_profile,
@@ -27,76 +29,19 @@ from .algebra import (
 MODES = ("all", "monos", "isos")
 
 
-def _tables(A: Algebra):
-    if A.kind == GROUP:
-        return (A.op,), (A.inv,)
-    binary = (A.add,) if A.mul is None else (A.add, A.mul)
-    unary = (A.neg,) + (tuple(A.act) if A.act is not None else ())
-    return binary, unary
-
-
 @lru_cache(maxsize=None)
 def _generation_plan(A: Algebra):
     """Per-generator derivation steps covering every element.
 
-    Returns ((gen, steps), ...) where each step (v, t, x, y) derives
-    element v as binary table t applied to already-derived x, y, or as
-    unary table -1-t applied to x.  The closure of {0} alone is {0},
-    so the segments cover the whole carrier.
+    Returns ((gen, steps), ...) over ``generating_set(A)``, where each
+    step (v, t, x, y) derives element v as binary table t applied to
+    already-derived x, y, or as unary map -1-t applied to x.  The
+    closure of {0} alone is {0}, so the segments cover the whole
+    carrier.
     """
-    binary, unary = _tables(A)
-    derived = [False] * A.order
-    derived[0] = True
-    known = [0]
-    steps: list[tuple[int, int, int, int]] = []
-
-    def close() -> None:
-        frontier = list(known[-1:])
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for u_id, u in enumerate(unary):
-                    v = u[x]
-                    if not derived[v]:
-                        derived[v] = True
-                        steps.append((v, -1 - u_id, x, 0))
-                        known.append(v)
-                        nxt.append(v)
-                for t_id, t in enumerate(binary):
-                    for y in list(known):
-                        for v, a, b in ((t[x][y], x, y), (t[y][x], y, x)):
-                            if not derived[v]:
-                                derived[v] = True
-                                steps.append((v, t_id, a, b))
-                                known.append(v)
-                                nxt.append(v)
-            frontier = nxt
-
-    plan = []
-    for g in generating_set(A):
-        mark = len(steps)
-        derived[g] = True
-        known.append(g)
-        close()
-        plan.append((g, tuple(steps[mark:])))
+    plan: list = []
+    _generators(*_signature(A), A.order, plan)
     return tuple(plan)
-
-
-def _is_hom(A: Algebra, B: Algebra, m) -> bool:
-    ab, au = _tables(A)
-    bb, bu = _tables(B)
-    for ta, tb in zip(ab, bb):
-        for x in range(A.order):
-            row = ta[x]
-            bx = tb[m[x]]
-            for y in range(A.order):
-                if m[row[y]] != bx[m[y]]:
-                    return False
-    for ua, ub in zip(au, bu):
-        for x in range(A.order):
-            if m[ua[x]] != ub[m[x]]:
-                return False
-    return True
 
 
 @lru_cache(maxsize=None)
@@ -114,7 +59,7 @@ def _candidates(A: Algebra, B: Algebra, g: int, exact: bool) -> list[int]:
 
 def _iter_single_sorted(A: Algebra, B: Algebra, mode: str):
     plan = _generation_plan(A)
-    bb, bu = _tables(B)
+    bb, bu = _signature(B)
     exact = mode in ("monos", "isos")
     pools = [_candidates(A, B, g, exact) for g, _ in plan]
     for images in itertools.product(*pools):
@@ -126,7 +71,7 @@ def _iter_single_sorted(A: Algebra, B: Algebra, mode: str):
                 m[v] = bu[-1 - t_id][m[x]] if t_id < 0 else bb[t_id][m[x]][m[y]]
         if exact and len(set(m)) != A.order:
             continue
-        if _is_hom(A, B, m):
+        if _violation(A, B, m) is None:
             yield tuple(m)
 
 
@@ -136,9 +81,7 @@ def _iter_gpd(A: Algebra, B: Algebra, mode: str):
         m1 = f1.mapping
         for f0 in enumerate_homs(A.g0, B.g0, level_mode):
             m0 = f0.mapping
-            if all(B.d[m1[g]] == m0[A.d[g]] and B.c[m1[g]] == m0[A.c[g]]
-                   for g in range(A.g1.order)) \
-                    and all(m1[A.i[x]] == B.i[m0[x]] for x in range(A.g0.order)):
+            if _respects_structure(A, B, (m1, m0)):
                 yield (m1, m0)
 
 
@@ -147,12 +90,8 @@ def _iter_homs(A: Algebra, B: Algebra, mode: str):
         raise ValueError(f"mode must be one of {MODES}")
     if A.variety != B.variety:
         raise ValueError("hom enumeration needs a shared variety")
-    if mode == "isos":
-        if A.is_gpd:
-            if A.g1.order != B.g1.order or A.g0.order != B.g0.order:
-                return
-        elif A.order != B.order or order_profile(A) != order_profile(B):
-            return
+    if mode == "isos" and order_profile(A) != order_profile(B):
+        return
     mappings = _iter_gpd(A, B, mode) if A.is_gpd else _iter_single_sorted(A, B, mode)
     for mapping in mappings:
         f = Morphism(A, B, mapping)

@@ -4,6 +4,9 @@ All constructions return fully validated algebras; quotient carriers
 are cosets indexed in first-appearance order, so the class of the
 constant is always index 0, and pair carriers (products, pullbacks,
 kernel pairs) are sorted lexicographically for the same reason.
+
+Each construction is written once, level by level, through the
+signature and the level views of ``algebra`` (see its docstring).
 """
 
 from __future__ import annotations
@@ -15,17 +18,24 @@ from .algebra import (
     AlgebraError,
     GROUP,
     Morphism,
-    RING_KINDS,
     Subobject,
+    _arrays,
+    _assemble,
+    _close,
+    _levels,
+    _normal_demands,
+    _pack,
+    _rebuild,
+    _sets,
+    _signature,
+    _split,
+    _structure_images,
     closure_under_ops,
     compose,
-    gpd_algebra,
-    group_algebra,
+    full_subobject,
     identity_morphism,
     is_injective,
     is_surjective,
-    module_algebra,
-    ring_algebra,
     subobject,
     zero_subobject,
 )
@@ -37,23 +47,12 @@ from .homs import sections
 
 
 def image_elements(f: Morphism, S: Subobject) -> frozenset[int] | tuple:
-    if f.dom.is_gpd:
-        return (frozenset(f.map1[x] for x in S.elements[0]),
-                frozenset(f.map0[x] for x in S.elements[1]))
-    return frozenset(f.mapping[x] for x in S.elements)
-
-
-def image_subobject(f: Morphism, S: Subobject) -> Subobject:
-    return subobject(f.cod, image_elements(f, S))
+    return _pack(f.cod, [frozenset(map(m.__getitem__, X)) for m, X in zip(_arrays(f), _sets(S))])
 
 
 def preimage_subobject(f: Morphism, S: Subobject) -> Subobject:
-    if f.dom.is_gpd:
-        e1 = frozenset(x for x in range(f.dom.g1.order) if f.map1[x] in S.elements[0])
-        e0 = frozenset(x for x in range(f.dom.g0.order) if f.map0[x] in S.elements[1])
-        return subobject(f.dom, (e1, e0))
-    return subobject(f.dom, frozenset(x for x in range(f.dom.order)
-                                      if f.mapping[x] in S.elements))
+    return subobject(f.dom, _pack(f.dom, [frozenset(x for x in range(len(m)) if m[x] in X)
+                                          for m, X in zip(_arrays(f), _sets(S))]))
 
 
 def kernel(f: Morphism) -> Subobject:
@@ -65,17 +64,16 @@ def kernel(f: Morphism) -> Subobject:
 
 
 def image(f: Morphism) -> Subobject:
-    if f.dom.is_gpd:
-        return subobject(f.cod, (frozenset(f.map1), frozenset(f.map0)))
-    return subobject(f.cod, frozenset(f.mapping))
+    return subobject(f.cod, _pack(f.cod, [frozenset(m) for m in _arrays(f)]))
 
 
 # ---------------------------------------------------------------------------
 # quotients
 
 
-def _single_sorted_quotient(A: Algebra, elems: frozenset[int]):
-    table = A.op if A.kind == GROUP else A.add
+def _cosets(A: Algebra, elems) -> tuple[list[int], list[int]]:
+    """Coset index of each element and one representative per coset."""
+    table = _signature(A)[0][0]
     coset_of = [-1] * A.order
     reps: list[int] = []
     for x in range(A.order):
@@ -93,127 +91,62 @@ def quotient(A: Algebra, N: Subobject) -> tuple[Algebra, Morphism]:
         raise AlgebraError("subobject of a different parent")
     if not N.normal:
         raise AlgebraError("can only quotient by a normal subobject")
-    if A.is_gpd:
-        q1map, reps1 = _single_sorted_quotient(A.g1, N.elements[0])
-        q0map, reps0 = _single_sorted_quotient(A.g0, N.elements[1])
-        Q1, _ = _quotient_tables(A.g1, q1map, reps1)
-        Q0, _ = _quotient_tables(A.g0, q0map, reps0)
-        d = tuple(q0map[A.d[r]] for r in reps1)
-        c = tuple(q0map[A.c[r]] for r in reps1)
-        i = tuple(q1map[A.i[r]] for r in reps0)
-        Q = gpd_algebra(Q1, Q0, d, c, i)
-        return Q, Morphism(A, Q, (tuple(q1map), tuple(q0map)))
-    qmap, reps = _single_sorted_quotient(A, N.elements)
-    Q, _ = _quotient_tables(A, qmap, reps)
-    return Q, Morphism(A, Q, tuple(qmap))
-
-
-def _quotient_tables(A: Algebra, qmap: list[int], reps: list[int]):
-    n = len(reps)
-
-    def tab(t):
-        return [[qmap[t[rx][ry]] for ry in reps] for rx in reps]
-
-    if A.kind == GROUP:
-        Q = group_algebra(tab(A.op), tuple(qmap[A.inv[r]] for r in reps))
-    elif A.kind in RING_KINDS:
-        Q = ring_algebra(A.kind, tab(A.add), tab(A.mul))
-    else:
-        act = [[qmap[A.act[s][r]] for r in reps] for s in range(A.variety.modulus)]
-        Q = module_algebra(A.variety.modulus, tab(A.add), act)
-    return Q, reps
+    levels, qmaps, legs = [], [], []
+    for L, S in zip(_levels(A), _sets(N)):
+        qmap, reps = _cosets(L, S)
+        levels.append(_rebuild(
+            (L,),
+            lambda t: [[qmap[t[rx][ry]] for ry in reps] for rx in reps],
+            lambda u: [qmap[u[r]] for r in reps]))
+        qmaps.append(qmap)
+        legs.append((reps,))
+    Q = _assemble((A,), levels, legs, [q.__getitem__ for q in qmaps])
+    return Q, Morphism(A, Q, _pack(A, [tuple(q) for q in qmaps]))
 
 
 def cokernel(f: Morphism) -> tuple[Algebra, Morphism]:
-    closed = normal_closure(f.cod, image_elements(f, _full(f.dom)))
+    closed = normal_closure(f.cod, image_elements(f, full_subobject(f.dom)))
     return quotient(f.cod, closed)
-
-
-def _full(A: Algebra) -> Subobject:
-    if A.is_gpd:
-        return subobject(A, (frozenset(range(A.g1.order)), frozenset(range(A.g0.order))))
-    return subobject(A, frozenset(range(A.order)))
 
 
 # ---------------------------------------------------------------------------
 # normal closure and the subobject lattice
 
 
-def _group_conjugates(A: Algebra, S: set[int]) -> set[int]:
-    out = set(S)
-    op, inv = A.op, A.inv
-    for g in range(A.order):
-        for x in S:
-            out.add(op[op[g][x]][inv[g]])
-    return out
-
-
-def _ring_absorb(A: Algebra, S: set[int]) -> set[int]:
-    out = set(S)
-    mul = A.mul
-    for a in range(A.order):
-        for x in S:
-            out.add(mul[a][x])
-            out.add(mul[x][a])
-    return out
-
-
 def normal_closure(A: Algebra, seed) -> Subobject:
     """Smallest normal subobject containing ``seed``.
 
     Alternates closure under the operations with closure under the
-    normality condition of the variety until stable.
+    normality condition of the variety (and, for groupoids, under
+    source, target and unit) until stable.
     """
-    if A.is_gpd:
-        s1, s0 = set(seed[0]) | {0}, set(seed[1]) | {0}
-        while True:
-            s1 = set(closure_under_ops(A.g1, s1))
-            s0 = set(closure_under_ops(A.g0, s0))
-            n1 = _group_conjugates(A.g1, s1)
-            n0 = _group_conjugates(A.g0, s0)
-            n0 |= {A.d[g] for g in n1} | {A.c[g] for g in n1}
-            n1 |= {A.i[x] for x in n0}
-            if n1 == s1 and n0 == s0:
-                return subobject(A, (frozenset(s1), frozenset(s0)))
-            s1, s0 = n1, n0
-    S = set(seed) | {0}
+    levels = _levels(A)
+    sets = [set(S) | {0} for S in _split(A, seed)]
     while True:
-        S = set(closure_under_ops(A, S))
-        if A.kind == GROUP:
-            bigger = _group_conjugates(A, S)
-        elif A.kind in RING_KINDS:
-            bigger = _ring_absorb(A, S)
-        else:
-            bigger = S
-        if bigger == S:
-            sub = subobject(A, frozenset(S))
+        sets = [_close(*_signature(L), S, list(S)) for L, S in zip(levels, sets)]
+        bigger = [S.union(_normal_demands(L, S)) for L, S in zip(levels, sets)]
+        bigger = [S | img for S, img in zip(bigger, _structure_images(A, bigger))]
+        if bigger == sets:
+            sub = subobject(A, _pack(A, sets))
             if not sub.normal:
                 raise AlgebraError("normal closure failed its certificate")
             return sub
-        S = bigger
+        sets = bigger
 
 
 def join_normal(A: Algebra, M: Subobject, N: Subobject) -> Subobject:
     """Join in the normal subobject lattice (kernel of the pushout diagonal)."""
     if not (M.normal and N.normal):
         raise AlgebraError("join is defined for normal subobjects")
-    if A.is_gpd:
-        return normal_closure(A, (M.elements[0] | N.elements[0],
-                                  M.elements[1] | N.elements[1]))
-    return normal_closure(A, M.elements | N.elements)
+    return normal_closure(A, _pack(A, [a | b for a, b in zip(_sets(M), _sets(N))]))
 
 
 def meet_subobjects(A: Algebra, M: Subobject, N: Subobject) -> Subobject:
-    if A.is_gpd:
-        return subobject(A, (M.elements[0] & N.elements[0],
-                             M.elements[1] & N.elements[1]))
-    return subobject(A, M.elements & N.elements)
+    return subobject(A, _pack(A, [a & b for a, b in zip(_sets(M), _sets(N))]))
 
 
 def _sub_key(sub: Subobject):
-    if sub.parent.is_gpd:
-        return (tuple(sorted(sub.elements[0])), tuple(sorted(sub.elements[1])))
-    return tuple(sorted(sub.elements))
+    return tuple(tuple(sorted(S)) for S in _sets(sub))
 
 
 def normal_subobjects(A: Algebra) -> list[Subobject]:
@@ -223,11 +156,9 @@ def normal_subobjects(A: Algebra) -> list[Subobject]:
     elements, so breadth-first joins of single-element closures reach
     all of them.
     """
-    if A.is_gpd:
-        atoms = [normal_closure(A, ({g}, ())) for g in range(A.g1.order)]
-        atoms += [normal_closure(A, ((), {x})) for x in range(A.g0.order)]
-    else:
-        atoms = [normal_closure(A, {x}) for x in range(A.order)]
+    levels = _levels(A)
+    atoms = [normal_closure(A, _pack(A, [{x} if j == k else () for j in range(len(levels))]))
+             for k, L in enumerate(levels) for x in range(L.order)]
     found = {_sub_key(atom): atom for atom in atoms}
     frontier = list(found.values())
     while frontier:
@@ -243,34 +174,12 @@ def normal_subobjects(A: Algebra) -> list[Subobject]:
     return sorted(found.values(), key=lambda s: (s.size, _sub_key(s)))
 
 
-def _additive_closure(A: Algebra, seed) -> frozenset[int]:
-    S = set(seed) | {0}
-    table, neg = (A.op, A.inv) if A.kind == GROUP else (A.add, A.neg)
-    frontier = list(S)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            v = neg[x]
-            if v not in S:
-                S.add(v)
-                nxt.append(v)
-            for y in list(S):
-                for v in (table[x][y], table[y][x]):
-                    if v not in S:
-                        S.add(v)
-                        nxt.append(v)
-        frontier = nxt
-    return frozenset(S)
-
-
 def huq_commutator(A: Algebra, H: Subobject, K: Subobject) -> Subobject:
     """The commutator of two subobjects.
 
     Groups: the subgroup generated by commutators.  Commutative rings
     and xyxy=xy rings: sums of pairwise products.  Modules: zero.
     """
-    if A.is_gpd:
-        raise AlgebraError("commutators of groupoids are computed levelwise")
     if A.kind == GROUP:
         op, inv = A.op, A.inv
         gens = {op[op[inv[x]][inv[y]]][op[x][y]] for x in H.elements for y in K.elements}
@@ -278,63 +187,52 @@ def huq_commutator(A: Algebra, H: Subobject, K: Subobject) -> Subobject:
     if A.kind in ("comm-ring", "rng-star"):
         prods = {A.mul[h][k] for h in H.elements for k in K.elements}
         prods |= {A.mul[k][h] for h in H.elements for k in K.elements}
-        return subobject(A, _additive_closure(A, prods))
+        prods.add(0)
+        return subobject(A, _close((A.add,), (A.neg,), prods, list(prods)))
     if A.kind == "zmod-module":
         return zero_subobject(A)
     raise AlgebraError(f"no commutator for {A.kind}")
 
 
 def power_subobject(A: Algebra, k: int) -> Subobject:
-    """k-th powers: the subobject generated by x^k (written kx additively)."""
+    """k-th powers: the subobject generated by x^k (written kx additively).
+
+    For commutative rings and modules the multiples kx already form a
+    subobject, since k(xy) = (kx)y and s(kx) = k(sx).
+    """
     if k < 1:
         raise AlgebraError("power must be >= 1")
-    if A.kind == GROUP:
-        op = A.op
-        powers = set()
-        for x in range(A.order):
-            v = 0
-            for _ in range(k):
-                v = op[v][x]
-            powers.add(v)
-        return subobject(A, closure_under_ops(A, powers))
-    if A.kind == "comm-ring":
-        multiples = set()
-        for x in range(A.order):
-            v = 0
-            for _ in range(k):
-                v = A.add[v][x]
-            multiples.add(v)
-        return subobject(A, _additive_closure(A, multiples))
-    if A.kind == "zmod-module":
-        row = A.act[k % A.variety.modulus]
-        return subobject(A, _additive_closure(A, set(row)))
-    raise AlgebraError(f"powers are not defined for {A.kind}")
+    if A.kind not in (GROUP, "comm-ring", "zmod-module"):
+        raise AlgebraError(f"powers are not defined for {A.kind}")
+    op = _signature(A)[0][0]
+    powers = set()
+    for x in range(A.order):
+        v = 0
+        for _ in range(k):
+            v = op[v][x]
+        powers.add(v)
+    return subobject(A, closure_under_ops(A, powers))
 
 
 # ---------------------------------------------------------------------------
 # products, pullbacks, kernel pairs
 
 
-def _pairs_algebra(A: Algebra, B: Algebra, pairs: list[tuple[int, int]]):
-    idx = {p: k for k, p in enumerate(pairs)}
-
-    def tab(tA, tB):
-        return [[idx[(tA[x1][p[0]], tB[x2][p[1]])] for p in pairs] for (x1, x2) in pairs]
-
-    def unary(uA, uB):
-        return tuple(idx[(uA[x1], uB[x2])] for (x1, x2) in pairs)
-
-    if A.kind == GROUP:
-        P = group_algebra(tab(A.op, B.op), unary(A.inv, B.inv))
-    elif A.kind in RING_KINDS:
-        P = ring_algebra(A.kind, tab(A.add, B.add), tab(A.mul, B.mul))
-    else:
-        m = A.variety.modulus
-        act = [list(unary(A.act[s], B.act[s])) for s in range(m)]
-        P = module_algebra(m, tab(A.add, B.add), act)
-    p1 = Morphism(P, A, tuple(p[0] for p in pairs))
-    p2 = Morphism(P, B, tuple(p[1] for p in pairs))
-    return P, p1, p2
+def _pairs_algebra(A: Algebra, B: Algebra, level_pairs) -> tuple[Algebra, Morphism, Morphism]:
+    """The algebra on the given sorted pairs, level by level, with its projections."""
+    levels, legs, backs = [], [], []
+    for LA, LB, pairs in zip(_levels(A), _levels(B), level_pairs):
+        idx = {p: k for k, p in enumerate(pairs)}
+        levels.append(_rebuild(
+            (LA, LB),
+            lambda tA, tB: [[idx[(tA[x1][y1], tB[x2][y2])] for (y1, y2) in pairs]
+                            for (x1, x2) in pairs],
+            lambda uA, uB: [idx[(uA[x1], uB[x2])] for (x1, x2) in pairs]))
+        legs.append((tuple(a for a, _ in pairs), tuple(b for _, b in pairs)))
+        backs.append(lambda a, b, idx=idx: idx[(a, b)])
+    P = _assemble((A, B), levels, legs, backs)
+    return (P, Morphism(P, A, _pack(A, [leg[0] for leg in legs])),
+            Morphism(P, B, _pack(B, [leg[1] for leg in legs])))
 
 
 def pullback(f: Morphism, g: Morphism) -> tuple[Algebra, Morphism, Morphism]:
@@ -346,30 +244,9 @@ def pullback(f: Morphism, g: Morphism) -> tuple[Algebra, Morphism, Morphism]:
     if f.cod != g.cod:
         raise AlgebraError("pullback needs a shared codomain")
     A, B = f.dom, g.dom
-    if A.is_gpd:
-        P1, a1, b1 = _gpd_level_pullback(A.g1, B.g1, f.map1, g.map1)
-        P0, a0, b0 = _gpd_level_pullback(A.g0, B.g0, f.map0, g.map0)
-        pairs1 = _matched_pairs(A.g1.order, B.g1.order, f.map1, g.map1)
-        pairs0 = _matched_pairs(A.g0.order, B.g0.order, f.map0, g.map0)
-        idx0 = {p: k for k, p in enumerate(pairs0)}
-        idx1 = {p: k for k, p in enumerate(pairs1)}
-        d = tuple(idx0[(A.d[x], B.d[y])] for (x, y) in pairs1)
-        c = tuple(idx0[(A.c[x], B.c[y])] for (x, y) in pairs1)
-        i = tuple(idx1[(A.i[x], B.i[y])] for (x, y) in pairs0)
-        P = gpd_algebra(P1, P0, d, c, i)
-        pf = Morphism(P, A, (a1.mapping, a0.mapping))
-        pg = Morphism(P, B, (b1.mapping, b0.mapping))
-        return P, pf, pg
-    pairs = _matched_pairs(A.order, B.order, f.mapping, g.mapping)
-    return _pairs_algebra(A, B, pairs)
-
-
-def _matched_pairs(n: int, m: int, fm, gm) -> list[tuple[int, int]]:
-    return [(a, b) for a in range(n) for b in range(m) if fm[a] == gm[b]]
-
-
-def _gpd_level_pullback(A: Algebra, B: Algebra, fm, gm):
-    return _pairs_algebra(A, B, _matched_pairs(A.order, B.order, fm, gm))
+    return _pairs_algebra(A, B, [
+        [(a, b) for a in range(LA.order) for b in range(LB.order) if fm[a] == gm[b]]
+        for LA, LB, fm, gm in zip(_levels(A), _levels(B), _arrays(f), _arrays(g))])
 
 
 def kernel_pair(f: Morphism) -> tuple[Algebra, Morphism, Morphism]:
@@ -381,11 +258,8 @@ def into_pullback(P: Algebra, p1: Morphism, p2: Morphism,
     """The mediating map into a pullback from a cone (u, v)."""
     if u.dom != v.dom:
         raise AlgebraError("cone legs must share a domain")
-    if P.is_gpd:
-        m1 = _mediate(p1.map1, p2.map1, u.map1, v.map1)
-        m0 = _mediate(p1.map0, p2.map0, u.map0, v.map0)
-        return Morphism(u.dom, P, (m1, m0))
-    return Morphism(u.dom, P, _mediate(p1.mapping, p2.mapping, u.mapping, v.mapping))
+    return Morphism(u.dom, P, _pack(P, [
+        _mediate(*arrays) for arrays in zip(_arrays(p1), _arrays(p2), _arrays(u), _arrays(v))]))
 
 
 def _mediate(p1m, p2m, um, vm) -> tuple[int, ...]:
@@ -397,15 +271,10 @@ def _mediate(p1m, p2m, um, vm) -> tuple[int, ...]:
 
 
 def direct_product(A: Algebra, B: Algebra) -> tuple[Algebra, Morphism, Morphism]:
-    if A.is_gpd:
-        if not B.is_gpd:
-            raise AlgebraError("cannot mix sorts in a product")
-        ones = ((0,) * A.g1.order, (0,) * A.g0.order)
-        # pull back over the terminal groupoid
-        point = gpd_algebra(group_algebra([[0]]), group_algebra([[0]]), (0,), (0,), (0,))
-        return pullback(Morphism(A, point, ones), Morphism(B, point, ones))
-    pairs = [(a, b) for a in range(A.order) for b in range(B.order)]
-    return _pairs_algebra(A, B, pairs)
+    if A.variety != B.variety:
+        raise AlgebraError(f"cannot multiply a {A.variety} by a {B.variety}")
+    return _pairs_algebra(A, B, [[(a, b) for a in range(LA.order) for b in range(LB.order)]
+                                 for LA, LB in zip(_levels(A), _levels(B))])
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +287,12 @@ class SequenceClassification:
     splitting: Morphism | None = None
 
 
+def _is_exact(k: Morphism, f: Morphism) -> bool:
+    """k embeds exactly onto the kernel of the surjection f."""
+    return (is_injective(k) and is_surjective(f)
+            and image_elements(k, full_subobject(k.dom)) == kernel(f).elements)
+
+
 def classify_sequence(k: Morphism, f: Morphism) -> SequenceClassification:
     """Classify the composable pair k, f as a short exact sequence.
 
@@ -426,9 +301,7 @@ def classify_sequence(k: Morphism, f: Morphism) -> SequenceClassification:
     """
     if k.cod != f.dom:
         raise AlgebraError("sequence maps do not compose")
-    if not is_injective(k) or not is_surjective(f):
-        return SequenceClassification("not-exact")
-    if image_elements(k, _full(k.dom)) != kernel(f).elements:
+    if not _is_exact(k, f):
         return SequenceClassification("not-exact")
     secs = sections(f)
     if secs:
@@ -448,28 +321,19 @@ class ExactSequence:
         # classify_sequence would also hunt for a section; skip that here
         if self.k.cod != self.f.dom:
             raise AlgebraError("sequence maps do not compose")
-        if not is_injective(self.k) or not is_surjective(self.f):
-            raise AlgebraError("not a short exact sequence")
-        if image_elements(self.k, _full(self.k.dom)) != kernel(self.f).elements:
+        if not _is_exact(self.k, self.f):
             raise AlgebraError("not a short exact sequence")
         if self.splitting is not None:
             if compose(self.f, self.splitting) != identity_morphism(self.f.cod):
                 raise AlgebraError("splitting is not a section")
-
-    @property
-    def is_split(self) -> bool:
-        return self.splitting is not None
 
 
 def induced_on_quotient(q: Morphism, f: Morphism) -> Morphism:
     """The unique map through a quotient: q surjective, ker q <= ker f."""
     if q.dom != f.dom:
         raise AlgebraError("maps must share a domain")
-    if q.dom.is_gpd:
-        m1 = _induced_array(q.map1, f.map1, q.cod.g1.order)
-        m0 = _induced_array(q.map0, f.map0, q.cod.g0.order)
-        return Morphism(q.cod, f.cod, (m1, m0))
-    return Morphism(q.cod, f.cod, _induced_array(q.mapping, f.mapping, q.cod.order))
+    return Morphism(q.cod, f.cod, _pack(q.cod, [
+        _induced_array(qm, fm, L.order) for qm, fm, L in zip(_arrays(q), _arrays(f), _levels(q.cod))]))
 
 
 def _induced_array(qm, fm, size: int) -> tuple[int, ...]:

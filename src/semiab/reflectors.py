@@ -20,6 +20,7 @@ from .algebra import (
     Morphism,
     Subobject,
     Variety,
+    _arrays,
     compose,
     full_subobject,
     is_injective,
@@ -294,7 +295,7 @@ def _radical_not_idempotent(R: Reflector, A: Algebra) -> bool:
 
 @check("hom-vanishing", ("reflector", "reflector"), ("morphism", "morphism"))
 def _torsion_to_free_nonzero(R: Reflector, f: Morphism) -> bool:
-    nonzero = any(v != 0 for v in (f.map1 + f.map0 if f.dom.is_gpd else f.mapping))
+    nonzero = any(v != 0 for m in _arrays(f) for v in m)
     return nonzero and is_torsion_member(R, f.dom) and is_free_member(R, f.cod)
 
 

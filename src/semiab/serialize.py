@@ -111,7 +111,7 @@ def algebra_to_doc(A: Algebra) -> dict:
         "format": ALGEBRA_FORMAT,
         "version": FORMAT_VERSION,
         "variety": variety_to_doc(A.variety),
-        "order": A.g1.order if A.is_gpd else A.order,
+        "order": A.order,
         "tables": _tables_to_doc(A),
     }
     if A.name:
@@ -148,9 +148,8 @@ def algebra_from_doc(doc, path: str = "$") -> Algebra:
         A = _algebra_from_tables(variety, tables, tpath, name)
     except AlgebraError as exc:
         raise FormatError(tpath, str(exc)) from None
-    got = A.g1.order if A.is_gpd else A.order
-    if got != order:
-        raise FormatError(f"{path}.order", f"declared {order}, tables give {got}")
+    if A.order != order:
+        raise FormatError(f"{path}.order", f"declared {order}, tables give {A.order}")
     return A
 
 
@@ -185,17 +184,35 @@ def _endpoint_to_doc(A: Algebra, as_name: bool):
     return algebra_to_doc(A)
 
 
-def morphism_to_doc(f: Morphism, named_endpoints: bool = False) -> dict:
+def _map_to_doc(f: Morphism):
+    """The ``map`` field: an array, or {g1, g0} arrays for groupoids."""
     if f.dom.is_gpd:
-        mapping = {"g1": list(f.map1), "g0": list(f.map0)}
+        return {"g1": list(f.map1), "g0": list(f.map0)}
+    return list(f.mapping)
+
+
+def _map_from_doc(dom: Algebra, cod: Algebra, raw, path: str) -> Morphism:
+    """The morphism whose ``map`` field, at ``path``, is ``raw``."""
+    if dom.is_gpd:
+        if not isinstance(raw, dict):
+            raise FormatError(path, "groupoid maps need {g1, g0} arrays")
+        mapping = (_int_array(_need(raw, "g1", path), f"{path}.g1"),
+                   _int_array(_need(raw, "g0", path), f"{path}.g0"))
     else:
-        mapping = list(f.mapping)
+        mapping = _int_array(raw, path)
+    try:
+        return Morphism(dom, cod, mapping)
+    except AlgebraError as exc:
+        raise FormatError(path, str(exc)) from None
+
+
+def morphism_to_doc(f: Morphism, named_endpoints: bool = False) -> dict:
     return {
         "format": MORPHISM_FORMAT,
         "version": FORMAT_VERSION,
         "dom": _endpoint_to_doc(f.dom, named_endpoints),
         "cod": _endpoint_to_doc(f.cod, named_endpoints),
-        "map": mapping,
+        "map": _map_to_doc(f),
     }
 
 
@@ -212,19 +229,7 @@ def morphism_from_doc(doc, path: str = "$", resolve: Resolver | None = None) -> 
     _check_header(doc, MORPHISM_FORMAT, path)
     dom = _endpoint_from_doc(_need(doc, "dom", path), f"{path}.dom", resolve)
     cod = _endpoint_from_doc(_need(doc, "cod", path), f"{path}.cod", resolve)
-    raw = _need(doc, "map", path)
-    mpath = f"{path}.map"
-    if dom.is_gpd:
-        if not isinstance(raw, dict):
-            raise FormatError(mpath, "groupoid morphisms need {g1, g0} arrays")
-        mapping = (_int_array(_need(raw, "g1", mpath), f"{mpath}.g1"),
-                   _int_array(_need(raw, "g0", mpath), f"{mpath}.g0"))
-    else:
-        mapping = _int_array(raw, mpath)
-    try:
-        return Morphism(dom, cod, mapping)
-    except AlgebraError as exc:
-        raise FormatError(mpath, str(exc)) from None
+    return _map_from_doc(dom, cod, _need(doc, "map", path), f"{path}.map")
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +240,7 @@ def cube_to_doc(cube) -> dict:
     vertices = {str(mask): algebra_to_doc(V) for mask, V in cube.vertices.items()}
     edges = []
     for (mask, axis), f in sorted(cube.edges.items()):
-        if f.dom.is_gpd:
-            mapping = {"g1": list(f.map1), "g0": list(f.map0)}
-        else:
-            mapping = list(f.mapping)
-        edges.append({"from": mask, "axis": axis, "map": mapping})
+        edges.append({"from": mask, "axis": axis, "map": _map_to_doc(f)})
     return {
         "format": CUBE_FORMAT,
         "version": FORMAT_VERSION,
@@ -271,19 +272,8 @@ def cube_from_doc(doc, path: str = "$", resolve: Resolver | None = None):
         axis = _need(entry, "axis", epath, int)
         if not (0 <= axis < dim) or mask & (1 << axis) or not (0 <= mask < (1 << dim)):
             raise FormatError(epath, f"bad edge position ({mask}, {axis})")
-        dom, cod = vertices[mask], vertices[mask | (1 << axis)]
-        raw_map = _need(entry, "map", epath)
-        if dom.is_gpd:
-            if not isinstance(raw_map, dict):
-                raise FormatError(f"{epath}.map", "groupoid edges need {g1, g0} arrays")
-            mapping = (_int_array(_need(raw_map, "g1", f"{epath}.map"), f"{epath}.map.g1"),
-                       _int_array(_need(raw_map, "g0", f"{epath}.map"), f"{epath}.map.g0"))
-        else:
-            mapping = _int_array(raw_map, f"{epath}.map")
-        try:
-            edges[(mask, axis)] = Morphism(dom, cod, mapping)
-        except AlgebraError as exc:
-            raise FormatError(f"{epath}.map", str(exc)) from None
+        edges[(mask, axis)] = _map_from_doc(vertices[mask], vertices[mask | (1 << axis)],
+                                            _need(entry, "map", epath), f"{epath}.map")
     try:
         return NCube(dim, vertices, edges)
     except AlgebraError as exc:

@@ -217,10 +217,11 @@ def test_corpus_override_reaches_cli(tmp_path, capsys, monkeypatch):
     assert "protoadditive" in out
 
 
-def test_python_dash_m_semiab_runs_the_cli():
+@pytest.mark.parametrize("module", ["semiab", "semiab.cli"])
+def test_python_dash_m_semiab_runs_the_cli(module):
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-m", "semiab", "radical", "--reflector", "burnside:2", "--algebra", "c4"],
+        [sys.executable, "-m", module, "radical", "--reflector", "burnside:2", "--algebra", "c4"],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "radical of c4" in proc.stdout

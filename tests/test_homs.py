@@ -1,14 +1,21 @@
 """Hom-set enumeration oracles."""
 
+import itertools
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from semiab import (
+    AlgebraError,
     compose,
+    corpus_by_id,
     cyclic_group,
     dihedral_group,
     direct_product,
     enumerate_homs,
     find_isomorphism,
+    gpd_discrete,
+    gpd_indiscrete,
     identity_morphism,
     is_isomorphic,
     morphism,
@@ -16,6 +23,7 @@ from semiab import (
     sections,
     surjections,
     symmetric_3,
+    zmod_cyclic,
     zring,
 )
 from semiab.homs import is_split_epi
@@ -81,3 +89,43 @@ def test_hom_count_between_cyclics_is_gcd(m, n):
     import math
 
     assert len(enumerate_homs(cyclic_group(m), cyclic_group(n))) == math.gcd(m, n)
+
+
+def _algebra(corpus_id, name):
+    return next(A for A in corpus_by_id(corpus_id) if A.name == name)
+
+
+def _accepted_maps(A, B):
+    """Every mapping A -> B that ``morphism`` accepts, by trying all of them."""
+    def arrays(src, dst):
+        return [tuple(m) for m in itertools.product(range(dst.order), repeat=src.order)]
+
+    if A.is_gpd:
+        candidates = itertools.product(arrays(A.g1, B.g1), arrays(A.g0, B.g0))
+    else:
+        candidates = arrays(A, B)
+    found = set()
+    for m in candidates:
+        try:
+            found.add(morphism(A, B, m).mapping)
+        except AlgebraError:
+            pass
+    return found
+
+
+@pytest.mark.parametrize("A, B", [
+    (_algebra("groups", "c4"), _algebra("groups", "c2")),
+    (_algebra("groups", "s3"), _algebra("groups", "c2")),
+    (_algebra("groups", "c2"), _algebra("groups", "s3")),
+    (_algebra("rings", "z4"), _algebra("rings", "z2")),
+    (_algebra("rng-star", "zero4"), _algebra("rng-star", "zero2")),
+    (_algebra("nonassoc-rings", "example-2.8.3-ring"),
+     _algebra("nonassoc-rings", "example-2.8.3-ring")),
+    (zmod_cyclic(4, 4), zmod_cyclic(4, 2)),
+    (zmod_cyclic(4, 2), zmod_cyclic(4, 4)),
+    (gpd_indiscrete(cyclic_group(2)), gpd_discrete(cyclic_group(2))),
+    (gpd_discrete(cyclic_group(2)), gpd_indiscrete(cyclic_group(2))),
+], ids=["c4-c2", "s3-c2", "c2-s3", "z4-z2", "zero4-zero2", "ex283-ex283",
+        "m4c4-m4c2", "m4c2-m4c4", "ind-dis", "dis-ind"])
+def test_enumerate_homs_matches_brute_force(A, B):
+    assert {f.mapping for f in enumerate_homs(A, B)} == _accepted_maps(A, B)

@@ -1,0 +1,105 @@
+"""Static hygiene of the package: no unused imports, no dead definitions.
+
+Both tests read the source with ``ast`` and import nothing.  A name
+counts as used when it appears as a name or an attribute anywhere
+else (string annotations included), so the check is coarse: it
+catches definitions that nothing mentions at all.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "semiab"
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _annotation_names(node: ast.AST) -> set[str]:
+    """Names mentioned inside string annotations such as ``"Algebra | None"``."""
+    out: set[str] = set()
+    annotations = []
+    for n in ast.walk(node):
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(n.returns)
+            annotations.extend(a.annotation for a in ast.walk(n.args) if isinstance(a, ast.arg))
+        elif isinstance(n, ast.AnnAssign):
+            annotations.append(n.annotation)
+    for ann in annotations:
+        for c in ast.walk(ann) if ann is not None else ():
+            if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                out |= _used_names(ast.parse(c.value, mode="eval"))
+    return out
+
+
+def _used_names(tree: ast.AST) -> set[str]:
+    names = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+    return names
+
+
+def _imported(tree: ast.Module) -> list[str]:
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            out += [(a.asname or a.name).split(".")[0] for a in n.names]
+        elif isinstance(n, ast.ImportFrom) and n.module != "__future__":
+            out += [a.asname or a.name for a in n.names]
+    return out
+
+
+def _is_check_registered(fn: ast.FunctionDef) -> bool:
+    for dec in fn.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "check":
+            return True
+    return False
+
+
+def _definitions(tree: ast.Module):
+    """Top-level functions and classes, and the methods and properties of classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body if isinstance(m, ast.FunctionDef))
+
+
+def test_every_import_in_the_package_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":  # imports there are the re-exports
+            continue
+        tree = _parse(path)
+        used = _used_names(tree) | _annotation_names(tree)
+        unused += [f"{path.name}: {name}" for name in _imported(tree) if name not in used]
+    assert unused == []
+
+
+def test_every_definition_in_the_package_is_referenced():
+    trees = {path: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    tests = [_parse(path) for path in sorted((ROOT / "tests").glob("*.py"))]
+    referenced: set[str] = set()
+    for tree in [*trees.values(), *tests]:
+        referenced |= _used_names(tree) | _annotation_names(tree)
+        referenced |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                       for a in n.names}
+    dead = []
+    for path, tree in trees.items():
+        for node in _definitions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if isinstance(node, ast.FunctionDef) and _is_check_registered(node):
+                continue
+            if name not in referenced:
+                dead.append(f"{path.name}: {name}")
+    assert dead == []

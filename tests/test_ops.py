@@ -8,13 +8,16 @@ from hypothesis import given, settings, strategies as st
 from semiab import (
     AlgebraError,
     ExactSequence,
+    Morphism,
     classify_sequence,
     compose,
+    corpus_by_id,
     cyclic_group,
     dihedral_group,
     direct_product,
     epi_kernel_factorisation,
     full_subobject,
+    gpd_discrete,
     huq_commutator,
     identity_morphism,
     image,
@@ -38,6 +41,7 @@ from semiab import (
     surjections,
     symmetric_3,
     zero_subobject,
+    zmod_cyclic,
     zring,
 )
 from semiab.algebra import closure_under_ops
@@ -270,3 +274,41 @@ def test_product_projections_are_surjective(m, n):
     assert P.order == m * n
     assert is_surjective(p1) and is_surjective(p2)
     assert kernel(p1).elements & kernel(p2).elements == {0}
+
+
+def _groupoid_surjections():
+    corpus = corpus_by_id("groupoids")
+    return [f for A in corpus for B in corpus for f in surjections(A, B)]
+
+
+def test_groupoid_corpus_has_sixteen_surjections():
+    assert len(_groupoid_surjections()) == 16
+
+
+@pytest.mark.parametrize("f", _groupoid_surjections())
+def test_groupoid_constructions_match_their_levels(f):
+    A, B = f.dom, f.cod
+    f1, f0 = Morphism(A.g1, B.g1, f.map1), Morphism(A.g0, B.g0, f.map0)
+    K = kernel(f)
+    Q, q = quotient(A, K)
+    S, incl = sub_algebra(A, K)
+    P, p1, p2 = kernel_pair(f)
+    for level, fk, X in ((0, f1, A.g1), (1, f0, A.g0)):
+        Qk, qk = quotient(X, kernel(fk))
+        Sk, inclk = sub_algebra(X, kernel(fk))
+        Pk, p1k, p2k = kernel_pair(fk)
+        assert (Q.g1, Q.g0)[level] == Qk and q.mapping[level] == qk.mapping
+        assert (S.g1, S.g0)[level] == Sk and incl.mapping[level] == inclk.mapping
+        assert (P.g1, P.g0)[level] == Pk
+        assert p1.mapping[level] == p1k.mapping and p2.mapping[level] == p2k.mapping
+
+
+@pytest.mark.parametrize("A, B", [
+    (cyclic_group(2), zring(2)),
+    (cyclic_group(2), gpd_discrete(cyclic_group(2))),
+    (zmod_cyclic(4, 4), zmod_cyclic(8, 8)),
+    (zmod_cyclic(4, 2), zmod_cyclic(8, 2)),
+], ids=["group-ring", "group-groupoid", "zmod4-zmod8", "zmod4-zmod8-small"])
+def test_direct_product_needs_a_shared_variety(A, B):
+    with pytest.raises(AlgebraError, match="cannot multiply"):
+        direct_product(A, B)
