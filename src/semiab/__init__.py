@@ -71,14 +71,12 @@ from .factorisation import (
     torsion_of_kernel,
 )
 from .families import (
-    build_algebra,
     cyclic_group,
     dihedral_group,
     gpd_discrete,
     gpd_indiscrete,
     gpd_one_object,
     quaternion_8,
-    ring_from_table,
     semidirect_product,
     split_witness_ring,
     symmetric_3,

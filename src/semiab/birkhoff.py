@@ -25,6 +25,8 @@ from .algebra import (
 )
 from .cubes import (
     NCube,
+    _kernel_pair_cube,
+    _quotient_top,
     cube_of_morphism,
     is_nfold_extension,
     rib_kernel_meet,
@@ -32,11 +34,9 @@ from .cubes import (
 )
 from .factorisation import cube_torsion_meet, unit_square
 from .families import trivial_of_variety, zmod_free
-from .homs import find_isomorphism, is_isomorphic, surjections
+from .homs import _corpus_surjections, find_isomorphism, is_isomorphic
 from .ops import (
     image_elements,
-    induced_on_quotient,
-    into_pullback,
     join_normal,
     kernel,
     kernel_pair,
@@ -72,15 +72,11 @@ class BirkhoffContext:
     def __post_init__(self) -> None:
         members = [A for A in self.corpus if self.B.applies_to(A.variety)]
         checked = 0
-        for A in members:
-            for Y in members:
-                if A.variety != Y.variety:
-                    continue
-                for f in surjections(A, Y):
-                    checked += 1
-                    if not is_nfold_extension(unit_square(self.B, f)):
-                        raise AlgebraError(
-                            f"unit square of a corpus surjection is not a double extension under {self.B.name}")
+        for f in _corpus_surjections(members):
+            checked += 1
+            if not is_nfold_extension(unit_square(self.B, f)):
+                raise AlgebraError(
+                    f"unit square of a corpus surjection is not a double extension under {self.B.name}")
         object.__setattr__(self, "checked_surjections", checked)
         compared = 0
         if self.C is not None:
@@ -106,33 +102,6 @@ def birkhoff_radical(ctx: BirkhoffContext, f: Morphism) -> Subobject:
     rad = radical(ctx.B, R)
     cut = meet_subobjects(R, rad, kernel(p1))
     return normal_closure(f.dom, image_elements(p2, cut))
-
-
-def _kernel_pair_cube(c: NCube) -> tuple[NCube, Morphism, Morphism]:
-    """Levelwise kernel pairs of the last-axis connecting maps.
-
-    Returns the cube one dimension down together with the top-level
-    projection pair.
-    """
-    if c.dim < 2:
-        raise AlgebraError("kernel-pair cubes need dimension >= 2")
-    last = c.dim - 1
-    dom_face = c.face(last, 0)
-    n1 = c.dim - 1
-    verts: dict[int, Algebra] = {}
-    proj1: dict[int, Morphism] = {}
-    proj2: dict[int, Morphism] = {}
-    for s in range(1 << n1):
-        R, p1, p2 = kernel_pair(c.edge(s, last))
-        verts[s] = R
-        proj1[s] = p1
-        proj2[s] = p2
-    edges: dict[tuple[int, int], Morphism] = {}
-    for (s, k), dmap in dom_face.edges.items():
-        t = s | (1 << k)
-        edges[(s, k)] = into_pullback(verts[t], proj1[t], proj2[t],
-                                      compose(dmap, proj1[s]), compose(dmap, proj2[s]))
-    return NCube(n1, verts, edges), proj1[0], proj2[0]
 
 
 def _module_span(A: Algebra, seed) -> frozenset:
@@ -235,36 +204,29 @@ def _radical_n_cube(ctx: BirkhoffContext, c: NCube) -> Subobject:
     return normal_closure(c.top_vertex, image_elements(p2, cut))
 
 
-def is_birkhoff_normal(ctx: BirkhoffContext, c: NCube) -> bool:
-    """Vanishing of the cube's radical.
+def _checked_radical(ctx: BirkhoffContext, c: NCube) -> Subobject:
+    """The cube's radical; when the reflector is protoadditive on the
+    variety it is recomputed from the rib-kernel meet and the two must
+    agree element by element."""
+    rad = radical_n(ctx, c)
+    if known_protoadditive_on(ctx.B, c.top_vertex.kind):
+        if cube_torsion_meet(ctx.B, c).elements != rad.elements:
+            raise AlgebraError("radical route and kernel-meet route disagree")
+    return rad
 
-    When the reflector is protoadditive on the variety the verdict is
-    recomputed from the rib-kernel meet and the two must agree.
-    """
+
+def is_birkhoff_normal(ctx: BirkhoffContext, c: NCube) -> bool:
+    """Vanishing of the cube's radical, checked against the kernel meet."""
     if not is_nfold_extension(c):
         raise AlgebraError("normality test expects an n-fold extension")
-    verdict = radical_n(ctx, c).is_zero()
-    if known_protoadditive_on(ctx.B, c.top_vertex.kind):
-        if cube_torsion_meet(ctx.B, c).is_zero() != verdict:
-            raise AlgebraError("radical route and kernel-meet route disagree")
-    return verdict
+    return _checked_radical(ctx, c).is_zero()
 
 
 def centralize(ctx: BirkhoffContext, c: NCube) -> NCube:
     """Quotient the top vertex by the cube's radical."""
     if not is_nfold_extension(c):
         raise AlgebraError("centralisation expects an n-fold extension")
-    rad = radical_n(ctx, c)
-    _, q = quotient(c.top_vertex, rad)
-    if c.dim == 1:
-        out = cube_of_morphism(induced_on_quotient(q, c.arrow))
-    else:
-        verts = dict(c.vertices)
-        verts[0] = q.cod
-        edges = dict(c.edges)
-        for axis in range(c.dim):
-            edges[(0, axis)] = induced_on_quotient(q, c.rib(axis))
-        out = NCube(c.dim, verts, edges)
+    _, out = _quotient_top(c, radical_n(ctx, c))
     if not is_birkhoff_normal(ctx, out):
         raise AlgebraError("centralisation did not reach a normal cube")
     return out
@@ -381,34 +343,35 @@ def _quotient_of_sub(parent: Algebra, num: Subobject, den: Subobject) -> Algebra
     return H
 
 
-def hopf_homology(ctx: BirkhoffContext, A: Algebra, degree: int) -> Algebra:
+def hopf_homology(ctx: BirkhoffContext, A: Algebra, degree: int,
+                  presentations: list | None = None) -> Algebra:
     """Exact homology of A in degree 2 or 3.
 
     Computes the kernel-intersection quotient over a free presentation
     and re-runs it on an independent, rank-augmented presentation; the
-    two results must be isomorphic.
+    two results must be isomorphic.  Given a list, ``presentations``
+    receives the two presentations in that order.
     """
     if A.kind != "zmod-module":
         raise AlgebraError("homology is computed in module varieties")
     if degree not in (2, 3):
         raise AlgebraError("degree must be 2 or 3")
-    first = _hopf_once(ctx, A, degree, 0)
-    second = _hopf_once(ctx, A, degree, 1)
+    first = _hopf_once(ctx, A, degree, 0, presentations)
+    second = _hopf_once(ctx, A, degree, 1, presentations)
     if not is_isomorphic(first, second):
         raise AlgebraError("presentation independence failed; this is a bug")
     return first
 
 
-def _hopf_once(ctx: BirkhoffContext, A: Algebra, degree: int, variant: int) -> Algebra:
+def _hopf_once(ctx: BirkhoffContext, A: Algebra, degree: int, variant: int,
+               presentations: list | None) -> Algebra:
     pres = build_presentation(A, degree - 1, variant)
+    if presentations is not None:
+        presentations.append(pres)
     c = pres.cube
     top = c.top_vertex
     num = meet_subobjects(top, radical(ctx.B, top), rib_kernel_meet(c))
-    den = radical_n(ctx, c)
-    if known_protoadditive_on(ctx.B, A.kind):
-        alt = cube_torsion_meet(ctx.B, c)
-        if alt.elements != den.elements:
-            raise AlgebraError("radical route and kernel-meet route disagree")
+    den = _checked_radical(ctx, c)
     if not den <= num:
         raise AlgebraError("radical escaped the Hopf numerator")
     return _quotient_of_sub(top, num, den)

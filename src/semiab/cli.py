@@ -12,13 +12,13 @@ import os
 import sys
 
 from .algebra import Algebra, AlgebraError
-from .birkhoff import BirkhoffContext, build_presentation, hopf_homology
+from .birkhoff import BirkhoffContext, hopf_homology
 from .corpus import corpus_by_id, corpus_ids, named_algebra
 from .factorisation import classify_em, em_factorize, is_nfold_normal, is_normal_extension, is_trivial_extension
 from .families import zmod_cyclic
 from .homs import find_isomorphism
 from .ops import direct_product
-from .reflectors import Reflector, ReflectorError, reflector_by_id
+from .reflectors import ReflectorError, reflect, reflector_by_id
 from .serialize import (
     FormatError,
     algebra_from_doc,
@@ -118,13 +118,6 @@ def _load_algebra(spec: str) -> Algebra:
     return A
 
 
-def _reflector(rid: str) -> Reflector:
-    try:
-        return reflector_by_id(rid)
-    except ReflectorError as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _corpus(cid: str):
     try:
         return corpus_by_id(cid)
@@ -161,7 +154,7 @@ def _module_label(H: Algebra) -> str:
 
 
 def _cmd_check_protoadditive(args) -> int:
-    R = _reflector(args.reflector)
+    R = reflector_by_id(args.reflector)
     report = protoadditive_by_definition(R, _corpus(args.corpus))
     if args.json:
         _emit(report.to_doc())
@@ -177,11 +170,10 @@ def _cmd_check_protoadditive(args) -> int:
 
 
 def _cmd_radical(args) -> int:
-    R = _reflector(args.reflector)
+    R = reflector_by_id(args.reflector)
     A = _load_algebra(args.algebra)
     if not R.applies_to(A.variety):
         raise UsageError(f"{R.name} does not apply to {A.variety}")
-    from .reflectors import reflect
     dec = reflect(R, A)
     if args.json:
         _emit({
@@ -202,14 +194,11 @@ def _cmd_radical(args) -> int:
 
 
 def _cmd_factorize(args) -> int:
-    R = _reflector(args.reflector)
+    R = reflector_by_id(args.reflector)
     f = morphism_from_doc(_load_doc(args.morphism), path=args.morphism)
     if not R.applies_to(f.dom.variety):
         raise UsageError(f"{R.name} does not apply to {f.dom.variety}")
-    try:
-        fac = em_factorize(R, f)
-    except AlgebraError as exc:
-        raise UsageError(str(exc)) from None
+    fac = em_factorize(R, f)
     stem, _ = os.path.splitext(os.path.basename(args.morphism))
     out_dir = args.out_dir or os.path.dirname(args.morphism) or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -242,31 +231,25 @@ def _cmd_factorize(args) -> int:
 
 
 def _cmd_extension_check(args) -> int:
-    R = _reflector(args.reflector)
+    R = reflector_by_id(args.reflector)
     if args.kind == "double":
         if not args.cube:
             raise UsageError("--kind double needs --cube")
         c = cube_from_doc(_load_doc(args.cube), path=args.cube)
         if c.dim != 2:
             raise UsageError("--kind double needs a dimension-2 cube")
-        try:
-            verdict = is_nfold_normal(R, c)
-        except AlgebraError as exc:
-            raise UsageError(str(exc)) from None
+        verdict = is_nfold_normal(R, c)
         label = "double extension normal"
     else:
         if not args.morphism:
             raise UsageError(f"--kind {args.kind} needs --morphism")
         f = morphism_from_doc(_load_doc(args.morphism), path=args.morphism)
-        try:
-            if args.kind == "trivial":
-                verdict = is_trivial_extension(R, f)
-                label = "trivial extension"
-            else:
-                verdict = is_normal_extension(R, f)
-                label = "normal extension"
-        except AlgebraError as exc:
-            raise UsageError(str(exc)) from None
+        if args.kind == "trivial":
+            verdict = is_trivial_extension(R, f)
+            label = "trivial extension"
+        else:
+            verdict = is_normal_extension(R, f)
+            label = "normal extension"
     if args.json:
         _emit({
             "format": "semiab-extension-check",
@@ -285,18 +268,15 @@ def _cmd_homology(args) -> int:
     if not spec.startswith("zmod:") or not spec[5:].isdigit() or int(spec[5:]) < 2:
         raise UsageError(f"--variety must look like zmod:4, got {spec!r}")
     modulus = int(spec[5:])
-    R = _reflector(args.coeff)
+    R = reflector_by_id(args.coeff)
     A = _load_algebra(args.object)
     if A.kind != "zmod-module" or A.variety.modulus != modulus:
         raise UsageError(f"object is not a zmod:{modulus} module")
     if not R.applies_to(A.variety):
         raise UsageError(f"{R.name} does not apply to {A.variety}")
-    try:
-        ctx = BirkhoffContext(R, (A,))
-        H = hopf_homology(ctx, A, args.degree)
-    except AlgebraError as exc:
-        raise UsageError(str(exc)) from None
-    pres = [build_presentation(A, args.degree - 1, v).cube.top_vertex for v in (0, 1)]
+    pres = []
+    H = hopf_homology(BirkhoffContext(R, (A,)), A, args.degree, pres)
+    tops = [p.cube.top_vertex for p in pres]
     if args.json:
         _emit({
             "format": "semiab-homology",
@@ -305,12 +285,12 @@ def _cmd_homology(args) -> int:
             "degree": args.degree,
             "module": algebra_to_doc(H),
             "label": _module_label(H),
-            "presentations": [{"rank-order": P.order} for P in pres],
+            "presentations": [{"rank-order": P.order} for P in tops],
         })
     else:
         name = A.name or "the module"
         print(f"H{args.degree}({name}) = {_module_label(H)}")
-        print(f"presentation pair: free covers of order {pres[0].order} and {pres[1].order} agree")
+        print(f"presentation pair: free covers of order {tops[0].order} and {tops[1].order} agree")
     return 0
 
 
@@ -357,19 +337,12 @@ def run(argv=None) -> int:
             parser.print_help()
             return 1
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (SuiteError, SuiteCompatibilityError, ReflectorError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except AlgebraError as exc:
+    except (UsageError, SuiteError, SuiteCompatibilityError, ReflectorError, AlgebraError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 def main() -> None:

@@ -14,7 +14,7 @@ from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
-from .algebra import Algebra, AlgebraError
+from .algebra import Algebra, AlgebraError, ring_algebra
 from .families import (
     cyclic_group,
     dihedral_group,
@@ -22,7 +22,6 @@ from .families import (
     gpd_indiscrete,
     gpd_one_object,
     quaternion_8,
-    ring_from_table,
     split_witness_ring,
     symmetric_3,
     zero_multiplication_ring,
@@ -65,7 +64,7 @@ def _rings() -> tuple[Algebra, ...]:
 
 
 def _boolean_c2(kind: str, name: str) -> Algebra:
-    return ring_from_table(kind, [[0, 1], [1, 0]], [[0, 0], [0, 1]], name=name)
+    return ring_algebra(kind, [[0, 1], [1, 0]], [[0, 0], [0, 1]], name=name)
 
 
 def _nonassoc_rings() -> tuple[Algebra, ...]:

@@ -5,6 +5,10 @@ is the top vertex) and one edge per (mask, free axis) pair pointing in
 the increasing direction.  The initial ribs are the n edges out of the
 top vertex.  Every square face is checked to commute elementwise at
 construction.
+
+The two constructions that build a new cube from an old one live here
+too: the cube of levelwise kernel pairs along the last axis, and the
+cube with its top vertex quotiented and the initial ribs induced.
 """
 
 from __future__ import annotations
@@ -12,8 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .algebra import Algebra, AlgebraError, Morphism, _arrays, _levels, compose, is_surjective
-from .ops import into_pullback, join_normal, kernel, meet_subobjects, pullback
+from .algebra import Algebra, AlgebraError, Morphism, Subobject, _arrays, _levels, compose, is_surjective
+from .ops import (
+    induced_on_quotient,
+    into_pullback,
+    join_normal,
+    kernel,
+    kernel_pair,
+    meet_subobjects,
+    pullback,
+    quotient,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,6 +151,40 @@ def cube_between(dom_cube: NCube, cod_cube: NCube, components: dict[int, Morphis
     for (s, k), f in cod_cube.edges.items():
         edges[(s | (1 << axis), k)] = f
     return NCube(n + 1, verts, edges)
+
+
+def _kernel_pair_cube(c: NCube) -> tuple[NCube, Morphism, Morphism]:
+    """Levelwise kernel pairs of the last-axis connecting maps.
+
+    Returns the cube one dimension down together with the top-level
+    projection pair.
+    """
+    if c.dim < 2:
+        raise AlgebraError("kernel-pair cubes need dimension >= 2")
+    last = c.dim - 1
+    verts: dict[int, Algebra] = {}
+    proj1: dict[int, Morphism] = {}
+    proj2: dict[int, Morphism] = {}
+    for s in range(1 << last):
+        verts[s], proj1[s], proj2[s] = kernel_pair(c.edge(s, last))
+    edges: dict[tuple[int, int], Morphism] = {}
+    for (s, k), dmap in c.face(last, 0).edges.items():
+        t = s | (1 << k)
+        edges[(s, k)] = into_pullback(verts[t], proj1[t], proj2[t],
+                                      compose(dmap, proj1[s]), compose(dmap, proj2[s]))
+    return NCube(last, verts, edges), proj1[0], proj2[0]
+
+
+def _quotient_top(c: NCube, S: Subobject) -> tuple[Morphism, NCube]:
+    """The quotient map of the top vertex by S, and the cube with that
+    quotient as its top vertex and the initial ribs induced on it."""
+    _, q = quotient(c.top_vertex, S)
+    verts = dict(c.vertices)
+    verts[0] = q.cod
+    edges = dict(c.edges)
+    for axis in range(c.dim):
+        edges[(0, axis)] = induced_on_quotient(q, c.rib(axis))
+    return q, NCube(c.dim, verts, edges)
 
 
 # ---------------------------------------------------------------------------

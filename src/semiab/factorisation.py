@@ -26,6 +26,8 @@ from .algebra import (
 )
 from .cubes import (
     NCube,
+    _kernel_pair_cube,
+    _quotient_top,
     cube_between,
     cube_of_morphism,
     is_nfold_extension,
@@ -45,15 +47,19 @@ from .ops import (
 from .reflectors import Reflector, map_reflect, radical, reflect
 
 
+def _radical_within(R: Reflector, A: Algebra, S: Subobject) -> Subobject:
+    """The radical of the sub-algebra S, pushed forward into A."""
+    sub, incl = sub_algebra(A, S)
+    return subobject(A, image_elements(incl, radical(R, sub)))
+
+
 def torsion_of_kernel(R: Reflector, f: Morphism) -> Subobject:
     """The radical of kernel(f), pushed forward into dom(f).
 
     The returned subobject's ``normal`` flag is exactly the normality
     condition the factorisation needs.
     """
-    K = kernel(f)
-    sub, incl = sub_algebra(f.dom, K)
-    return subobject(f.dom, image_elements(incl, radical(R, sub)))
+    return _radical_within(R, f.dom, kernel(f))
 
 
 def condition_N_check(R: Reflector, f: Morphism) -> bool:
@@ -162,10 +168,7 @@ def is_normal_extension(R: Reflector, f: Morphism) -> bool:
 
 def cube_torsion_meet(R: Reflector, c: NCube) -> Subobject:
     """The radical of the intersection of all rib kernels, in the top vertex."""
-    top = c.top_vertex
-    inter = rib_kernel_meet(c)
-    sub, incl = sub_algebra(top, inter)
-    return subobject(top, image_elements(incl, radical(R, sub)))
+    return _radical_within(R, c.top_vertex, rib_kernel_meet(c))
 
 
 def nfold_normal_by_criterion(R: Reflector, c: NCube) -> bool:
@@ -185,16 +188,13 @@ def double_normal_by_galois(R: Reflector, c: NCube) -> bool:
     if c.dim != 2:
         raise AlgebraError("the derived-reflection route is for squares")
     a1 = c.rib(0)
-    phi_top = c.rib(1)
-    phi_bot = c.edge(1, 1)
-    r_top, pt1, pt2 = kernel_pair(phi_top)
-    r_bot, pb1, pb2 = kernel_pair(phi_bot)
-    r = into_pullback(r_bot, pb1, pb2, compose(a1, pt1), compose(a1, pt2))
+    rcube, pt1, _ = _kernel_pair_cube(c)
+    r = rcube.arrow
     Tu = torsion_of_kernel(R, r)
     Tv = torsion_of_kernel(R, a1)
     if not (Tu.normal and Tv.normal):
         raise AlgebraError("torsion parts of the kernels are not normal")
-    _, qu = quotient(r_top, Tu)
+    _, qu = quotient(r.dom, Tu)
     qv_cod, qv = quotient(a1.dom, Tv)
     reflected = induced_on_quotient(qu, compose(qv, pt1))
     P, p1, p2 = pullback(reflected, qv)
@@ -232,17 +232,10 @@ def nfold_factorize(R: Reflector, c: NCube) -> tuple[NCube, NCube]:
     T = cube_torsion_meet(R, c)
     if not T.normal:
         raise AlgebraError("torsion part is not normal in the top vertex")
-    _, q = quotient(c.top_vertex, T)
+    q, m_cube = _quotient_top(c, T)
     if c.dim == 1:
         e_cube = cube_of_morphism(q)
-        m_cube = cube_of_morphism(induced_on_quotient(q, c.arrow))
     else:
-        verts = dict(c.vertices)
-        verts[0] = q.cod
-        edges = dict(c.edges)
-        for axis in range(c.dim):
-            edges[(0, axis)] = induced_on_quotient(q, c.rib(axis))
-        m_cube = NCube(c.dim, verts, edges)
         last = c.dim - 1
         dom_face = c.face(last, 0)
         components = {0: q}

@@ -1,8 +1,8 @@
 """Builders for the stock algebra families.
 
-``build_algebra`` dispatches on a family name; every builder funnels
-through the validating constructors in :mod:`semiab.algebra`, so a
-malformed table or action is rejected at build time.
+Every builder funnels through the validating constructors in
+:mod:`semiab.algebra`, so a malformed table or action is rejected at
+build time.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .algebra import (
     module_algebra,
     ring_algebra,
 )
+from .ops import direct_product
 
 
 def cyclic_group(n: int, name: str | None = None) -> Algebra:
@@ -114,12 +115,6 @@ def zring(n: int, name: str | None = None) -> Algebra:
     return ring_algebra(COMM_RING, add, mul, name=name or f"z{n}")
 
 
-def ring_from_table(kind: str, add, mul, name: str | None = None) -> Algebra:
-    if kind not in RING_KINDS:
-        raise AlgebraError(f"{kind!r} is not a ring kind")
-    return ring_algebra(kind, add, mul, name=name)
-
-
 def zero_multiplication_ring(n: int, kind: str = "rng-star", name: str | None = None) -> Algebra:
     add = [[(x + y) % n for y in range(n)] for x in range(n)]
     mul = [[0] * n for _ in range(n)]
@@ -183,20 +178,9 @@ def gpd_discrete(G: Algebra, name: str | None = None) -> Algebra:
     return gpd_algebra(G, G, ident, ident, ident, name=name or f"dis({G.name or 'G'})")
 
 
-def _product_group(G: Algebra, H: Algebra) -> Algebra:
-    size = G.order * H.order
-
-    def mult(x: int, y: int) -> int:
-        gx, hx = divmod(x, H.order)
-        gy, hy = divmod(y, H.order)
-        return G.op[gx][gy] * H.order + H.op[hx][hy]
-
-    return group_algebra([[mult(x, y) for y in range(size)] for x in range(size)])
-
-
 def gpd_indiscrete(G: Algebra, name: str | None = None) -> Algebra:
     """One arrow between every two objects: arrows are ordered pairs."""
-    g1 = _product_group(G, G)
+    g1 = direct_product(G, G)[0]
     d = tuple(x // G.order for x in range(g1.order))
     c = tuple(x % G.order for x in range(g1.order))
     i = tuple(x * G.order + x for x in range(G.order))
@@ -207,43 +191,6 @@ def gpd_one_object(H: Algebra, name: str | None = None) -> Algebra:
     point = group_algebra([[0]])
     zeros = (0,) * H.order
     return gpd_algebra(H, point, zeros, zeros, (0,), name=name or f"one({H.name or 'H'})")
-
-
-_FAMILIES = {
-    "cyclic": lambda n: cyclic_group(n),
-    "dihedral": lambda n: dihedral_group(n),
-    "symmetric": lambda n: _symmetric(n),
-    "quaternion": lambda n: _quaternion(n),
-    "semidirect": semidirect_product,
-    "zring": lambda n: zring(n),
-    "ring-from-table": ring_from_table,
-    "example-2.8.3-ring": split_witness_ring,
-    "zmod-free": zmod_free,
-    "gpd-discrete": gpd_discrete,
-    "gpd-indiscrete": gpd_indiscrete,
-    "gpd-one-object": gpd_one_object,
-}
-
-
-def _symmetric(n: int) -> Algebra:
-    if n != 3:
-        raise AlgebraError("only the symmetric group on 3 letters is stocked")
-    return symmetric_3()
-
-
-def _quaternion(n: int) -> Algebra:
-    if n != 8:
-        raise AlgebraError("only the order-8 quaternion group is stocked")
-    return quaternion_8()
-
-
-def build_algebra(family: str, *args) -> Algebra:
-    """Build a stock algebra; rejects unknown families and bad parameters."""
-    try:
-        builder = _FAMILIES[family]
-    except KeyError:
-        raise AlgebraError(f"unknown family {family!r}") from None
-    return builder(*args)
 
 
 def trivial_of_variety(v) -> Algebra:

@@ -10,6 +10,7 @@ profile and reports the first hit in enumeration order.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from functools import lru_cache
 
 from .algebra import (
@@ -120,6 +121,15 @@ def is_isomorphic(A: Algebra, B: Algebra) -> bool:
 @lru_cache(maxsize=None)
 def surjections(A: Algebra, B: Algebra) -> tuple[Morphism, ...]:
     return tuple(f for f in enumerate_homs(A, B) if is_surjective(f))
+
+
+def _corpus_surjections(corpus) -> Iterator[Morphism]:
+    """Every surjection between same-variety members of a corpus, pair by pair."""
+    algebras = list(corpus)
+    for A in algebras:
+        for B in algebras:
+            if A.variety == B.variety:
+                yield from surjections(A, B)
 
 
 def sections(f: Morphism) -> tuple[Morphism, ...]:

@@ -28,7 +28,7 @@ from .algebra import (
     subobject,
     zero_subobject,
 )
-from .homs import enumerate_homs, sections, surjections
+from .homs import _corpus_surjections, enumerate_homs, sections
 from .ops import (
     ExactSequence,
     huq_commutator,
@@ -241,31 +241,16 @@ def known_protoadditive_on(R: Reflector, kind: str) -> bool:
 def split_exact_sequences(corpus) -> list[ExactSequence]:
     """One split short exact sequence per sectioned corpus surjection."""
     out = []
-    algebras = list(corpus)
-    for A in algebras:
-        for B in algebras:
-            if A.variety != B.variety:
-                continue
-            for f in surjections(A, B):
-                secs = sections(f)
-                if not secs:
-                    continue
-                _, incl = sub_algebra(A, kernel(f))
-                out.append(ExactSequence(incl, f, secs[0]))
+    for f in _corpus_surjections(corpus):
+        secs = sections(f)
+        if secs:
+            out.append(ExactSequence(sub_algebra(f.dom, kernel(f))[1], f, secs[0]))
     return out
 
 
 def short_exact_sequences(corpus) -> list[ExactSequence]:
-    out = []
-    algebras = list(corpus)
-    for A in algebras:
-        for B in algebras:
-            if A.variety != B.variety:
-                continue
-            for f in surjections(A, B):
-                _, incl = sub_algebra(A, kernel(f))
-                out.append(ExactSequence(incl, f))
-    return out
+    return [ExactSequence(sub_algebra(f.dom, kernel(f))[1], f)
+            for f in _corpus_surjections(corpus)]
 
 
 def preserves_split_sequence(R: Reflector, seq: ExactSequence) -> bool:

@@ -46,7 +46,7 @@ def _need(doc, key: str, path: str, kind=None):
     if key not in doc:
         raise FormatError(f"{path}.{key}", "missing field")
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (not isinstance(value, kind) or kind is int and isinstance(value, bool)):
         raise FormatError(f"{path}.{key}",
                           f"expected {getattr(kind, '__name__', kind)}, got {type(value).__name__}")
     return value

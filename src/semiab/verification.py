@@ -23,7 +23,6 @@ from .algebra import (
     identity_morphism,
     is_injective,
     is_isomorphism_map,
-    sub_algebra,
     zero_morphism,
 )
 from .birkhoff import BirkhoffContext, birkhoff_radical, composite_radical, object_cube
@@ -37,9 +36,10 @@ from .factorisation import (
     em_factorize,
     is_normal_extension,
     nfold_normal_by_criterion,
+    torsion_of_kernel,
 )
 from .families import trivial_of_variety
-from .homs import enumerate_homs, surjections
+from .homs import _corpus_surjections, enumerate_homs, surjections
 from .ops import (
     ExactSequence,
     huq_commutator,
@@ -87,12 +87,7 @@ class SuiteCompatibilityError(ValueError):
 
 @lru_cache(maxsize=None)
 def _surjections_in(corpus: tuple) -> tuple[Morphism, ...]:
-    out = []
-    for A in corpus:
-        for B in corpus:
-            if A.variety == B.variety:
-                out.extend(surjections(A, B))
-    return tuple(out)
+    return tuple(_corpus_surjections(corpus))
 
 
 def _applicable(R: Reflector, corpus) -> tuple[Algebra, ...]:
@@ -109,11 +104,6 @@ def _sample(items, seed: int, cap: int) -> list:
         return items
     picked = sorted(random.Random(seed).sample(range(len(items)), cap))
     return [items[i] for i in picked]
-
-
-def _kernel_algebra(f: Morphism) -> Algebra:
-    sub, _ = sub_algebra(f.dom, kernel(f))
-    return sub
 
 
 def _pushout_square(f: Morphism, g: Morphism) -> NCube:
@@ -231,7 +221,7 @@ def _class_not_extension_closed(R: Reflector, seq: ExactSequence, label: str) ->
 
 @check("normal-vs-kernel-mismatch", _REFLECTOR, _EPI)
 def _normal_vs_kernel_mismatch(R: Reflector, f: Morphism) -> bool:
-    return is_normal_extension(R, f) != is_free_member(R, _kernel_algebra(f))
+    return is_normal_extension(R, f) != torsion_of_kernel(R, f).is_zero()
 
 
 @check("orthogonality-failure", _REFLECTOR, ("e", "morphism"), ("m", "morphism"),
@@ -280,7 +270,7 @@ def _radical_vs_commutator(ctx: BirkhoffContext, R: Reflector, f: Morphism) -> b
 @check("normal-vs-kernel-membership", _REFLECTOR, _EPI,
        context=lambda R, f: BirkhoffContext(R, (f.dom, f.cod)))
 def _normal_vs_kernel_membership(ctx: BirkhoffContext, R: Reflector, f: Morphism) -> bool:
-    return birkhoff_radical(ctx, f).is_zero() != is_free_member(R, _kernel_algebra(f))
+    return birkhoff_radical(ctx, f).is_zero() != torsion_of_kernel(R, f).is_zero()
 
 
 @check("composite-normal-routes", _REFLECTOR, _EPI,
@@ -288,7 +278,7 @@ def _normal_vs_kernel_membership(ctx: BirkhoffContext, R: Reflector, f: Morphism
 def _composite_normal_routes(ctx: BirkhoffContext, R: Reflector, f: Morphism) -> bool:
     via_join = composite_radical(ctx, cube_of_morphism(f), "join").is_zero()
     b_normal = birkhoff_radical(ctx, f).is_zero()
-    kernel_in_c = is_free_member(R, _kernel_algebra(f))
+    kernel_in_c = torsion_of_kernel(R, f).is_zero()
     return not (via_join == (b_normal and kernel_in_c) == is_normal_extension(R, f))
 
 
@@ -670,7 +660,7 @@ def verify_suite(name: str, reflector=None, corpus=None, seed: int = 0) -> Repor
     suite = SUITES[key]
     R = _resolve_reflector(reflector)
     algebras = _resolve_corpus(corpus)
-    if R is None and algebras is None and suite.needs != "none":
+    if R is None and algebras is None:
         parts = []
         for rid, cid in suite.defaults:
             part = suite.runner(_resolve_reflector(rid), corpus_by_id(cid), seed)
@@ -678,20 +668,12 @@ def verify_suite(name: str, reflector=None, corpus=None, seed: int = 0) -> Repor
             parts.append(part)
         return merge_reports(suite.name, parts)
     if algebras is None:
-        cid = next((c for r, c in suite.defaults
-                    if R is not None and _default_fits(R, c)), suite.defaults[0][1])
+        cid = next((c for _, c in suite.defaults if _default_fits(R, c)), suite.defaults[0][1])
         algebras = corpus_by_id(cid)
     if suite.needs == "none" and R is None:
-        parts = []
-        if corpus is not None:
-            part = suite.runner(None, algebras, seed)
-            part.notes.append("configuration: - on given corpus")
-            return merge_reports(suite.name, [part])
-        for _, cid in suite.defaults:
-            part = suite.runner(None, corpus_by_id(cid), seed)
-            part.notes.append(f"configuration: - on {cid}")
-            parts.append(part)
-        return merge_reports(suite.name, parts)
+        part = suite.runner(None, algebras, seed)
+        part.notes.append("configuration: - on given corpus")
+        return merge_reports(suite.name, [part])
     _check_needs(suite, R)
     return suite.runner(R, algebras, seed)
 

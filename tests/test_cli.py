@@ -20,6 +20,7 @@ from semiab import (
     square,
     zring,
 )
+from semiab.birkhoff import build_presentation
 from semiab.cli import run
 from semiab.corpus import CORPUS_DIR_VAR
 
@@ -140,6 +141,23 @@ def test_extension_check_double_needs_square(tmp_path, capsys):
     assert run(["extension-check", "--reflector", "reduced", "--morphism", mpath, "--kind", "double"]) == 1
 
 
+_MOD2 = _ring_mod(4, 2)
+_TO_ZERO = morphism(zring(2), zring(1), [0, 0])
+
+
+@pytest.mark.parametrize("kind, doc", [
+    # the zero map Z/2 -> Z/4 is not a surjection
+    ("trivial", morphism_to_doc(morphism(zring(2), zring(4), [0, 0]))),
+    # Z/4 -> Z/2 x Z/2 misses (0, 1), so this square is not a double extension
+    ("double", cube_to_doc(square(_MOD2, _MOD2, _TO_ZERO, _TO_ZERO))),
+], ids=["trivial-not-surjective", "double-not-extension"])
+def test_extension_check_algebra_errors_are_exit_1(tmp_path, capsys, kind, doc):
+    flag = "--cube" if kind == "double" else "--morphism"
+    path = _write(tmp_path / "in.json", doc)
+    assert run(["extension-check", "--reflector", "reduced", flag, path, "--kind", kind]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_homology_command(capsys):
     assert run([
         "homology", "--variety", "zmod:4", "--coeff", "burnside:2",
@@ -150,16 +168,36 @@ def test_homology_command(capsys):
     assert "presentation pair" in out
 
 
-def test_homology_json(capsys):
+@pytest.mark.parametrize("degree, orders", [(2, [4, 16]), (3, [16, 256])],
+                         ids=["degree2", "degree3"])
+def test_homology_json(capsys, degree, orders):
     assert run([
         "homology", "--variety", "zmod:4", "--coeff", "burnside:2",
-        "--object", "m4-c2", "--degree", "2", "--json",
+        "--object", "m4-c2", "--degree", str(degree), "--json",
     ]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["format"] == "semiab-homology"
     assert doc["label"] == "C2"
     assert doc["module"]["order"] == 2
-    assert [p["rank-order"] for p in doc["presentations"]] == [4, 16]
+    assert [p["rank-order"] for p in doc["presentations"]] == orders
+
+
+def test_homology_builds_each_presentation_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_presentation(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if (module is not None and module.__name__.startswith("semiab")
+                and getattr(module, "build_presentation", None) is build_presentation):
+            monkeypatch.setattr(module, "build_presentation", counted)
+    assert run([
+        "homology", "--variety", "zmod:4", "--coeff", "burnside:2",
+        "--object", "m4-c2", "--degree", "2", "--json",
+    ]) == 0
+    assert len(calls) == 2
 
 
 def test_verify_single_suite(capsys):

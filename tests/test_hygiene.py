@@ -3,7 +3,8 @@
 Both tests read the source with ``ast`` and import nothing.  A name
 counts as used when it appears as a name or an attribute anywhere
 else (string annotations included), so the check is coarse: it
-catches definitions that nothing mentions at all.
+catches definitions that nothing mentions at all.  Being re-exported
+from ``__init__.py`` does not count as a use.
 """
 
 from __future__ import annotations
@@ -87,11 +88,13 @@ def test_every_import_in_the_package_is_used():
 def test_every_definition_in_the_package_is_referenced():
     trees = {path: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
     tests = [_parse(path) for path in sorted((ROOT / "tests").glob("*.py"))]
+    reexports = trees[PACKAGE / "__init__.py"]
     referenced: set[str] = set()
     for tree in [*trees.values(), *tests]:
         referenced |= _used_names(tree) | _annotation_names(tree)
-        referenced |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
-                       for a in n.names}
+        if tree is not reexports:  # a re-export alone is not a use
+            referenced |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                           for a in n.names}
     dead = []
     for path, tree in trees.items():
         for node in _definitions(tree):

@@ -12,6 +12,7 @@ from semiab import (
     corpus_from_doc,
     corpus_to_doc,
     cube_from_doc,
+    cube_of_morphism,
     cube_to_doc,
     cyclic_group,
     dihedral_group,
@@ -27,6 +28,7 @@ from semiab import (
     subobject,
     symmetric_3,
     zmod_cyclic,
+    zmod_free,
     zring,
 )
 from semiab.serialize import subobject_to_doc, variety_from_doc, variety_to_doc
@@ -149,6 +151,34 @@ def test_morphism_doc_with_mismatched_map_length():
     doc["map"] = [0, 1]
     with pytest.raises(FormatError):
         morphism_from_doc(doc)
+
+
+def _with_field(doc, keys, value):
+    """A copy of ``doc`` with the field at the key path set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    inner = doc
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = value
+    return doc
+
+
+_ONE_CUBE = cube_to_doc(cube_of_morphism(identity_morphism(zring(1))))
+
+
+@pytest.mark.parametrize("load, doc, keys, value, path", [
+    (algebra_from_doc, algebra_to_doc(zring(1)), ["version"], True, "$.version"),
+    (algebra_from_doc, algebra_to_doc(zring(1)), ["order"], True, "$.order"),
+    (algebra_from_doc, algebra_to_doc(zmod_free(1, 0)), ["variety", "modulus"], True,
+     "$.variety.modulus"),
+    (cube_from_doc, _ONE_CUBE, ["dim"], True, "$.dim"),
+    (cube_from_doc, _ONE_CUBE, ["edges", 0, "from"], False, "$.edges[0].from"),
+    (cube_from_doc, _ONE_CUBE, ["edges", 0, "axis"], False, "$.edges[0].axis"),
+], ids=["version", "order", "modulus", "dim", "from", "axis"])
+def test_booleans_are_not_integers(load, doc, keys, value, path):
+    with pytest.raises(FormatError) as exc:
+        load(_with_field(doc, keys, value))
+    assert exc.value.path == path
 
 
 @settings(max_examples=25, deadline=None)
