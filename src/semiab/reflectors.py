@@ -74,7 +74,6 @@ class TorsionDecomposition:
 
     algebra: Algebra
     radical_part: Subobject
-    torsion_inclusion: Morphism
     reflection: Algebra
     unit: Morphism
 
@@ -144,12 +143,10 @@ def reflect(R: Reflector, A: Algebra) -> TorsionDecomposition:
         second = reflect(R.outer, first.reflection)
         unit = compose(second.unit, first.unit)
         T = kernel(unit)
-        _, incl = sub_algebra(A, T)
-        return TorsionDecomposition(A, T, incl, second.reflection, unit)
+        return TorsionDecomposition(A, T, second.reflection, unit)
     T = _base_radical(R, A)
     Q, unit = quotient(A, T)
-    _, incl = sub_algebra(A, T)
-    return TorsionDecomposition(A, T, incl, Q, unit)
+    return TorsionDecomposition(A, T, Q, unit)
 
 
 def radical(R: Reflector, A: Algebra) -> Subobject:

@@ -272,6 +272,8 @@ def cube_from_doc(doc, path: str = "$", resolve: Resolver | None = None):
         axis = _need(entry, "axis", epath, int)
         if not (0 <= axis < dim) or mask & (1 << axis) or not (0 <= mask < (1 << dim)):
             raise FormatError(epath, f"bad edge position ({mask}, {axis})")
+        if (mask, axis) in edges:
+            raise FormatError(epath, f"edge ({mask}, {axis}) is listed twice")
         edges[(mask, axis)] = _map_from_doc(vertices[mask], vertices[mask | (1 << axis)],
                                             _need(entry, "map", epath), f"{epath}.map")
     try:

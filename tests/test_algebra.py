@@ -10,6 +10,8 @@ from semiab import (
     closure_under_ops,
     cyclic_group,
     dihedral_group,
+    direct_product,
+    enumerate_homs,
     group_algebra,
     gpd_algebra,
     identity_morphism,
@@ -60,6 +62,8 @@ def test_module_scalar_action_validated():
     act = [[0, 0], [0, 1], [0, 1]]  # 2.x should be 0 over Z/2+Z/2? modulus 2 has rows 0..1
     with pytest.raises(AlgebraError):
         module_algebra(2, c2.op, act)
+    with pytest.raises(AlgebraError):  # Z/0 is rejected before any table is read
+        module_algebra(0, [[0]], [])
 
 
 def test_subobject_must_contain_constant_and_close():
@@ -126,6 +130,9 @@ def test_gpd_construction_and_validation():
     assert G.is_gpd and G.g1.order == 2
     with pytest.raises(AlgebraError):
         gpd_algebra(c2, one, d=(0, 1), c=(0, 0), i=(0,))
+    # one object again, but Ker d = Ker c = S3 is not abelian
+    with pytest.raises(AlgebraError):
+        gpd_algebra(symmetric_3(), one, d=(0,) * 6, c=(0,) * 6, i=(0,))
 
 
 @settings(max_examples=30, deadline=None)
@@ -137,3 +144,114 @@ def test_closure_under_ops_is_closed_and_monotone(seed):
     assert closure_under_ops(d4, closed) == closed
     sub = subobject(d4, closed)  # must not raise: closed sets are subobjects
     assert sub.size == len(closed)
+
+
+def _accepts(build, *args) -> bool:
+    try:
+        build(*args)
+    except AlgebraError:
+        return False
+    return True
+
+
+def _interchange_holds(G1, d, c, i) -> bool:
+    """Groupoid axioms of the composite h.i(c(g))^-1.g, on all composable pairs."""
+    op, inv = G1.op, G1.inv
+
+    def comp(g, h):
+        return op[op[h][inv[i[c[g]]]]][g]
+
+    pairs = [(g, h) for g in range(G1.order) for h in range(G1.order) if c[g] == d[h]]
+    if any(d[comp(g, h)] != d[g] or c[comp(g, h)] != c[h] for g, h in pairs):
+        return False
+    if any(comp(g, i[c[g]]) != g or comp(i[d[g]], g) != g for g in range(G1.order)):
+        return False
+    return all(comp(op[g][g2], op[h][h2]) == op[comp(g, h)][comp(g2, h2)]
+               for g, h in pairs for g2, h2 in pairs)
+
+
+def test_gpd_check_matches_the_interchange_oracle():
+    c2 = cyclic_group(2)
+    # over c2, d4 and d6 give graphs where Ker c and Ker d do not commute
+    # although Ker c ∩ Ker d commutes with Ker d
+    arrows = [cyclic_group(1), c2, cyclic_group(3), cyclic_group(4), symmetric_3(),
+              direct_product(c2, c2)[0], dihedral_group(4), dihedral_group(6)]
+    objects = [cyclic_group(1), c2, cyclic_group(3), symmetric_3()]
+    verdicts = []
+    for G1 in arrows:
+        for G0 in objects:
+            down = [f.mapping for f in enumerate_homs(G1, G0)]
+            for i in (f.mapping for f in enumerate_homs(G0, G1)):
+                for d in down:
+                    for c in down:
+                        if any(d[i[x]] != x or c[i[x]] != x for x in range(G0.order)):
+                            continue
+                        accepted = _accepts(gpd_algebra, G1, G0, d, c, i)
+                        assert accepted == _interchange_holds(G1, d, c, i), (G1, G0, d, c, i)
+                        verdicts.append(accepted)
+    assert True in verdicts and False in verdicts
+
+
+_SMALL_GROUPS = [cyclic_group(n) for n in range(2, 7)] + [
+    direct_product(cyclic_group(2), cyclic_group(2))[0], symmetric_3()]
+
+
+@st.composite
+def _near_tables(draw, abelian: bool):
+    """(add, mul): a small group table relabelled with 0 fixed, and a table
+    with a few random entries changed.
+
+    For groups, ``mul`` starts as ``add`` and 0 stays neutral.  For
+    rings (``abelian``), ``mul`` starts as a multiple of the cyclic
+    product, or as zero, and ``add`` stays an abelian group.
+    """
+    pool = _SMALL_GROUPS[:-1] if abelian else _SMALL_GROUPS
+    G = draw(st.sampled_from(pool))
+    n = G.order
+    perm = [0] + draw(st.permutations(range(1, n)))
+    add = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            add[perm[x]][perm[y]] = perm[G.op[x][y]]
+    if abelian:
+        k = draw(st.integers(0, n - 1)) if G == cyclic_group(n) else 0
+        mul = [[0] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                mul[perm[x]][perm[y]] = perm[k * x * y % n]
+        low = 0
+    else:
+        mul = [row[:] for row in add]
+        low = 1  # keep 0 neutral
+    for _ in range(draw(st.integers(0, 3))):
+        x, y = draw(st.integers(low, n - 1)), draw(st.integers(low, n - 1))
+        mul[x][y] = draw(st.integers(0, n - 1))
+    return add, mul
+
+
+def _is_group_table(op) -> bool:
+    n = len(op)
+    inverses = all(any(op[x][y] == 0 == op[y][x] for y in range(n)) for x in range(n))
+    return inverses and all(op[op[x][y]][z] == op[x][op[y][z]]
+                            for x in range(n) for y in range(n) for z in range(n))
+
+
+def _is_bilinear(add, mul) -> bool:
+    n = len(add)
+    return all(mul[x][add[y][z]] == add[mul[x][y]][mul[x][z]]
+               and mul[add[x][y]][z] == add[mul[x][z]][mul[y][z]]
+               for x in range(n) for y in range(n) for z in range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_tables(abelian=False))
+def test_group_check_matches_the_triple_loop(tables):
+    _, op = tables
+    assert _accepts(group_algebra, op) == _is_group_table(op)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_tables(abelian=True))
+def test_bilinearity_check_matches_all_elements(tables):
+    add, mul = tables
+    assert _accepts(ring_algebra, "nonassoc-ring", add, mul) == _is_bilinear(add, mul)

@@ -93,6 +93,14 @@ def test_malformed_json_is_exit_3(tmp_path, capsys):
     assert "bad.json" in err
 
 
+def test_empty_algebra_is_exit_3(tmp_path, capsys):
+    path = _write(tmp_path / "empty.json", {
+        "format": "semiab-algebra", "version": 1, "variety": "group",
+        "order": 0, "tables": {"op": [], "inv": []}})
+    assert run(["radical", "--reflector", "ab", "--algebra", path]) == 3
+    assert "empty.json.tables:" in capsys.readouterr().err
+
+
 def test_wrong_format_doc_is_exit_3(tmp_path, capsys):
     path = _write(tmp_path / "m.json", morphism_to_doc(_ring_mod(4, 2)))
     assert run(["radical", "--reflector", "reduced", "--algebra", path]) == 3

@@ -1,6 +1,6 @@
 """Static hygiene of the package: no unused imports, no dead definitions.
 
-Both tests read the source with ``ast`` and import nothing.  A name
+The tests read the source with ``ast`` and import nothing.  A name
 counts as used when it appears as a name or an attribute anywhere
 else (string annotations included), so the check is coarse: it
 catches definitions that nothing mentions at all.  Being re-exported
@@ -57,10 +57,11 @@ def _imported(tree: ast.Module) -> list[str]:
     return out
 
 
-def _is_check_registered(fn: ast.FunctionDef) -> bool:
-    for dec in fn.decorator_list:
+def _has_decorator(node, name: str) -> bool:
+    """Whether ``@name`` or ``@name(...)`` decorates the definition."""
+    for dec in node.decorator_list:
         target = dec.func if isinstance(dec, ast.Call) else dec
-        if isinstance(target, ast.Name) and target.id == "check":
+        if isinstance(target, ast.Name) and target.id == name:
             return True
     return False
 
@@ -101,8 +102,29 @@ def test_every_definition_in_the_package_is_referenced():
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if isinstance(node, ast.FunctionDef) and _is_check_registered(node):
+            if isinstance(node, ast.FunctionDef) and _has_decorator(node, "check"):
                 continue
             if name not in referenced:
                 dead.append(f"{path.name}: {name}")
     assert dead == []
+
+
+def test_every_dataclass_field_is_read():
+    """A field counts as read when it is loaded as an attribute or passed as a keyword."""
+    trees = {path: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    tests = [_parse(path) for path in sorted((ROOT / "tests").glob("*.py"))]
+    read: set[str] = set()
+    for tree in [*trees.values(), *tests]:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.keyword) and n.arg is not None:
+                read.add(n.arg)
+    unread = []
+    for path, tree in trees.items():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and _has_decorator(cls, "dataclass"):
+                unread += [f"{path.name}: {cls.name}.{stmt.target.id}" for stmt in cls.body
+                           if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                           and stmt.target.id not in read]
+    assert unread == []

@@ -186,3 +186,34 @@ def test_booleans_are_not_integers(load, doc, keys, value, path):
 def test_cyclic_round_trip_any_order(n):
     A = cyclic_group(n)
     assert algebra_from_doc(algebra_to_doc(A)) == A
+
+
+_EMPTY_TABLES = {
+    "group": ("group", {"op": [], "inv": []}),
+    "ring": ("comm-ring", {"add": [], "mul": []}),
+    "module": ({"kind": "zmod-module", "modulus": 4}, {"add": [], "act": [[], [], [], []]}),
+}
+
+
+def _empty_algebra_doc(which: str) -> dict:
+    variety, tables = _EMPTY_TABLES[which]
+    return {"format": "semiab-algebra", "version": 1, "variety": variety,
+            "order": 0, "tables": tables}
+
+
+@pytest.mark.parametrize("which", sorted(_EMPTY_TABLES))
+def test_empty_carrier_is_rejected(which):
+    with pytest.raises(FormatError) as exc:
+        algebra_from_doc(_empty_algebra_doc(which))
+    assert exc.value.path == "$.tables"
+
+
+def test_cube_edge_listed_twice_is_rejected():
+    c4, c2 = cyclic_group(4), cyclic_group(2)
+    f = morphism(c4, c2, [x % 2 for x in range(4)])
+    doc = cube_to_doc(square(f, f, identity_morphism(c2), identity_morphism(c2)))
+    real = next(k for k, e in enumerate(doc["edges"]) if (e["from"], e["axis"]) == (0, 0))
+    doc["edges"].insert(0, {"from": 0, "axis": 0, "map": [0, 0, 0, 0]})
+    with pytest.raises(FormatError) as exc:
+        cube_from_doc(doc)
+    assert exc.value.path == f"$.edges[{real + 1}]"
