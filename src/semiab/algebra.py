@@ -3,29 +3,30 @@
 Six kinds of algebra are supported: groups, commutative rings,
 nonassociative rings (distributivity only), rings satisfying the
 identity xyxy = xy, modules over Z/m, and group-valued groupoids (a
-pair of groups G1, G0 with source/target/unit homomorphisms).  Rings
-carry no unit requirement.
+group of arrows and a group of objects with source/target/unit
+homomorphisms).  Rings carry no unit requirement.
 
-Elements are dense integer indices 0..order-1 and index 0 is always
-the pointed constant (neutral element or zero).  Tables are tuples of
-tuples, so algebras are immutable, hashable and compare structurally;
-an optional ``name`` is metadata only and never takes part in
-equality.
+An algebra is a tuple of sorts plus the structure maps between them.
+A ``Sort`` is a carrier 0..order-1, with 0 the pointed constant, and
+its tables, group operation and inverse first: ``binary`` is (op,),
+(add, mul) or (add,) and ``unary`` (inv,), (neg,) or (neg, one map
+per scalar) for groups, rings and modules.  Groupoids have two sorts,
+arrows then objects, and the maps d, c, i (``_MAP_ENDS``); the other
+kinds have one sort and none.  Tables are tuples of tuples, so algebras
+are immutable, hashable and compare structurally; names are metadata.
 
-Every constructor checks every defining identity of its kind exactly,
-one way at every carrier size: associativity, distributivity and
-s(x+y) = sx+sy on generators (the elements g at which such an identity
-holds form a subalgebra), and groupoids by commuting kernels of d, c.
+``_algebra`` builds every algebra, public or derived, and checks every
+defining identity of its kind exactly, one way at every carrier size:
+associativity, distributivity and s(x+y) = sx+sy on generators (the
+elements g at which such an identity holds form a subalgebra), and
+groupoids by commuting kernels of d, c.
 
-Each kind's operations and the levels of a groupoid are defined once,
-here, and every construction in this module, ``ops`` and ``homs`` is
-written against them: ``_signature`` lists a kind's tables (group
-operation and inverse first) and ``_rebuild`` builds an algebra from
-tables derived from them; ``_levels``, ``_arrays`` and ``_sets`` view
-an algebra, a morphism and a subobject level by level, ``_pack`` joins
-levels again, and ``_respects_structure``, ``_structure_images`` and
-``_assemble`` hold what is groupoid-only (d, c and i).  ``_close`` is
-the one closure routine.
+Morphisms and subobjects have one part per sort: ``Morphism.mapping``
+holds one image array and ``Subobject.elements`` one frozenset per
+sort.  Constructions here, in ``ops`` and in ``homs`` run sort by sort;
+``_rebuild`` derives a sort's tables, and ``_assemble``,
+``_respects_structure`` and ``_structure_images`` carry the structure
+maps.  ``_close`` is the one closure routine.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ GPD_IN_GROUP = "gpd-in-group"
 
 RING_KINDS = frozenset({COMM_RING, NONASSOC_RING, RNG_STAR})
 ALL_KINDS = frozenset({GROUP, ZMOD_MODULE, GPD_IN_GROUP}) | RING_KINDS
+
+# source and target sort of each structure map; only groupoids have
+# them: d and c from arrows (sort 0) to objects (sort 1), i back
+_MAP_ENDS = ((0, 1), (0, 1), (1, 0))
 
 
 class AlgebraError(ValueError):
@@ -154,11 +159,11 @@ def _generators(binary, unary, order: int, plan: list | None = None) -> list[int
     return gens
 
 
-def _check_associative(table, what: str) -> None:
+def _check_associative(table, what: str, gens) -> None:
     # the g with (x*g)*z == x*(g*z) for all x, z contain 0 and are closed
-    # under the operation (given the checks before), so generators decide
+    # under the operations that ``gens`` generate under, so they decide
     n = len(table)
-    for g in _generators((table,), (), n):
+    for g in gens:
         tg = table[g]
         for x in range(n):
             tx = table[x]
@@ -175,7 +180,7 @@ def _check_group_tables(op, inv, what: str) -> None:
             raise AlgebraError(f"{what}: 0 is not neutral at {x}")
         if op[x][inv[x]] != 0 or op[inv[x]][x] != 0:
             raise AlgebraError(f"{what}: inverse fails at {x}")
-    _check_associative(op, what)
+    _check_associative(op, what, _generators((op,), (), n))
 
 
 def _check_abelian(op, what: str) -> None:
@@ -207,17 +212,45 @@ def _check_bilinear(add, mul, what: str) -> None:
                     raise AlgebraError(f"{what}: (x+y)z != xz+yz at ({g},{x},{y})")
 
 
-def derive_inverses(op) -> tuple[int, ...]:
-    n = len(op)
-    inv = [-1] * n
+def _check_ring(kind: str, binary, unary, what: str) -> None:
+    (add, mul), n = binary, len(binary[0])
+    _check_bilinear(add, mul, what)
+    if kind in (COMM_RING, RNG_STAR):
+        # once bilinearity holds, the g that associate with everything are
+        # closed under +, - and the product, so ring generators decide
+        _check_associative(mul, f"{what} multiplication", _generators(binary, unary, n))
+    if kind == COMM_RING:
+        _check_abelian(mul, f"{what} multiplication")
+    if kind == RNG_STAR:
+        for x in range(n):
+            for y in range(n):
+                xy = mul[x][y]
+                if mul[mul[xy][x]][y] != xy:
+                    raise AlgebraError(f"{what}: xyxy != xy at ({x},{y})")
+
+
+def _check_module(add, act, modulus: int, what: str) -> None:
+    n = len(add)
     for x in range(n):
-        for y in range(n):
-            if op[x][y] == 0 and op[y][x] == 0:
-                inv[x] = y
-                break
-        if inv[x] < 0:
-            raise AlgebraError(f"no two-sided inverse for element {x}")
-    return tuple(inv)
+        if act[1 % modulus][x] != (x if modulus > 1 else 0):
+            raise AlgebraError(f"{what}: 1*x != x at {x}")
+    gens = _generators((add,), (), n)
+    for s in range(modulus):
+        row = act[s]
+        for t in range(modulus):
+            st_row = act[(s * t) % modulus]
+            sum_row = act[(s + t) % modulus]
+            for x in range(n):
+                if st_row[x] != row[act[t][x]]:
+                    raise AlgebraError(f"{what}: (st)x != s(tx) at ({s},{t},{x})")
+                if sum_row[x] != add[row[x]][act[t][x]]:
+                    raise AlgebraError(f"{what}: (s+t)x != sx+tx at ({s},{t},{x})")
+        for g in gens:
+            ag = add[g]
+            rg = row[g]
+            for y in range(n):
+                if row[ag[y]] != add[rg][row[y]]:
+                    raise AlgebraError(f"{what}: s(x+y) != sx+sy at ({s},{g},{y})")
 
 
 class _Structural:
@@ -237,282 +270,197 @@ class _Structural:
 
 
 @dataclass(frozen=True, eq=False)
-class Algebra(_Structural):
-    """A finite algebra of one of the supported kinds.
-
-    Single-sorted kinds use ``op``/``inv`` (groups) or
-    ``add``/``neg``/``mul`` (rings) or ``add``/``neg``/``act``
-    (modules; ``act`` has one row per scalar 0..m-1).  Groupoids carry
-    two group algebras ``g1``, ``g0`` plus source ``d``, target ``c``
-    and unit ``i`` maps; their composition, h.i(c(g))^-1.g for g then
-    h, is determined by the group structure and is not stored.
-    """
+class Sort(_Structural):
+    """One carrier with its tables, in the order the module docstring gives."""
 
     variety: Variety
     order: int
-    op: tuple[tuple[int, ...], ...] | None = None
-    inv: tuple[int, ...] | None = None
-    add: tuple[tuple[int, ...], ...] | None = None
-    neg: tuple[int, ...] | None = None
-    mul: tuple[tuple[int, ...], ...] | None = None
-    act: tuple[tuple[int, ...], ...] | None = None
-    g1: "Algebra | None" = None
-    g0: "Algebra | None" = None
-    d: tuple[int, ...] | None = None
-    c: tuple[int, ...] | None = None
-    i: tuple[int, ...] | None = None
+    binary: tuple[tuple[tuple[int, ...], ...], ...]
+    unary: tuple[tuple[int, ...], ...]
     name: str | None = field(default=None, compare=False)
 
     def _key(self):
-        return (
-            self.variety,
-            self.order,
-            self.op,
-            self.inv,
-            self.add,
-            self.neg,
-            self.mul,
-            self.act,
-            self.g1,
-            self.g0,
-            self.d,
-            self.c,
-            self.i,
-        )
+        return (self.variety, self.order, self.binary, self.unary)
+
+
+@dataclass(frozen=True, eq=False)
+class Algebra(_Structural):
+    """A finite algebra: its sorts and the structure maps between them.
+
+    A groupoid's composition, h.i(c(g))^-1.g for g then h, is
+    determined by the group of arrows and is not stored.
+    """
+
+    variety: Variety
+    sorts: tuple[Sort, ...]
+    maps: tuple[tuple[int, ...], ...] = ()
+    name: str | None = field(default=None, compare=False)
+
+    def _key(self):
+        return (self.variety, self.sorts, self.maps)
 
     def __repr__(self) -> str:
         label = self.name or str(self.variety)
         return f"<Algebra {label} order={self.order}>"
 
     @property
+    def order(self) -> int:
+        return self.sorts[0].order
+
+    @property
     def kind(self) -> str:
         return self.variety.kind
 
-    @property
-    def is_gpd(self) -> bool:
-        return self.variety.kind == GPD_IN_GROUP
+
+def _sort(V: Variety, binary, unary, name: str | None) -> Sort:
+    """A sort of variety V from raw tables, checked against every identity.
+
+    A first unary map of ``None`` is derived: the inverse of x is where
+    0 stands in its row, which the group check then confirms.
+    """
+    op_name, inv_name = ("op", "inv") if V.kind == GROUP else ("add", "neg")
+    n = len(binary[0])
+    binary = tuple(_as_table(t, n, n, w) for t, w in zip(binary, (op_name, "mul")))
+    unary = tuple(u if u is None else _as_map(u, n, n, w)
+                  for u, w in zip(unary, (inv_name, *["act"] * (len(unary) - 1))))
+    what = name or str(V)
+    if V.kind != GROUP:
+        _check_abelian(binary[0], what)
+    if unary[0] is None:
+        unary = (tuple(row.index(0) if 0 in row else 0 for row in binary[0]), *unary[1:])
+    _check_group_tables(binary[0], unary[0], what)
+    if V.kind in RING_KINDS:
+        _check_ring(V.kind, binary, unary, what)
+    elif V.kind == ZMOD_MODULE:
+        _check_module(binary[0], unary[1:], V.modulus, what)
+    return Sort(V, n, binary, unary, name)
+
+
+def _algebra(variety: Variety, sorts, maps=(), name: str | None = None) -> Algebra:
+    """The one constructor of every algebra, public or derived.
+
+    ``sorts`` holds one (variety, binary, unary, name) of raw tables
+    per sort (see ``_sort``) and ``maps`` the raw structure maps, which
+    are shape-checked and then checked against the groupoid conditions.
+    """
+    built = tuple(_sort(*s) for s in sorts)
+    maps = tuple(_as_map(m, built[s].order, built[t].order, label)
+                 for m, (s, t), label in zip(maps, _MAP_ENDS, "dci"))
+    what = name or "gpd"
+    for m, (s, t), label in zip(maps, _MAP_ENDS, "dci"):
+        bad = _violation(built[s], built[t], m)
+        if bad is not None:
+            raise AlgebraError(f"{what}: {label} {bad}")
+    if maps:
+        (arrows, objects), (d, c, i) = built, maps
+        if any(d[i[x]] != x or c[i[x]] != x for x in range(objects.order)):
+            raise AlgebraError(f"{what}: i is not a section of d and c")
+        # with d, c, i as above, the composite of g then h, h.i(c(g))^-1.g,
+        # always has the right endpoints and units; interchange holds
+        # exactly when Ker c and Ker d commute
+        op = arrows.binary[0]
+        ker_d = [h for h in range(arrows.order) if d[h] == 0]
+        for g in range(arrows.order):
+            if c[g] == 0:
+                for h in ker_d:
+                    if op[g][h] != op[h][g]:
+                        raise AlgebraError(f"{what}: kernels of c and d do not commute at ({g},{h})")
+    return Algebra(variety, built, maps, name)
 
 
 def group_algebra(op, inv=None, name: str | None = None) -> Algebra:
-    n = len(op)
-    table = _as_table(op, n, n, "op")
-    inverse = _as_map(inv, n, n, "inv") if inv is not None else derive_inverses(table)
-    _check_group_tables(table, inverse, name or "group")
-    return Algebra(Variety(GROUP), n, op=table, inv=inverse, name=name)
+    V = Variety(GROUP)
+    return _algebra(V, [(V, (op,), (inv,), name)], name=name)
 
 
 def ring_algebra(kind: str, add, mul, name: str | None = None) -> Algebra:
     if kind not in RING_KINDS:
         raise AlgebraError(f"{kind!r} is not a ring kind")
-    n = len(add)
-    add_t = _as_table(add, n, n, "add")
-    mul_t = _as_table(mul, n, n, "mul")
-    what = name or kind
-    _check_abelian(add_t, what)
-    neg = derive_inverses(add_t)
-    _check_group_tables(add_t, neg, what)
-    _check_bilinear(add_t, mul_t, what)
-    if kind in (COMM_RING, RNG_STAR):
-        _check_associative(mul_t, f"{what} multiplication")
-    if kind == COMM_RING:
-        _check_abelian(mul_t, f"{what} multiplication")
-    if kind == RNG_STAR:
-        for x in range(n):
-            for y in range(n):
-                xy = mul_t[x][y]
-                if mul_t[mul_t[xy][x]][y] != xy:
-                    raise AlgebraError(f"{what}: xyxy != xy at ({x},{y})")
-    return Algebra(Variety(kind), n, add=add_t, neg=neg, mul=mul_t, name=name)
+    V = Variety(kind)
+    return _algebra(V, [(V, (add, mul), (None,), name)], name=name)
 
 
 def module_algebra(modulus: int, add, act, name: str | None = None) -> Algebra:
     variety = Variety(ZMOD_MODULE, modulus)
-    n = len(add)
-    add_t = _as_table(add, n, n, "add")
-    act_t = _as_table(act, modulus, n, "act")
-    what = name or f"zmod-module({modulus})"
-    _check_abelian(add_t, what)
-    neg = derive_inverses(add_t)
-    _check_group_tables(add_t, neg, what)
-    for x in range(n):
-        if act_t[1 % modulus][x] != (x if modulus > 1 else 0):
-            raise AlgebraError(f"{what}: 1*x != x at {x}")
-    gens = _generators((add_t,), (), n)
-    for s in range(modulus):
-        row = act_t[s]
-        for t in range(modulus):
-            st_row = act_t[(s * t) % modulus]
-            sum_row = act_t[(s + t) % modulus]
-            for x in range(n):
-                if st_row[x] != row[act_t[t][x]]:
-                    raise AlgebraError(f"{what}: (st)x != s(tx) at ({s},{t},{x})")
-                if sum_row[x] != add_t[row[x]][act_t[t][x]]:
-                    raise AlgebraError(f"{what}: (s+t)x != sx+tx at ({s},{t},{x})")
-        for g in gens:
-            ag = add_t[g]
-            rg = row[g]
-            for y in range(n):
-                if row[ag[y]] != add_t[rg][row[y]]:
-                    raise AlgebraError(f"{what}: s(x+y) != sx+sy at ({s},{g},{y})")
-    return Algebra(variety, n, add=add_t, neg=neg, act=act_t, name=name)
+    if len(act) != modulus:
+        raise AlgebraError(f"act must have {modulus} rows")
+    return _algebra(variety, [(variety, (add,), (None, *act), name)], name=name)
 
 
 def gpd_algebra(g1: Algebra, g0: Algebra, d, c, i, name: str | None = None) -> Algebra:
     if g1.kind != GROUP or g0.kind != GROUP:
         raise AlgebraError("groupoid sorts must be groups")
-    d_t = _as_map(d, g1.order, g0.order, "d")
-    c_t = _as_map(c, g1.order, g0.order, "c")
-    i_t = _as_map(i, g0.order, g1.order, "i")
-    what = name or "gpd"
-    for m, dom, cod, label in (
-        (d_t, g1, g0, "d"),
-        (c_t, g1, g0, "c"),
-        (i_t, g0, g1, "i"),
-    ):
-        bad = _violation(dom, cod, m)
-        if bad is not None:
-            raise AlgebraError(f"{what}: {label} {bad}")
-    for x in range(g0.order):
-        if d_t[i_t[x]] != x or c_t[i_t[x]] != x:
-            raise AlgebraError(f"{what}: i is not a section of d and c")
-    # with d, c, i as above, the composite of g then h, h.i(c(g))^-1.g,
-    # always has the right endpoints and units; interchange holds
-    # exactly when Ker c and Ker d commute
-    op1 = g1.op
-    ker_d = [h for h in range(g1.order) if d_t[h] == 0]
-    for g in range(g1.order):
-        if c_t[g] == 0:
-            row = op1[g]
-            for h in ker_d:
-                if row[h] != op1[h][g]:
-                    raise AlgebraError(f"{what}: kernels of c and d do not commute at ({g},{h})")
-    return Algebra(
-        Variety(GPD_IN_GROUP), g1.order,
-        g1=g1, g0=g0, d=d_t, c=c_t, i=i_t, name=name,
-    )
+    return _algebra(Variety(GPD_IN_GROUP),
+                    [(S.variety, S.binary, S.unary, A.name) for A in (g1, g0) for S in A.sorts],
+                    (d, c, i), name)
 
 
 # ---------------------------------------------------------------------------
-# the signature of each kind, and groupoids level by level
+# sorts and structure maps
 
 
-def _signature(A: Algebra):
-    """(binary tables, unary maps) of a single-sorted algebra.
-
-    The group operation and its inverse come first: ``op``/``inv`` for
-    groups, ``add``/``neg`` for rings and modules; rings add ``mul``
-    and modules one unary map per scalar (the ``act`` rows).
-    """
-    if A.kind == GROUP:
-        return (A.op,), (A.inv,)
-    if A.kind in RING_KINDS:
-        return (A.add, A.mul), (A.neg,)
-    if A.kind == ZMOD_MODULE:
-        return (A.add,), (A.neg, *A.act)
-    raise AlgebraError("groupoids have no single signature; work level by level")
-
-
-def _rebuild(parents, binary_map, unary_map) -> Algebra:
-    """An algebra of the parents' variety from tables derived from theirs.
+def _rebuild(parents, binary_map, unary_map):
+    """Raw tables of a sort derived from the parent sorts' tables.
 
     ``binary_map`` gets the parents' matching binary tables and
     ``unary_map`` their matching unary maps (one of each per parent);
-    the results go through the public constructor of the kind.
+    the result is a sort's (variety, binary, unary, name) for ``_algebra``.
     """
-    sigs = [_signature(P) for P in parents]
-    binary = [binary_map(*ts) for ts in zip(*(s[0] for s in sigs))]
-    unary = [unary_map(*us) for us in zip(*(s[1] for s in sigs))]
-    V = parents[0].variety
-    if V.kind == GROUP:
-        return group_algebra(binary[0], unary[0])
-    if V.kind in RING_KINDS:
-        return ring_algebra(V.kind, *binary)
-    return module_algebra(V.modulus, binary[0], unary[1:])
+    return (parents[0].variety, [binary_map(*ts) for ts in zip(*(P.binary for P in parents))],
+            [unary_map(*us) for us in zip(*(P.unary for P in parents))], None)
 
 
-def _violation(dom: Algebra, cod: Algebra, m) -> str | None:
+def _violation(dom: Sort, cod: Sort, m) -> str | None:
     """How the array m fails to be a homomorphism, or None if it is one."""
     if m[0] != 0:
         return "does not send 0 to 0"
-    (db, du), (cb, cu) = _signature(dom), _signature(cod)
     n = dom.order
-    for dt, ct in zip(db, cb):
+    for dt, ct in zip(dom.binary, cod.binary):
         for x in range(n):
             dx = dt[x]
             cx = ct[m[x]]
             for y in range(n):
                 if m[dx[y]] != cx[m[y]]:
                     return f"does not preserve an operation at ({x},{y})"
-    for du_k, cu_k in zip(du, cu):
+    for du_k, cu_k in zip(dom.unary, cod.unary):
         for x in range(n):
             if m[du_k[x]] != cu_k[m[x]]:
                 return f"does not preserve a unary operation at {x}"
     return None
 
 
-def _levels(A: Algebra) -> tuple[Algebra, ...]:
-    """A groupoid as its levels (g1, g0); any other algebra as (A,)."""
-    return (A.g1, A.g0) if A.is_gpd else (A,)
-
-
-def _split(A: Algebra, value) -> tuple:
-    """Per-level parts of a mapping or element set whose algebra is A."""
-    return tuple(value) if A.is_gpd else (value,)
-
-
-def _pack(A: Algebra, parts):
-    """The inverse of ``_split``."""
-    return tuple(parts) if A.is_gpd else parts[0]
-
-
-def _arrays(f: "Morphism") -> tuple:
-    return _split(f.dom, f.mapping)
-
-
-def _sets(S: "Subobject") -> tuple:
-    return _split(S.parent, S.elements)
+def _one_per_sort(A: Algebra, parts, what: str) -> tuple:
+    parts = tuple(parts)
+    if len(parts) != len(A.sorts):
+        raise AlgebraError(f"need one {what} per sort of {A!r} ({len(A.sorts)}), got {len(parts)}")
+    return parts
 
 
 def _respects_structure(dom: Algebra, cod: Algebra, arrays) -> bool:
-    """Whether level arrays (m1, m0) commute with d, c and i."""
-    if not dom.is_gpd:
-        return True
-    m1, m0 = arrays
-    return (all(cod.d[m1[g]] == m0[dom.d[g]] and cod.c[m1[g]] == m0[dom.c[g]]
-                for g in range(dom.g1.order))
-            and all(m1[dom.i[x]] == cod.i[m0[x]] for x in range(dom.g0.order)))
+    """Whether per-sort arrays commute with the structure maps."""
+    return all(n[arrays[s][x]] == arrays[t][m[x]]
+               for m, n, (s, t) in zip(dom.maps, cod.maps, _MAP_ENDS) for x in range(len(m)))
 
 
-def _structure_images(A: Algebra, sets) -> tuple:
-    """Per level, the elements that d, c and i send the level sets to."""
-    if not A.is_gpd:
-        return (frozenset(),)
-    e1, e0 = sets
-    return {A.i[x] for x in e0}, {A.d[g] for g in e1} | {A.c[g] for g in e1}
+def _structure_images(A: Algebra, sets) -> list[set[int]]:
+    """Per sort, the elements that the structure maps send the sets to."""
+    images = [set() for _ in A.sorts]
+    for m, (s, t) in zip(A.maps, _MAP_ENDS):
+        images[t].update(map(m.__getitem__, sets[s]))
+    return images
 
 
-def _structure_closed(A: Algebra, sets) -> bool:
-    return not A.is_gpd or all(img <= S for img, S in zip(_structure_images(A, sets), sets))
+def _assemble(parents, sorts, legs, backs) -> Algebra:
+    """The algebra with these sorts, derived from ``parents``.
 
-
-def _assemble(parents, levels, legs, backs) -> Algebra:
-    """The algebra with these levels, derived from ``parents``.
-
-    Element e of level k stands for the elements ``legs[k][j][e]`` of
-    level k of ``parents[j]``, and ``backs[k]`` takes such elements
-    back to e; a groupoid's d, c and i are carried over through them.
+    Element e of sort k stands for the elements ``legs[k][j][e]`` of
+    sort k of ``parents[j]``, and ``backs[k]`` takes such elements
+    back to e; the structure maps are carried over through them.
     """
-    if len(levels) == 1:
-        return levels[0]
-
-    def carry(name, level_legs, back):
-        maps = [getattr(P, name) for P in parents]
-        return tuple(back(*(m[leg[e]] for m, leg in zip(maps, level_legs)))
-                     for e in range(len(level_legs[0])))
-
-    (legs1, legs0), (back1, back0) = legs, backs
-    return gpd_algebra(levels[0], levels[1], carry("d", legs1, back0),
-                       carry("c", legs1, back0), carry("i", legs0, back1))
+    maps = [tuple(backs[t](*(P.maps[k][leg[e]] for P, leg in zip(parents, legs[s])))
+                  for e in range(len(legs[s][0])))
+            for k, (s, t) in enumerate(_MAP_ENDS[:len(parents[0].maps)])]
+    return _algebra(parents[0].variety, sorts, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -521,15 +469,11 @@ def _assemble(parents, levels, legs, backs) -> Algebra:
 
 @dataclass(frozen=True, eq=False)
 class Morphism(_Structural):
-    """A structure-preserving map, stored as an image array.
-
-    For groupoids ``mapping`` is a pair (level-1 array, level-0
-    array); otherwise it is a single array of length dom.order.
-    """
+    """A structure-preserving map, stored as one image array per sort."""
 
     dom: Algebra
     cod: Algebra
-    mapping: tuple
+    mapping: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         validate_morphism(self)
@@ -540,30 +484,14 @@ class Morphism(_Structural):
     def __repr__(self) -> str:
         return f"<Morphism {self.dom!r} -> {self.cod!r}>"
 
-    @property
-    def map1(self) -> tuple[int, ...]:
-        return _arrays(self)[0]
-
-    @property
-    def map0(self) -> tuple[int, ...]:
-        return _arrays(self)[-1]
-
-    def __call__(self, x: int) -> int:
-        if self.dom.is_gpd:
-            raise AlgebraError("groupoid morphisms act levelwise; use map1/map0")
-        return self.mapping[x]
-
 
 def validate_morphism(f: Morphism) -> None:
     dom, cod = f.dom, f.cod
     if dom.variety != cod.variety:
         raise AlgebraError("morphism endpoints must share a variety")
-    levels = _levels(dom)
-    arrays = _arrays(f)
-    if len(arrays) != len(levels):
-        raise AlgebraError("groupoid morphism needs a (map1, map0) pair")
-    names = ("map1", "map0") if len(levels) > 1 else ("map",)
-    for D, C, m, what in zip(levels, _levels(cod), arrays, names):
+    arrays = _one_per_sort(dom, f.mapping, "array")
+    for k, (D, C, m) in enumerate(zip(dom.sorts, cod.sorts, arrays)):
+        what = "map" if len(arrays) == 1 else f"map of sort {k}"
         bad = _violation(D, C, _as_map(m, D.order, C.order, what))
         if bad is not None:
             raise AlgebraError(f"{what} {bad}")
@@ -571,36 +499,37 @@ def validate_morphism(f: Morphism) -> None:
         raise AlgebraError("map does not commute with source, target and unit")
 
 
-def morphism(dom: Algebra, cod: Algebra, mapping) -> Morphism:
-    return Morphism(dom, cod, _pack(dom, [tuple(m) for m in _split(dom, mapping)]))
+def morphism(dom: Algebra, cod: Algebra, *arrays) -> Morphism:
+    """The morphism with one image array per sort of ``dom``."""
+    return Morphism(dom, cod, tuple(tuple(m) for m in arrays))
 
 
 def identity_morphism(A: Algebra) -> Morphism:
-    return Morphism(A, A, _pack(A, [tuple(range(L.order)) for L in _levels(A)]))
+    return Morphism(A, A, tuple(tuple(range(S.order)) for S in A.sorts))
 
 
 def zero_morphism(A: Algebra, B: Algebra) -> Morphism:
-    return Morphism(A, B, _pack(A, [(0,) * L.order for L in _levels(A)]))
+    return Morphism(A, B, tuple((0,) * S.order for S in A.sorts))
 
 
 def compose(outer: Morphism, inner: Morphism) -> Morphism:
     """outer after inner."""
     if inner.cod != outer.dom:
         raise AlgebraError("morphisms do not compose")
-    return Morphism(inner.dom, outer.cod, _pack(inner.dom, [
-        tuple(map(o.__getitem__, i)) for o, i in zip(_arrays(outer), _arrays(inner))]))
+    return Morphism(inner.dom, outer.cod, tuple(
+        tuple(map(o.__getitem__, i)) for o, i in zip(outer.mapping, inner.mapping)))
 
 
 def is_surjective(f: Morphism) -> bool:
-    return all(len(set(m)) == L.order for m, L in zip(_arrays(f), _levels(f.cod)))
+    return all(len(set(m)) == S.order for m, S in zip(f.mapping, f.cod.sorts))
 
 
 def is_injective(f: Morphism) -> bool:
-    return all(len(set(m)) == L.order for m, L in zip(_arrays(f), _levels(f.dom)))
+    return all(len(set(m)) == S.order for m, S in zip(f.mapping, f.dom.sorts))
 
 
 def is_isomorphism_map(f: Morphism) -> bool:
-    return (all(D.order == C.order for D, C in zip(_levels(f.dom), _levels(f.cod)))
+    return (all(D.order == C.order for D, C in zip(f.dom.sorts, f.cod.sorts))
             and is_injective(f))
 
 
@@ -610,135 +539,132 @@ def is_isomorphism_map(f: Morphism) -> bool:
 
 @dataclass(frozen=True)
 class Subobject:
-    """A subalgebra of ``parent`` given by its element set.
+    """A subalgebra of ``parent`` given by one element set per sort.
 
-    ``elements`` is a frozenset of parent indices for single-sorted
-    algebras and a pair (level-1 set, level-0 set) for groupoids.
-    ``normal`` certifies that the set is the kernel of some morphism
-    out of the parent.
+    ``normal`` certifies that the sets form the kernel of some
+    morphism out of the parent.
     """
 
     parent: Algebra
-    elements: frozenset[int] | tuple[frozenset[int], frozenset[int]]
+    elements: tuple[frozenset[int], ...]
     normal: bool
 
     def __post_init__(self) -> None:
-        sets = _sets(self)
-        for L, S in zip(_levels(self.parent), sets):
-            if 0 not in S:
+        sets = _one_per_sort(self.parent, self.elements, "element set")
+        for S, X in zip(self.parent.sorts, sets):
+            if 0 not in X:
                 raise AlgebraError("subobject must contain the constant")
-            if not _closed_subset(L, S):
+            if not _closed_subset(S, X):
                 raise AlgebraError("subobject is not closed under the operations")
-        if not _structure_closed(self.parent, sets):
+        if not all(img <= X for img, X in zip(_structure_images(self.parent, sets), sets)):
             raise AlgebraError("subobject is not closed under source, target and unit")
 
     @property
     def size(self) -> int:
-        return len(_sets(self)[0])
+        return len(self.elements[0])
 
     def is_zero(self) -> bool:
-        return all(S == {0} for S in _sets(self))
+        return all(X == {0} for X in self.elements)
 
     def is_whole(self) -> bool:
-        return all(len(S) == L.order for S, L in zip(_sets(self), _levels(self.parent)))
+        return all(len(X) == S.order for X, S in zip(self.elements, self.parent.sorts))
 
     def __le__(self, other: "Subobject") -> bool:
         if self.parent != other.parent:
             raise AlgebraError("subobjects of different parents")
-        return all(a <= b for a, b in zip(_sets(self), _sets(other)))
+        return all(a <= b for a, b in zip(self.elements, other.elements))
 
 
-def _closed_subset(A: Algebra, S) -> bool:
-    binary, unary = _signature(A)
-    for t in binary:
-        for x in S:
+def _closed_subset(S: Sort, X) -> bool:
+    for t in S.binary:
+        for x in X:
             row = t[x]
-            for y in S:
-                if row[y] not in S:
+            for y in X:
+                if row[y] not in X:
                     return False
-    for u in unary:
-        for x in S:
-            if u[x] not in S:
+    for u in S.unary:
+        for x in X:
+            if u[x] not in X:
                 return False
     return True
 
 
-def _normal_demands(A: Algebra, S):
-    """Elements that a normal subset containing S must also contain.
+def _normal_demands(S: Sort, X):
+    """Elements that a normal subset of the sort containing X must also contain.
 
     Groups: conjugates.  Rings: products with any element on either
     side.  Modules: nothing.
     """
-    if A.kind == GROUP:
-        op, inv = A.op, A.inv
-        for g in range(A.order):
+    if S.variety.kind == GROUP:
+        (op,), (inv,) = S.binary, S.unary
+        for g in range(S.order):
             og, ig = op[g], inv[g]
-            for x in S:
+            for x in X:
                 yield op[og[x]][ig]
-    elif A.kind in RING_KINDS:
-        mul = A.mul
-        for a in range(A.order):
+    elif S.variety.kind in RING_KINDS:
+        mul = S.binary[1]
+        for a in range(S.order):
             ma = mul[a]
-            for x in S:
+            for x in X:
                 yield ma[x]
                 yield mul[x][a]
 
 
-def is_normal_subset(A: Algebra, S) -> bool:
-    """Whether a closed subset is the kernel of some quotient.
+def is_normal_subset(A: Algebra, *sets) -> bool:
+    """Whether the closed subsets, one per sort, are the kernel of a quotient.
 
-    Groups: closed under conjugation.  Rings: a two-sided ideal.
-    Modules: always.  Groupoids: levelwise normal and closed under
-    source, target and unit.  S is a (frozen)set, or a pair of them.
+    Each set must be normal in its sort: closed under conjugation in
+    groups, a two-sided ideal in rings, anything in modules.  Closure
+    under the operations and the structure maps is taken as given.
     """
-    sets = _split(A, S)
-    return (all(X.issuperset(_normal_demands(L, X)) for L, X in zip(_levels(A), sets))
-            and _structure_closed(A, sets))
+    sets = _one_per_sort(A, sets, "element set")
+    return all(X.issuperset(_normal_demands(S, X)) for S, X in zip(A.sorts, sets))
 
 
-def subobject(parent: Algebra, elements) -> Subobject:
-    elems = _pack(parent, [frozenset(S) for S in _split(parent, elements)])
-    return Subobject(parent, elems, is_normal_subset(parent, elems))
+def subobject(parent: Algebra, *sets) -> Subobject:
+    """The subobject with one element set per sort of ``parent``."""
+    elems = tuple(frozenset(X) for X in sets)
+    return Subobject(parent, elems, is_normal_subset(parent, *elems))
 
 
 def zero_subobject(A: Algebra) -> Subobject:
-    return subobject(A, _pack(A, [{0} for _ in _levels(A)]))
+    return subobject(A, *({0} for _ in A.sorts))
 
 
 def full_subobject(A: Algebra) -> Subobject:
-    return subobject(A, _pack(A, [range(L.order) for L in _levels(A)]))
+    return subobject(A, *(range(S.order) for S in A.sorts))
 
 
 def sub_algebra(A: Algebra, sub: Subobject) -> tuple[Algebra, Morphism]:
     """The subobject as an algebra of its own, with its inclusion.
 
-    Each level's carrier is the sorted element set.
+    Each sort's carrier is the sorted element set.
     """
     if sub.parent != A:
         raise AlgebraError("subobject of a different parent")
-    levels, incls, backs = [], [], []
-    for L, S in zip(_levels(A), _sets(sub)):
-        elems = tuple(sorted(S))
+    sorts, incls, backs = [], [], []
+    for S, X in zip(A.sorts, sub.elements):
+        elems = tuple(sorted(X))
         back = {e: k for k, e in enumerate(elems)}
-        levels.append(_rebuild(
-            (L,),
+        sorts.append(_rebuild(
+            (S,),
             lambda t: tuple(tuple(back[t[x][y]] for y in elems) for x in elems),
             lambda u: tuple(back[u[x]] for x in elems)))
         incls.append(elems)
         backs.append(back.__getitem__)
-    S = _assemble((A,), levels, [(m,) for m in incls], backs)
-    return S, Morphism(S, A, _pack(A, incls))
+    B = _assemble((A,), sorts, [(m,) for m in incls], backs)
+    return B, Morphism(B, A, tuple(incls))
 
 
 def closure_under_ops(A: Algebra, seed) -> frozenset[int]:
-    """Smallest subalgebra element set containing ``seed`` (single-sorted)."""
+    """Smallest subalgebra element set containing ``seed`` (first sort)."""
+    S = A.sorts[0]
     closed = set(seed) | {0}
-    return frozenset(_close(*_signature(A), closed, list(closed)))
+    return frozenset(_close(S.binary, S.unary, closed, list(closed)))
 
 
-def element_order(A: Algebra, x: int) -> int:
-    """Order of x under the group operation (additive for rings/modules)."""
-    t = _signature(A)[0][0]
+def _element_order(S: Sort, x: int) -> int:
+    t = S.binary[0]
     k, y = 1, x
     while y != 0:
         y = t[y][x]
@@ -746,11 +672,12 @@ def element_order(A: Algebra, x: int) -> int:
     return k
 
 
-def order_profile(A: Algebra):
-    return _pack(A, [tuple(sorted(element_order(L, x) for x in range(L.order)))
-                     for L in _levels(A)])
+def element_order(A: Algebra, x: int) -> int:
+    """Order of x under the group operation (additive for rings/modules)."""
+    return _element_order(A.sorts[0], x)
 
 
 def generating_set(A: Algebra) -> list[int]:
-    """Greedy small generating set under all operations (single-sorted)."""
-    return _generators(*_signature(A), A.order)
+    """Greedy small generating set under all operations (first sort)."""
+    S = A.sorts[0]
+    return _generators(S.binary, S.unary, S.order)

@@ -101,12 +101,12 @@ def birkhoff_radical(ctx: BirkhoffContext, f: Morphism) -> Subobject:
     R, p1, p2 = kernel_pair(f)
     rad = radical(ctx.B, R)
     cut = meet_subobjects(R, rad, kernel(p1))
-    return normal_closure(f.dom, image_elements(p2, cut))
+    return normal_closure(f.dom, *image_elements(p2, cut))
 
 
 def _module_span(A: Algebra, seed) -> frozenset:
     """The submodule of A spanned by the seed elements."""
-    add = A.add
+    add = A.sorts[0].binary[0]
     closed = {0}
     for g in seed:
         if g in closed:
@@ -123,7 +123,7 @@ def _module_span(A: Algebra, seed) -> frozenset:
 
 def _pair_span(A: Algebra, seed) -> set:
     """Span of a set of element pairs under componentwise operations."""
-    add = A.add
+    add = A.sorts[0].binary[0]
     closed = {(0, 0)}
     for g in seed:
         if g in closed:
@@ -151,9 +151,8 @@ def _square_radical_on_modules(B: Reflector, c: NCube) -> Subobject:
     """
     F0 = c.top_vertex
     m = F0.variety.modulus
-    kmul = F0.act[(B.k or 0) % m]
-    a1 = c.rib(0).mapping
-    a2 = c.rib(1).mapping
+    kmul = F0.sorts[0].unary[1 + (B.k or 0) % m]  # unary maps: neg, then scalars
+    (a1,), (a2,) = c.rib(0).mapping, c.rib(1).mapping
     buckets: dict[int, list[int]] = {}
     for x in range(F0.order):
         buckets.setdefault(a2[x], []).append(x)
@@ -201,7 +200,7 @@ def _radical_n_cube(ctx: BirkhoffContext, c: NCube) -> Subobject:
     rcube, p1, p2 = _kernel_pair_cube(c)
     inner = radical_n(ctx, rcube)
     cut = meet_subobjects(rcube.top_vertex, inner, kernel(p1))
-    return normal_closure(c.top_vertex, image_elements(p2, cut))
+    return normal_closure(c.top_vertex, *image_elements(p2, cut))
 
 
 def _checked_radical(ctx: BirkhoffContext, c: NCube) -> Subobject:
@@ -249,7 +248,7 @@ def composite_radical(ctx: BirkhoffContext, c: NCube, mode: str) -> Subobject:
         raise AlgebraError("composite radical expects an n-fold extension")
     base = radical_n(ctx, c)
     extra = cube_torsion_meet(ctx.C, c)
-    closed = normal_closure(c.top_vertex, extra.elements)
+    closed = normal_closure(c.top_vertex, *extra.elements)
     return join_normal(c.top_vertex, base, closed)
 
 
@@ -278,7 +277,7 @@ def _is_free_module(V: Algebra) -> bool:
     if p is not None and q == 1:
         # prime-power modulus: free means every cyclic summand has full
         # length, which pins the size of the (m/p)-annihilator
-        killed = sum(1 for x in range(V.order) if V.act[m // p][x] == 0)
+        killed = V.sorts[0].unary[1 + m // p].count(0)
         return killed == (m // p) ** rank
     return find_isomorphism(V, zmod_free(m, rank)) is not None
 
@@ -308,15 +307,16 @@ def _presentation_map(A: Algebra, variant: int) -> Morphism:
     rank = len(gens) + variant
     targets = gens + [0] * variant
     F = zmod_free(m, rank)
+    (add,), (_, *act) = A.sorts[0].binary, A.sorts[0].unary
     mapping = []
     for x in range(F.order):
         acc, rest = 0, x
         for i in range(rank):
             digit = rest % m
             rest //= m
-            acc = A.add[acc][A.act[digit][targets[i]]]
+            acc = add[acc][act[digit][targets[i]]]
         mapping.append(acc)
-    return Morphism(F, A, tuple(mapping))
+    return Morphism(F, A, (tuple(mapping),))
 
 
 def build_presentation(A: Algebra, n: int, variant: int = 0) -> Presentation:

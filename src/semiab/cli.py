@@ -24,6 +24,7 @@ from .serialize import (
     algebra_from_doc,
     algebra_to_doc,
     cube_from_doc,
+    load_json_file,
     morphism_from_doc,
     morphism_to_doc,
     subobject_to_doc,
@@ -99,19 +100,9 @@ def _build_parser() -> _Parser:
 # input loading
 
 
-def _load_doc(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise FormatError(path, f"cannot read file: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from None
-
-
 def _load_algebra(spec: str) -> Algebra:
     if os.path.exists(spec) or spec.endswith(".json"):
-        return algebra_from_doc(_load_doc(spec), path=spec)
+        return algebra_from_doc(load_json_file(spec), path=spec)
     A = named_algebra(spec)
     if A is None:
         raise UsageError(f"no file and no built-in algebra named {spec!r}")
@@ -195,7 +186,7 @@ def _cmd_radical(args) -> int:
 
 def _cmd_factorize(args) -> int:
     R = reflector_by_id(args.reflector)
-    f = morphism_from_doc(_load_doc(args.morphism), path=args.morphism)
+    f = morphism_from_doc(load_json_file(args.morphism), path=args.morphism)
     if not R.applies_to(f.dom.variety):
         raise UsageError(f"{R.name} does not apply to {f.dom.variety}")
     fac = em_factorize(R, f)
@@ -235,7 +226,7 @@ def _cmd_extension_check(args) -> int:
     if args.kind == "double":
         if not args.cube:
             raise UsageError("--kind double needs --cube")
-        c = cube_from_doc(_load_doc(args.cube), path=args.cube)
+        c = cube_from_doc(load_json_file(args.cube), path=args.cube)
         if c.dim != 2:
             raise UsageError("--kind double needs a dimension-2 cube")
         verdict = is_nfold_normal(R, c)
@@ -243,7 +234,7 @@ def _cmd_extension_check(args) -> int:
     else:
         if not args.morphism:
             raise UsageError(f"--kind {args.kind} needs --morphism")
-        f = morphism_from_doc(_load_doc(args.morphism), path=args.morphism)
+        f = morphism_from_doc(load_json_file(args.morphism), path=args.morphism)
         if args.kind == "trivial":
             verdict = is_trivial_extension(R, f)
             label = "trivial extension"

@@ -8,7 +8,6 @@ SEMIAB_CORPUS_DIR environment variable points at a directory of
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import replace
 from functools import lru_cache
@@ -30,7 +29,7 @@ from .families import (
     zring,
 )
 from .ops import direct_product
-from .serialize import FormatError, corpus_from_doc
+from .serialize import corpus_from_doc, load_json_file
 
 CORPUS_DIR_VAR = "SEMIAB_CORPUS_DIR"
 
@@ -148,11 +147,7 @@ def corpus_by_id(corpus_id: str) -> tuple[Algebra, ...]:
     """The algebras of a named corpus, override file first."""
     path = _override_path(corpus_id)
     if path is not None:
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise FormatError(str(path), f"invalid JSON: {exc}") from None
-        return corpus_from_doc(doc)
+        return corpus_from_doc(load_json_file(path))
     if corpus_id not in _BUILDERS:
         raise AlgebraError(f"unknown corpus {corpus_id!r}")
     return _built(corpus_id)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 
-from .algebra import Algebra, AlgebraError, Morphism, Subobject, _arrays, _levels, compose, is_surjective
+from .algebra import Algebra, AlgebraError, Morphism, Subobject, compose, is_surjective
 from .ops import (
     induced_on_quotient,
     into_pullback,
@@ -200,13 +200,6 @@ def square_comparison(sq: NCube) -> tuple[Morphism, Algebra, Morphism, Morphism]
     return cmp, P, p1, p2
 
 
-def _mask_tables(cube: NCube, level: int):
-    """Vertex sizes and edge arrays of one level (see ``algebra._levels``)."""
-    sizes = {mask: _levels(V)[level].order for mask, V in cube.vertices.items()}
-    maps = {key: _arrays(f)[level] for key, f in cube.edges.items()}
-    return sizes, maps
-
-
 def _punctured_limit_surjective(dim: int, sizes, maps, mask: int) -> bool:
     """Is vertex(mask) -> lim of the strictly finer vertices surjective?
 
@@ -245,8 +238,9 @@ def is_nfold_extension(cube: NCube) -> bool:
     """
     if cube.dim == 1:
         return is_surjective(cube.arrow)
-    for level in range(len(_levels(cube.top_vertex))):
-        sizes, maps = _mask_tables(cube, level)
+    for k in range(len(cube.top_vertex.sorts)):
+        sizes = {mask: V.sorts[k].order for mask, V in cube.vertices.items()}
+        maps = {key: f.mapping[k] for key, f in cube.edges.items()}
         for mask in range((1 << cube.dim) - 1):
             if not _punctured_limit_surjective(cube.dim, sizes, maps, mask):
                 return False

@@ -50,7 +50,7 @@ from .reflectors import Reflector, map_reflect, radical, reflect
 def _radical_within(R: Reflector, A: Algebra, S: Subobject) -> Subobject:
     """The radical of the sub-algebra S, pushed forward into A."""
     sub, incl = sub_algebra(A, S)
-    return subobject(A, image_elements(incl, radical(R, sub)))
+    return subobject(A, *image_elements(incl, radical(R, sub)))
 
 
 def torsion_of_kernel(R: Reflector, f: Morphism) -> Subobject:

@@ -1,10 +1,12 @@
 """Enumeration of morphisms between finite algebras.
 
-Candidates are generated by images of a small generating set, pruned
-by element-order arithmetic (the image order must divide the source
-order, and must equal it for embeddings), then verified against every
-operation table.  Isomorphism search additionally prunes on the order
-profile and reports the first hit in enumeration order.
+Candidates are generated sort by sort by images of a small generating
+set, pruned by element-order arithmetic (the image order must divide
+the source order, and must equal it for embeddings), then verified
+against every operation table; with several sorts, the product of the
+per-sort arrays is filtered by the structure maps.  Isomorphism search
+additionally prunes on the order profile and reports the first hit in
+enumeration order.
 """
 
 from __future__ import annotations
@@ -16,74 +18,62 @@ from functools import lru_cache
 from .algebra import (
     Algebra,
     Morphism,
+    Sort,
+    _element_order,
     _generators,
     _respects_structure,
-    _signature,
     _violation,
     compose,
-    element_order,
     identity_morphism,
     is_surjective,
-    order_profile,
 )
 
 MODES = ("all", "monos", "isos")
 
 
 @lru_cache(maxsize=None)
-def _generation_plan(A: Algebra):
-    """Per-generator derivation steps covering every element.
+def _generation_plan(S: Sort):
+    """Per-generator derivation steps covering every element of a sort.
 
-    Returns ((gen, steps), ...) over ``generating_set(A)``, where each
-    step (v, t, x, y) derives element v as binary table t applied to
-    already-derived x, y, or as unary map -1-t applied to x.  The
-    closure of {0} alone is {0}, so the segments cover the whole
-    carrier.
+    Returns ((gen, steps), ...) over the sort's greedy generating set,
+    where each step (v, t, x, y) derives element v as binary table t
+    applied to already-derived x, y, or as unary map -1-t applied to
+    x.  The closure of {0} alone is {0}, so the segments cover the
+    whole carrier.
     """
     plan: list = []
-    _generators(*_signature(A), A.order, plan)
+    _generators(S.binary, S.unary, S.order, plan)
     return tuple(plan)
 
 
 @lru_cache(maxsize=None)
-def _element_orders(B: Algebra) -> tuple[int, ...]:
-    return tuple(element_order(B, x) for x in range(B.order))
+def _element_orders(S: Sort) -> tuple[int, ...]:
+    return tuple(_element_order(S, x) for x in range(S.order))
 
 
-def _candidates(A: Algebra, B: Algebra, g: int, exact: bool) -> list[int]:
-    og = element_order(A, g)
-    orders = _element_orders(B)
-    if exact:
-        return [y for y in range(B.order) if orders[y] == og]
-    return [y for y in range(B.order) if og % orders[y] == 0]
+def _sort_homs(S: Sort, T: Sort, exact: bool):
+    """Homomorphism arrays from sort S to sort T, lazily, in product order.
 
-
-def _iter_single_sorted(A: Algebra, B: Algebra, mode: str):
-    plan = _generation_plan(A)
-    bb, bu = _signature(B)
-    exact = mode in ("monos", "isos")
-    pools = [_candidates(A, B, g, exact) for g, _ in plan]
+    Each generator's image ranges over the elements whose order
+    divides its own, or equals it when ``exact`` (embeddings only).
+    """
+    plan = _generation_plan(S)
+    orders, source = _element_orders(T), _element_orders(S)
+    pools = [[y for y in range(T.order)
+              if (orders[y] == source[g] if exact else source[g] % orders[y] == 0)]
+             for g, _ in plan]
+    tb, tu = T.binary, T.unary
     for images in itertools.product(*pools):
-        m = [-1] * A.order
+        m = [-1] * S.order
         m[0] = 0
         for (g, steps), img in zip(plan, images):
             m[g] = img
             for v, t_id, x, y in steps:
-                m[v] = bu[-1 - t_id][m[x]] if t_id < 0 else bb[t_id][m[x]][m[y]]
-        if exact and len(set(m)) != A.order:
+                m[v] = tu[-1 - t_id][m[x]] if t_id < 0 else tb[t_id][m[x]][m[y]]
+        if exact and len(set(m)) != S.order:
             continue
-        if _violation(A, B, m) is None:
+        if _violation(S, T, m) is None:
             yield tuple(m)
-
-
-def _iter_gpd(A: Algebra, B: Algebra, mode: str):
-    level_mode = "monos" if mode in ("monos", "isos") else "all"
-    for f1 in enumerate_homs(A.g1, B.g1, level_mode):
-        m1 = f1.mapping
-        for f0 in enumerate_homs(A.g0, B.g0, level_mode):
-            m0 = f0.mapping
-            if _respects_structure(A, B, (m1, m0)):
-                yield (m1, m0)
 
 
 def _iter_homs(A: Algebra, B: Algebra, mode: str):
@@ -91,14 +81,21 @@ def _iter_homs(A: Algebra, B: Algebra, mode: str):
         raise ValueError(f"mode must be one of {MODES}")
     if A.variety != B.variety:
         raise ValueError("hom enumeration needs a shared variety")
-    if mode == "isos" and order_profile(A) != order_profile(B):
+    if mode == "isos" and ([sorted(_element_orders(S)) for S in A.sorts]
+                           != [sorted(_element_orders(T)) for T in B.sorts]):
         return
-    mappings = _iter_gpd(A, B, mode) if A.is_gpd else _iter_single_sorted(A, B, mode)
-    for mapping in mappings:
-        f = Morphism(A, B, mapping)
-        if mode == "isos" and not is_surjective(f):
-            continue
-        yield f
+    exact = mode != "all"
+    # product over the sorts, lazy in the first so that a search can stop early
+    rest = [tuple(_sort_homs(S, T, exact)) for S, T in zip(A.sorts[1:], B.sorts[1:])]
+    for first in _sort_homs(A.sorts[0], B.sorts[0], exact):
+        for others in itertools.product(*rest):
+            mapping = (first, *others)
+            if not _respects_structure(A, B, mapping):
+                continue
+            f = Morphism(A, B, mapping)
+            if mode == "isos" and not is_surjective(f):
+                continue
+            yield f
 
 
 @lru_cache(maxsize=None)

@@ -5,8 +5,8 @@ are cosets indexed in first-appearance order, so the class of the
 constant is always index 0, and pair carriers (products, pullbacks,
 kernel pairs) are sorted lexicographically for the same reason.
 
-Each construction is written once, level by level, through the
-signature and the level views of ``algebra`` (see its docstring).
+Each construction is written once and runs sort by sort (see the
+``algebra`` docstring).
 """
 
 from __future__ import annotations
@@ -18,17 +18,13 @@ from .algebra import (
     AlgebraError,
     GROUP,
     Morphism,
+    Sort,
     Subobject,
-    _arrays,
     _assemble,
     _close,
-    _levels,
     _normal_demands,
-    _pack,
+    _one_per_sort,
     _rebuild,
-    _sets,
-    _signature,
-    _split,
     _structure_images,
     closure_under_ops,
     compose,
@@ -46,13 +42,13 @@ from .homs import sections
 # subobject images and preimages
 
 
-def image_elements(f: Morphism, S: Subobject) -> frozenset[int] | tuple:
-    return _pack(f.cod, [frozenset(map(m.__getitem__, X)) for m, X in zip(_arrays(f), _sets(S))])
+def image_elements(f: Morphism, S: Subobject) -> tuple[frozenset[int], ...]:
+    return tuple(frozenset(map(m.__getitem__, X)) for m, X in zip(f.mapping, S.elements))
 
 
 def preimage_subobject(f: Morphism, S: Subobject) -> Subobject:
-    return subobject(f.dom, _pack(f.dom, [frozenset(x for x in range(len(m)) if m[x] in X)
-                                          for m, X in zip(_arrays(f), _sets(S))]))
+    return subobject(f.dom, *(frozenset(x for x in range(len(m)) if m[x] in X)
+                              for m, X in zip(f.mapping, S.elements)))
 
 
 def kernel(f: Morphism) -> Subobject:
@@ -64,19 +60,19 @@ def kernel(f: Morphism) -> Subobject:
 
 
 def image(f: Morphism) -> Subobject:
-    return subobject(f.cod, _pack(f.cod, [frozenset(m) for m in _arrays(f)]))
+    return subobject(f.cod, *f.mapping)
 
 
 # ---------------------------------------------------------------------------
 # quotients
 
 
-def _cosets(A: Algebra, elems) -> tuple[list[int], list[int]]:
-    """Coset index of each element and one representative per coset."""
-    table = _signature(A)[0][0]
-    coset_of = [-1] * A.order
+def _cosets(S: Sort, elems) -> tuple[list[int], list[int]]:
+    """Coset index of each element of a sort and one representative per coset."""
+    table = S.binary[0]
+    coset_of = [-1] * S.order
     reps: list[int] = []
-    for x in range(A.order):
+    for x in range(S.order):
         if coset_of[x] < 0:
             cid = len(reps)
             reps.append(x)
@@ -91,21 +87,21 @@ def quotient(A: Algebra, N: Subobject) -> tuple[Algebra, Morphism]:
         raise AlgebraError("subobject of a different parent")
     if not N.normal:
         raise AlgebraError("can only quotient by a normal subobject")
-    levels, qmaps, legs = [], [], []
-    for L, S in zip(_levels(A), _sets(N)):
-        qmap, reps = _cosets(L, S)
-        levels.append(_rebuild(
-            (L,),
+    sorts, qmaps, legs = [], [], []
+    for S, X in zip(A.sorts, N.elements):
+        qmap, reps = _cosets(S, X)
+        sorts.append(_rebuild(
+            (S,),
             lambda t: [[qmap[t[rx][ry]] for ry in reps] for rx in reps],
             lambda u: [qmap[u[r]] for r in reps]))
         qmaps.append(qmap)
         legs.append((reps,))
-    Q = _assemble((A,), levels, legs, [q.__getitem__ for q in qmaps])
-    return Q, Morphism(A, Q, _pack(A, [tuple(q) for q in qmaps]))
+    Q = _assemble((A,), sorts, legs, [q.__getitem__ for q in qmaps])
+    return Q, Morphism(A, Q, tuple(map(tuple, qmaps)))
 
 
 def cokernel(f: Morphism) -> tuple[Algebra, Morphism]:
-    closed = normal_closure(f.cod, image_elements(f, full_subobject(f.dom)))
+    closed = normal_closure(f.cod, *image_elements(f, full_subobject(f.dom)))
     return quotient(f.cod, closed)
 
 
@@ -113,21 +109,20 @@ def cokernel(f: Morphism) -> tuple[Algebra, Morphism]:
 # normal closure and the subobject lattice
 
 
-def normal_closure(A: Algebra, seed) -> Subobject:
-    """Smallest normal subobject containing ``seed``.
+def normal_closure(A: Algebra, *seeds) -> Subobject:
+    """Smallest normal subobject containing the seeds, one set per sort.
 
     Alternates closure under the operations with closure under the
-    normality condition of the variety (and, for groupoids, under
-    source, target and unit) until stable.
+    normality condition of the variety and under the structure maps
+    until stable.
     """
-    levels = _levels(A)
-    sets = [set(S) | {0} for S in _split(A, seed)]
+    sets = [set(X) | {0} for X in _one_per_sort(A, seeds, "seed set")]
     while True:
-        sets = [_close(*_signature(L), S, list(S)) for L, S in zip(levels, sets)]
-        bigger = [S.union(_normal_demands(L, S)) for L, S in zip(levels, sets)]
-        bigger = [S | img for S, img in zip(bigger, _structure_images(A, bigger))]
+        sets = [_close(S.binary, S.unary, X, list(X)) for S, X in zip(A.sorts, sets)]
+        bigger = [X.union(_normal_demands(S, X)) for S, X in zip(A.sorts, sets)]
+        bigger = [X | img for X, img in zip(bigger, _structure_images(A, bigger))]
         if bigger == sets:
-            sub = subobject(A, _pack(A, sets))
+            sub = subobject(A, *sets)
             if not sub.normal:
                 raise AlgebraError("normal closure failed its certificate")
             return sub
@@ -138,15 +133,15 @@ def join_normal(A: Algebra, M: Subobject, N: Subobject) -> Subobject:
     """Join in the normal subobject lattice (kernel of the pushout diagonal)."""
     if not (M.normal and N.normal):
         raise AlgebraError("join is defined for normal subobjects")
-    return normal_closure(A, _pack(A, [a | b for a, b in zip(_sets(M), _sets(N))]))
+    return normal_closure(A, *(a | b for a, b in zip(M.elements, N.elements)))
 
 
 def meet_subobjects(A: Algebra, M: Subobject, N: Subobject) -> Subobject:
-    return subobject(A, _pack(A, [a & b for a, b in zip(_sets(M), _sets(N))]))
+    return subobject(A, *(a & b for a, b in zip(M.elements, N.elements)))
 
 
 def _sub_key(sub: Subobject):
-    return tuple(tuple(sorted(S)) for S in _sets(sub))
+    return tuple(tuple(sorted(X)) for X in sub.elements)
 
 
 def normal_subobjects(A: Algebra) -> list[Subobject]:
@@ -156,9 +151,8 @@ def normal_subobjects(A: Algebra) -> list[Subobject]:
     elements, so breadth-first joins of single-element closures reach
     all of them.
     """
-    levels = _levels(A)
-    atoms = [normal_closure(A, _pack(A, [{x} if j == k else () for j in range(len(levels))]))
-             for k, L in enumerate(levels) for x in range(L.order)]
+    atoms = [normal_closure(A, *({x} if j == k else () for j in range(len(A.sorts))))
+             for k, S in enumerate(A.sorts) for x in range(S.order)]
     found = {_sub_key(atom): atom for atom in atoms}
     frontier = list(found.values())
     while frontier:
@@ -180,15 +174,17 @@ def huq_commutator(A: Algebra, H: Subobject, K: Subobject) -> Subobject:
     Groups: the subgroup generated by commutators.  Commutative rings
     and xyxy=xy rings: sums of pairwise products.  Modules: zero.
     """
+    S, hs, ks = A.sorts[0], H.elements[0], K.elements[0]
+    op, inv = S.binary[0], S.unary[0]
     if A.kind == GROUP:
-        op, inv = A.op, A.inv
-        gens = {op[op[inv[x]][inv[y]]][op[x][y]] for x in H.elements for y in K.elements}
+        gens = {op[op[inv[x]][inv[y]]][op[x][y]] for x in hs for y in ks}
         return subobject(A, closure_under_ops(A, gens))
     if A.kind in ("comm-ring", "rng-star"):
-        prods = {A.mul[h][k] for h in H.elements for k in K.elements}
-        prods |= {A.mul[k][h] for h in H.elements for k in K.elements}
+        mul = S.binary[1]
+        prods = {mul[h][k] for h in hs for k in ks}
+        prods |= {mul[k][h] for h in hs for k in ks}
         prods.add(0)
-        return subobject(A, _close((A.add,), (A.neg,), prods, list(prods)))
+        return subobject(A, _close((op,), (inv,), prods, list(prods)))
     if A.kind == "zmod-module":
         return zero_subobject(A)
     raise AlgebraError(f"no commutator for {A.kind}")
@@ -204,7 +200,7 @@ def power_subobject(A: Algebra, k: int) -> Subobject:
         raise AlgebraError("power must be >= 1")
     if A.kind not in (GROUP, "comm-ring", "zmod-module"):
         raise AlgebraError(f"powers are not defined for {A.kind}")
-    op = _signature(A)[0][0]
+    op = A.sorts[0].binary[0]
     powers = set()
     for x in range(A.order):
         v = 0
@@ -218,21 +214,21 @@ def power_subobject(A: Algebra, k: int) -> Subobject:
 # products, pullbacks, kernel pairs
 
 
-def _pairs_algebra(A: Algebra, B: Algebra, level_pairs) -> tuple[Algebra, Morphism, Morphism]:
-    """The algebra on the given sorted pairs, level by level, with its projections."""
-    levels, legs, backs = [], [], []
-    for LA, LB, pairs in zip(_levels(A), _levels(B), level_pairs):
+def _pairs_algebra(A: Algebra, B: Algebra, sort_pairs) -> tuple[Algebra, Morphism, Morphism]:
+    """The algebra on the given sorted pairs, sort by sort, with its projections."""
+    sorts, legs, backs = [], [], []
+    for SA, SB, pairs in zip(A.sorts, B.sorts, sort_pairs):
         idx = {p: k for k, p in enumerate(pairs)}
-        levels.append(_rebuild(
-            (LA, LB),
+        sorts.append(_rebuild(
+            (SA, SB),
             lambda tA, tB: [[idx[(tA[x1][y1], tB[x2][y2])] for (y1, y2) in pairs]
                             for (x1, x2) in pairs],
             lambda uA, uB: [idx[(uA[x1], uB[x2])] for (x1, x2) in pairs]))
         legs.append((tuple(a for a, _ in pairs), tuple(b for _, b in pairs)))
         backs.append(lambda a, b, idx=idx: idx[(a, b)])
-    P = _assemble((A, B), levels, legs, backs)
-    return (P, Morphism(P, A, _pack(A, [leg[0] for leg in legs])),
-            Morphism(P, B, _pack(B, [leg[1] for leg in legs])))
+    P = _assemble((A, B), sorts, legs, backs)
+    return (P, Morphism(P, A, tuple(leg[0] for leg in legs)),
+            Morphism(P, B, tuple(leg[1] for leg in legs)))
 
 
 def pullback(f: Morphism, g: Morphism) -> tuple[Algebra, Morphism, Morphism]:
@@ -245,8 +241,8 @@ def pullback(f: Morphism, g: Morphism) -> tuple[Algebra, Morphism, Morphism]:
         raise AlgebraError("pullback needs a shared codomain")
     A, B = f.dom, g.dom
     return _pairs_algebra(A, B, [
-        [(a, b) for a in range(LA.order) for b in range(LB.order) if fm[a] == gm[b]]
-        for LA, LB, fm, gm in zip(_levels(A), _levels(B), _arrays(f), _arrays(g))])
+        [(a, b) for a in range(SA.order) for b in range(SB.order) if fm[a] == gm[b]]
+        for SA, SB, fm, gm in zip(A.sorts, B.sorts, f.mapping, g.mapping)])
 
 
 def kernel_pair(f: Morphism) -> tuple[Algebra, Morphism, Morphism]:
@@ -258,8 +254,8 @@ def into_pullback(P: Algebra, p1: Morphism, p2: Morphism,
     """The mediating map into a pullback from a cone (u, v)."""
     if u.dom != v.dom:
         raise AlgebraError("cone legs must share a domain")
-    return Morphism(u.dom, P, _pack(P, [
-        _mediate(*arrays) for arrays in zip(_arrays(p1), _arrays(p2), _arrays(u), _arrays(v))]))
+    return Morphism(u.dom, P, tuple(
+        _mediate(*arrays) for arrays in zip(p1.mapping, p2.mapping, u.mapping, v.mapping)))
 
 
 def _mediate(p1m, p2m, um, vm) -> tuple[int, ...]:
@@ -273,8 +269,8 @@ def _mediate(p1m, p2m, um, vm) -> tuple[int, ...]:
 def direct_product(A: Algebra, B: Algebra) -> tuple[Algebra, Morphism, Morphism]:
     if A.variety != B.variety:
         raise AlgebraError(f"cannot multiply a {A.variety} by a {B.variety}")
-    return _pairs_algebra(A, B, [[(a, b) for a in range(LA.order) for b in range(LB.order)]
-                                 for LA, LB in zip(_levels(A), _levels(B))])
+    return _pairs_algebra(A, B, [[(a, b) for a in range(SA.order) for b in range(SB.order)]
+                                 for SA, SB in zip(A.sorts, B.sorts)])
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +328,8 @@ def induced_on_quotient(q: Morphism, f: Morphism) -> Morphism:
     """The unique map through a quotient: q surjective, ker q <= ker f."""
     if q.dom != f.dom:
         raise AlgebraError("maps must share a domain")
-    return Morphism(q.cod, f.cod, _pack(q.cod, [
-        _induced_array(qm, fm, L.order) for qm, fm, L in zip(_arrays(q), _arrays(f), _levels(q.cod))]))
+    return Morphism(q.cod, f.cod, tuple(
+        _induced_array(qm, fm, S.order) for qm, fm, S in zip(q.mapping, f.mapping, q.cod.sorts)))
 
 
 def _induced_array(qm, fm, size: int) -> tuple[int, ...]:

@@ -20,7 +20,6 @@ from .algebra import (
     Morphism,
     Subobject,
     Variety,
-    _arrays,
     compose,
     full_subobject,
     is_injective,
@@ -87,6 +86,7 @@ class TorsionDecomposition:
 
 
 def _nilradical(A: Algebra) -> Subobject:
+    mul = A.sorts[0].binary[1]
     nils = set()
     for x in range(A.order):
         v = x
@@ -94,21 +94,24 @@ def _nilradical(A: Algebra) -> Subobject:
             if v == 0:
                 nils.add(x)
                 break
-            v = A.mul[v][x]
+            v = mul[v][x]
     return subobject(A, frozenset(nils))
 
 
 def _boole_radical(A: Algebra) -> Subobject:
-    seeds = {A.add[A.mul[x][x]][A.neg[x]] for x in range(A.order)}
+    (add, mul), (neg,) = A.sorts[0].binary, A.sorts[0].unary
+    seeds = {add[mul[x][x]][neg[x]] for x in range(A.order)}
     return normal_closure(A, seeds)
 
 
 def _pi0_radical(A: Algebra) -> Subobject:
-    G1, G0 = A.g1, A.g0
-    seeds = {G0.op[G0.inv[A.d[g]]][A.c[g]] for g in range(G1.order)}
-    N0 = normal_closure(G0, seeds)
-    K1 = frozenset(g for g in range(G1.order) if A.d[g] in N0.elements)
-    return subobject(A, (K1, N0.elements))
+    # the objects d(g)^-1 c(g) are c(Ker d): the image of a normal subgroup
+    # under the split epi c, so already a normal subgroup of the objects
+    arrows, objects = A.sorts
+    d, c, _ = A.maps
+    op, inv = objects.binary[0], objects.unary[0]
+    N0 = {op[inv[d[g]]][c[g]] for g in range(arrows.order)}
+    return subobject(A, {g for g in range(arrows.order) if d[g] in N0}, N0)
 
 
 def _base_radical(R: Reflector, A: Algebra) -> Subobject:
@@ -277,7 +280,7 @@ def _radical_not_idempotent(R: Reflector, A: Algebra) -> bool:
 
 @check("hom-vanishing", ("reflector", "reflector"), ("morphism", "morphism"))
 def _torsion_to_free_nonzero(R: Reflector, f: Morphism) -> bool:
-    nonzero = any(v != 0 for m in _arrays(f) for v in m)
+    nonzero = any(v != 0 for m in f.mapping for v in m)
     return nonzero and is_torsion_member(R, f.dom) and is_free_member(R, f.cod)
 
 

@@ -7,15 +7,18 @@ path of the offending field, never a bare KeyError or crash.
 
 from __future__ import annotations
 
+import json
 from typing import Callable
 
 from .algebra import (
     Algebra,
     AlgebraError,
+    GPD_IN_GROUP,
     GROUP,
     Morphism,
     RING_KINDS,
     Variety,
+    _algebra,
     gpd_algebra,
     group_algebra,
     module_algebra,
@@ -31,6 +34,10 @@ CORPUS_FORMAT = "semiab-corpus"
 
 Resolver = Callable[[str], "Algebra | None"]
 
+# the keys of a groupoid's two sorts, arrows then objects, wherever a
+# document holds one value per sort
+_SORT_KEYS = ("g1", "g0")
+
 
 class FormatError(ValueError):
     """A document failed validation; .path points at the bad field."""
@@ -38,6 +45,19 @@ class FormatError(ValueError):
     def __init__(self, path: str, message: str) -> None:
         self.path = path
         super().__init__(f"{path}: {message}")
+
+
+def load_json_file(path) -> object:
+    """The JSON value in a file; a file that cannot be read or parsed is a FormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise FormatError(str(path), f"cannot read file: {exc.strerror or exc}") from None
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from None
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deeply
+        raise FormatError(str(path), f"unreadable JSON: {exc}") from None
 
 
 def _need(doc, key: str, path: str, kind=None):
@@ -106,6 +126,11 @@ def variety_from_doc(doc, path: str) -> Variety:
 # algebras
 
 
+def _per_sort_to_doc(A: Algebra, parts):
+    """One value per sort of A: bare for one sort, {g1, g0} for groupoids."""
+    return dict(zip(_SORT_KEYS, parts)) if A.kind == GPD_IN_GROUP else parts[0]
+
+
 def algebra_to_doc(A: Algebra) -> dict:
     doc = {
         "format": ALGEBRA_FORMAT,
@@ -120,19 +145,17 @@ def algebra_to_doc(A: Algebra) -> dict:
 
 
 def _tables_to_doc(A: Algebra) -> dict:
+    (op, *mul), (inv, *act) = A.sorts[0].binary, A.sorts[0].unary
     if A.kind == GROUP:
-        return {"op": [list(r) for r in A.op], "inv": list(A.inv)}
+        return {"op": [list(r) for r in op], "inv": list(inv)}
     if A.kind in RING_KINDS:
-        return {"add": [list(r) for r in A.add], "mul": [list(r) for r in A.mul]}
+        return {"add": [list(r) for r in op], "mul": [list(r) for r in mul[0]]}
     if A.kind == "zmod-module":
-        return {"add": [list(r) for r in A.add], "act": [list(r) for r in A.act]}
-    return {
-        "g1": algebra_to_doc(A.g1),
-        "g0": algebra_to_doc(A.g0),
-        "d": list(A.d),
-        "c": list(A.c),
-        "i": list(A.i),
-    }
+        return {"add": [list(r) for r in op], "act": [list(r) for r in act]}
+    # a groupoid: each sort as a group document, then d, c and i
+    docs = [algebra_to_doc(_algebra(S.variety, [(S.variety, S.binary, S.unary, S.name)], name=S.name))
+            for S in A.sorts]
+    return {**_per_sort_to_doc(A, docs), **dict(zip("dci", map(list, A.maps)))}
 
 
 def algebra_from_doc(doc, path: str = "$") -> Algebra:
@@ -186,20 +209,17 @@ def _endpoint_to_doc(A: Algebra, as_name: bool):
 
 def _map_to_doc(f: Morphism):
     """The ``map`` field: an array, or {g1, g0} arrays for groupoids."""
-    if f.dom.is_gpd:
-        return {"g1": list(f.map1), "g0": list(f.map0)}
-    return list(f.mapping)
+    return _per_sort_to_doc(f.dom, [list(m) for m in f.mapping])
 
 
 def _map_from_doc(dom: Algebra, cod: Algebra, raw, path: str) -> Morphism:
     """The morphism whose ``map`` field, at ``path``, is ``raw``."""
-    if dom.is_gpd:
-        if not isinstance(raw, dict):
-            raise FormatError(path, "groupoid maps need {g1, g0} arrays")
-        mapping = (_int_array(_need(raw, "g1", path), f"{path}.g1"),
-                   _int_array(_need(raw, "g0", path), f"{path}.g0"))
+    if dom.kind != GPD_IN_GROUP:
+        mapping = (_int_array(raw, path),)
+    elif not isinstance(raw, dict):
+        raise FormatError(path, "groupoid maps need {g1, g0} arrays")
     else:
-        mapping = _int_array(raw, path)
+        mapping = tuple(_int_array(_need(raw, key, path), f"{path}.{key}") for key in _SORT_KEYS)
     try:
         return Morphism(dom, cod, mapping)
     except AlgebraError as exc:
@@ -302,6 +322,4 @@ def corpus_to_doc(algebras) -> dict:
 
 
 def subobject_to_doc(S):
-    if S.parent.is_gpd:
-        return {"g1": sorted(S.elements[0]), "g0": sorted(S.elements[1])}
-    return sorted(S.elements)
+    return _per_sort_to_doc(S.parent, [sorted(X) for X in S.elements])

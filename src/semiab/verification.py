@@ -115,7 +115,7 @@ def _pushout_square(f: Morphism, g: Morphism) -> NCube:
 def _derived_squares(corpus, seed: int, cap: int) -> list[NCube]:
     """Double extensions (and a few non-extensions) built from corpus epis."""
     surjs = [f for f in _surjections_in(corpus)
-             if f.dom.is_gpd or f.dom.order > 1 or f.cod.order > 1]
+             if f.dom.order > 1 or f.cod.order > 1]
     by_dom: dict[int, list[Morphism]] = {}
     for f in surjs:
         by_dom.setdefault(id(f.dom), []).append(f)
@@ -297,7 +297,7 @@ def _join_vs_direct(ctxs: tuple, R: Reflector, f: Morphism) -> bool:
 def _composite_object_radical(ctx: BirkhoffContext, R: Reflector, A: Algebra) -> bool:
     via_cube = composite_radical(ctx, object_cube(A), "intersection")
     oracle = join_normal(A, radical(R.inner, A),
-                         normal_closure(A, power_subobject(A, R.outer.k).elements))
+                         normal_closure(A, *power_subobject(A, R.outer.k).elements))
     return not (radical(R, A).elements == via_cube.elements == oracle.elements)
 
 

@@ -12,6 +12,7 @@ from semiab import (
     dihedral_group,
     direct_product,
     enumerate_homs,
+    gpd_discrete,
     group_algebra,
     gpd_algebra,
     identity_morphism,
@@ -20,6 +21,7 @@ from semiab import (
     is_surjective,
     module_algebra,
     morphism,
+    normal_closure,
     quaternion_8,
     ring_algebra,
     sub_algebra,
@@ -40,7 +42,7 @@ def test_group_table_must_be_associative():
 def test_group_table_must_have_inverses_matching():
     c3 = cyclic_group(3)
     with pytest.raises(AlgebraError):
-        group_algebra(c3.op, inv=(0, 1, 2))
+        group_algebra(c3.sorts[0].binary[0], inv=(0, 1, 2))
 
 
 def test_comm_ring_rejects_noncommutative_mul():
@@ -54,14 +56,14 @@ def test_rng_star_identity_enforced():
     # Z/3 fails xyxy = xy (1.1 = 1, then 1.1 = 1 but x=2: 2.2=1, 1.2=2 != 1)
     z3 = zring(3)
     with pytest.raises(AlgebraError):
-        ring_algebra("rng-star", z3.add, z3.mul)
+        ring_algebra("rng-star", *z3.sorts[0].binary)
 
 
 def test_module_scalar_action_validated():
     c2 = cyclic_group(2)
     act = [[0, 0], [0, 1], [0, 1]]  # 2.x should be 0 over Z/2+Z/2? modulus 2 has rows 0..1
     with pytest.raises(AlgebraError):
-        module_algebra(2, c2.op, act)
+        module_algebra(2, c2.sorts[0].binary[0], act)
     with pytest.raises(AlgebraError):  # Z/0 is rejected before any table is read
         module_algebra(0, [[0]], [])
 
@@ -104,9 +106,9 @@ def test_compose_and_identity():
     c8, c4, c2 = cyclic_group(8), cyclic_group(4), cyclic_group(2)
     f = morphism(c8, c4, [x % 4 for x in range(8)])
     g = morphism(c4, c2, [x % 2 for x in range(4)])
-    assert compose(g, f).mapping == tuple(x % 2 for x in range(8))
+    assert compose(g, f).mapping == (tuple(x % 2 for x in range(8)),)
     assert compose(f, identity_morphism(c8)) == f
-    assert zero_morphism(c8, c2).mapping == (0,) * 8
+    assert zero_morphism(c8, c2).mapping == ((0,) * 8,)
 
 
 def test_isomorphism_map_detection():
@@ -127,12 +129,28 @@ def test_gpd_construction_and_validation():
     one = group_algebra([[0]])
     # one object, arrow group C2
     G = gpd_algebra(c2, one, d=(0, 0), c=(0, 0), i=(0,))
-    assert G.is_gpd and G.g1.order == 2
+    assert G.kind == "gpd-in-group" and [S.order for S in G.sorts] == [2, 1]
     with pytest.raises(AlgebraError):
         gpd_algebra(c2, one, d=(0, 1), c=(0, 0), i=(0,))
     # one object again, but Ker d = Ker c = S3 is not abelian
     with pytest.raises(AlgebraError):
         gpd_algebra(symmetric_3(), one, d=(0,) * 6, c=(0,) * 6, i=(0,))
+
+
+@pytest.mark.parametrize("build", [
+    lambda G: morphism(G, G, [0, 0]),
+    lambda G: subobject(G, {0}),
+    lambda G: normal_closure(G, {0}),
+    lambda G: morphism(G, G, (0, 1), (0, 1), (0, 1)),
+    lambda G: subobject(G, {0}, {0}, {0}),
+], ids=["morphism-1", "subobject-1", "normal-closure-1", "morphism-3", "subobject-3"])
+def test_parts_must_match_the_sorts(build):
+    """A groupoid has two sorts: one array or element set per sort, no fewer or more."""
+    G = gpd_discrete(cyclic_group(2))
+    with pytest.raises(AlgebraError, match=r"per sort of <Algebra dis\(c2\) order=2> \(2\)"):
+        build(G)
+    with pytest.raises(AlgebraError, match=r"per sort of <Algebra c2 order=2> \(1\), got 2"):
+        morphism(cyclic_group(2), cyclic_group(2), [0, 1], [0, 1])
 
 
 @settings(max_examples=30, deadline=None)
@@ -156,7 +174,7 @@ def _accepts(build, *args) -> bool:
 
 def _interchange_holds(G1, d, c, i) -> bool:
     """Groupoid axioms of the composite h.i(c(g))^-1.g, on all composable pairs."""
-    op, inv = G1.op, G1.inv
+    (op,), (inv,) = G1.sorts[0].binary, G1.sorts[0].unary
 
     def comp(g, h):
         return op[op[h][inv[i[c[g]]]]][g]
@@ -180,8 +198,8 @@ def test_gpd_check_matches_the_interchange_oracle():
     verdicts = []
     for G1 in arrows:
         for G0 in objects:
-            down = [f.mapping for f in enumerate_homs(G1, G0)]
-            for i in (f.mapping for f in enumerate_homs(G0, G1)):
+            down = [f.mapping[0] for f in enumerate_homs(G1, G0)]
+            for i in (f.mapping[0] for f in enumerate_homs(G0, G1)):
                 for d in down:
                     for c in down:
                         if any(d[i[x]] != x or c[i[x]] != x for x in range(G0.order)):
@@ -212,7 +230,7 @@ def _near_tables(draw, abelian: bool):
     add = [[0] * n for _ in range(n)]
     for x in range(n):
         for y in range(n):
-            add[perm[x]][perm[y]] = perm[G.op[x][y]]
+            add[perm[x]][perm[y]] = perm[G.sorts[0].binary[0][x][y]]
     if abelian:
         k = draw(st.integers(0, n - 1)) if G == cyclic_group(n) else 0
         mul = [[0] * n for _ in range(n)]
@@ -255,3 +273,52 @@ def test_group_check_matches_the_triple_loop(tables):
 def test_bilinearity_check_matches_all_elements(tables):
     add, mul = tables
     assert _accepts(ring_algebra, "nonassoc-ring", add, mul) == _is_bilinear(add, mul)
+
+
+@st.composite
+def _bilinear_tables(draw, symmetric: bool):
+    """(add, mul) on F2^d, d = 1..3, relabelled with 0 fixed.
+
+    ``add`` is XOR and ``mul`` extends random products of basis vectors
+    bilinearly, so it is always distributive and often not associative;
+    with ``symmetric`` it is commutative too.
+    """
+    d = draw(st.integers(1, 3))
+    n = 1 << d
+    const = [[draw(st.integers(0, n - 1)) for _ in range(d)] for _ in range(d)]
+    if symmetric:
+        const = [[const[min(i, j)][max(i, j)] for j in range(d)] for i in range(d)]
+
+    def prod(x, y):
+        v = 0
+        for i in range(d):
+            for j in range(d):
+                if x >> i & 1 and y >> j & 1:
+                    v ^= const[i][j]
+        return v
+
+    perm = [0] + draw(st.permutations(range(1, n)))
+    add = [[0] * n for _ in range(n)]
+    mul = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            add[perm[x]][perm[y]] = perm[x ^ y]
+            mul[perm[x]][perm[y]] = perm[prod(x, y)]
+    return add, mul
+
+
+def _is_ring(kind, add, mul) -> bool:
+    n = len(add)
+    triples = [(x, y, z) for x in range(n) for y in range(n) for z in range(n)]
+    ok = _is_group_table(add) and _is_bilinear(add, mul)
+    ok = ok and all(mul[mul[x][y]][z] == mul[x][mul[y][z]] for x, y, z in triples)
+    if kind == "comm-ring":
+        return ok and all(mul[x][y] == mul[y][x] for x in range(n) for y in range(n))
+    return ok and all(mul[mul[mul[x][y]][x]][y] == mul[x][y] for x in range(n) for y in range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["comm-ring", "rng-star"]), st.data())
+def test_ring_verdicts_match_the_triple_loop(kind, data):
+    add, mul = data.draw(_bilinear_tables(symmetric=kind == "comm-ring"))
+    assert _accepts(ring_algebra, kind, add, mul) == _is_ring(kind, add, mul)

@@ -93,6 +93,21 @@ def test_malformed_json_is_exit_3(tmp_path, capsys):
     assert "bad.json" in err
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000], ids=["not-utf8", "deep"])
+@pytest.mark.parametrize("entry", ["algebra-file", "corpus-override"])
+def test_unreadable_json_is_exit_3(tmp_path, monkeypatch, capsys, content, entry):
+    if entry == "algebra-file":
+        path = tmp_path / "alg.json"
+        argv = ["radical", "--reflector", "ab", "--algebra", str(path)]
+    else:
+        path = tmp_path / "rings.json"
+        monkeypatch.setenv(CORPUS_DIR_VAR, str(tmp_path))
+        argv = ["check-protoadditive", "--reflector", "reduced", "--corpus", "rings"]
+    path.write_bytes(content)
+    assert run(argv) == 3
+    assert f"error: {path}" in capsys.readouterr().err
+
+
 def test_empty_algebra_is_exit_3(tmp_path, capsys):
     path = _write(tmp_path / "empty.json", {
         "format": "semiab-algebra", "version": 1, "variety": "group",

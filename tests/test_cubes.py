@@ -126,7 +126,7 @@ def test_rib_kernel_meet_on_pushout_square():
     g = _mod_map(8, 2)
     sq = _pushout_square_of(f, g)
     meet = rib_kernel_meet(sq)
-    assert meet.elements == (kernel(f).elements & kernel(g).elements)
+    assert meet.elements == (kernel(f).elements[0] & kernel(g).elements[0],)
 
 
 def test_cube_between_identity_components_preserves_extension():

@@ -59,19 +59,20 @@ def test_d3_is_s3():
 
 def test_zring_arithmetic():
     z6 = zring(6)
-    assert z6.mul[2][3] == 0 and z6.mul[5][5] == 1
-    assert z6.add[4][5] == 3
+    add, mul = z6.sorts[0].binary
+    assert mul[2][3] == 0 and mul[5][5] == 1
+    assert add[4][5] == 3
 
 
 def test_zero_multiplication_ring():
     r = zero_multiplication_ring(5)
-    assert all(r.mul[i][j] == 0 for i in range(5) for j in range(5))
+    assert all(r.sorts[0].binary[1][i][j] == 0 for i in range(5) for j in range(5))
 
 
 def test_split_witness_ring_square():
     r = split_witness_ring()
     assert r.kind == "nonassoc-ring"
-    assert r.mul[3][3] == 2  # the nontrivial idempotent-free square
+    assert r.sorts[0].binary[1][3][3] == 2  # the nontrivial idempotent-free square
 
 
 def test_module_builders():
@@ -100,11 +101,11 @@ def test_trivial_of_variety_matches_kind():
 def test_gpd_shapes():
     c3 = cyclic_group(3)
     disc = gpd_discrete(c3)
-    assert disc.g0.order == 3 and disc.g1.order == 3
+    assert [S.order for S in disc.sorts] == [3, 3]
     indisc = gpd_indiscrete(c3)
-    assert indisc.g1.order == 9
+    assert [S.order for S in indisc.sorts] == [9, 3]
     one = gpd_one_object(cyclic_group(4))
-    assert one.g0.order == 1 and one.g1.order == 4
+    assert [S.order for S in one.sorts] == [4, 1]
 
 
 def test_constructor_rejects_bad_sizes():

@@ -80,7 +80,8 @@ def test_ring_homs_respect_multiplication():
     for h in homs:
         for x in range(4):
             for y in range(4):
-                assert h.mapping[z4.mul[x][y]] == z2.mul[h.mapping[x]][h.mapping[y]]
+                (m,), mul4, mul2 = h.mapping, z4.sorts[0].binary[1], z2.sorts[0].binary[1]
+                assert m[mul4[x][y]] == mul2[m[x]][m[y]]
 
 
 @settings(max_examples=20, deadline=None)
@@ -100,14 +101,11 @@ def _accepted_maps(A, B):
     def arrays(src, dst):
         return [tuple(m) for m in itertools.product(range(dst.order), repeat=src.order)]
 
-    if A.is_gpd:
-        candidates = itertools.product(arrays(A.g1, B.g1), arrays(A.g0, B.g0))
-    else:
-        candidates = arrays(A, B)
+    candidates = itertools.product(*(arrays(S, T) for S, T in zip(A.sorts, B.sorts)))
     found = set()
     for m in candidates:
         try:
-            found.add(morphism(A, B, m).mapping)
+            found.add(morphism(A, B, *m).mapping)
         except AlgebraError:
             pass
     return found

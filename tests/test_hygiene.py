@@ -1,4 +1,5 @@
-"""Static hygiene of the package: no unused imports, no dead definitions.
+"""Static hygiene of the package: no unused imports, no dead definitions,
+no groupoid branches outside the modules that define the kinds.
 
 The tests read the source with ``ast`` and import nothing.  A name
 counts as used when it appears as a name or an attribute anywhere
@@ -128,3 +129,26 @@ def test_every_dataclass_field_is_read():
                            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
                            and stmt.target.id not in read]
     assert unread == []
+
+
+def test_groupoids_are_named_only_where_kinds_are_defined():
+    """Groupoids are two-sorted algebras; no other module branches on them.
+
+    Nothing reads an ``is_gpd``; only ``algebra`` (the kinds) and
+    ``serialize`` (the {g1, g0} document shape) name ``GPD_IN_GROUP``;
+    only ``algebra`` and ``reflectors`` (its registry data) spell out
+    the string "gpd-in-group".
+    """
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for n in ast.walk(_parse(path)):
+            if isinstance(n, ast.Attribute) and n.attr == "is_gpd":
+                found.append(f"{path.name}: is_gpd")
+            elif (isinstance(n, ast.Name) and n.id == "GPD_IN_GROUP"
+                    or isinstance(n, ast.alias) and n.name == "GPD_IN_GROUP"):
+                if path.name not in ("algebra.py", "serialize.py"):
+                    found.append(f"{path.name}: GPD_IN_GROUP")
+            elif isinstance(n, ast.Constant) and n.value == "gpd-in-group":
+                if path.name not in ("algebra.py", "reflectors.py"):
+                    found.append(f"{path.name}: 'gpd-in-group'")
+    assert found == []
