@@ -232,7 +232,7 @@ def _check_ring(kind: str, binary, unary, what: str) -> None:
 def _check_module(add, act, modulus: int, what: str) -> None:
     n = len(add)
     for x in range(n):
-        if act[1 % modulus][x] != (x if modulus > 1 else 0):
+        if act[1 % modulus][x] != x:
             raise AlgebraError(f"{what}: 1*x != x at {x}")
     gens = _generators((add,), (), n)
     for s in range(modulus):

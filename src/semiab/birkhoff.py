@@ -34,7 +34,7 @@ from .cubes import (
 )
 from .factorisation import cube_torsion_meet, unit_square
 from .families import trivial_of_variety, zmod_free
-from .homs import _corpus_surjections, find_isomorphism, is_isomorphic
+from .homs import _corpus_surjections, is_isomorphic
 from .ops import (
     image_elements,
     join_normal,
@@ -98,56 +98,23 @@ class BirkhoffContext:
 
 def birkhoff_radical(ctx: BirkhoffContext, f: Morphism) -> Subobject:
     """The kernel-pair radical of a surjection, in dom(f)."""
-    R, p1, p2 = kernel_pair(f)
-    rad = radical(ctx.B, R)
-    cut = meet_subobjects(R, rad, kernel(p1))
-    return normal_closure(f.dom, *image_elements(p2, cut))
-
-
-def _module_span(A: Algebra, seed) -> frozenset:
-    """The submodule of A spanned by the seed elements."""
-    add = A.sorts[0].binary[0]
-    closed = {0}
-    for g in seed:
-        if g in closed:
-            continue
-        multiples, sg = [], g
-        while sg != 0:
-            multiples.append(sg)
-            sg = add[sg][g]
-        for x in list(closed):
-            for y in multiples:
-                closed.add(add[x][y])
-    return frozenset(closed)
-
-
-def _pair_span(A: Algebra, seed) -> set:
-    """Span of a set of element pairs under componentwise operations."""
-    add = A.sorts[0].binary[0]
-    closed = {(0, 0)}
-    for g in seed:
-        if g in closed:
-            continue
-        gx, gy = g
-        multiples, sx, sy = [], gx, gy
-        while (sx, sy) != (0, 0):
-            multiples.append((sx, sy))
-            sx = add[sx][gx]
-            sy = add[sy][gy]
-        for x, y in list(closed):
-            for ux, uy in multiples:
-                closed.add((add[x][ux], add[y][uy]))
-    return closed
+    return radical_n(ctx, cube_of_morphism(f))
 
 
 def _square_radical_on_modules(B: Reflector, c: NCube) -> Subobject:
     """Dimension-two radical of a module square, on raw element pairs.
 
-    Same recursion as the cube route, but the kernel pairs stay plain
-    pair sets instead of materialised product algebras; free covers in
-    presentation squares are too large for the latter.  Only radicals
-    acting by a scalar fit this shape, which covers every module
-    reflector shipped here.
+    Same recursion as radical_n, but the kernel pair R of the second
+    rib stays a plain pair set instead of a materialised product
+    algebra; free covers in presentation squares are too large for the
+    latter.  Only radicals acting by a scalar k fit this shape, which
+    covers every module reflector shipped here.
+
+    The seed set needs no span: it is k times the pairs of R whose
+    componentwise a1 image is the image of a k-killed pair of R.  The
+    k-killed pairs form a submodule, and images, preimages and k-th
+    multiples of submodules are submodules, so the seeds and their cut
+    by the first projection's kernel are too; ``subobject`` checks it.
     """
     F0 = c.top_vertex
     m = F0.variety.modulus
@@ -156,11 +123,9 @@ def _square_radical_on_modules(B: Reflector, c: NCube) -> Subobject:
     buckets: dict[int, list[int]] = {}
     for x in range(F0.order):
         buckets.setdefault(a2[x], []).append(x)
-    # pairs agreeing under a2 form the top kernel pair; a pair maps
-    # downstairs to its componentwise a1 image.  The inner radical is
-    # spanned by k-th multiples of pairs sharing their image with a
-    # k-killed pair, and cutting by the first projection's kernel then
-    # leaves the second components over zero.
+    # pairs agreeing under a2 form R; a pair maps downstairs to its
+    # componentwise a1 image.  Cutting the seeds by the first
+    # projection's kernel leaves the second components over zero.
     marked: set[tuple[int, int]] = set()
     for bucket in buckets.values():
         killed = [x for x in bucket if kmul[x] == 0]
@@ -175,31 +140,31 @@ def _square_radical_on_modules(B: Reflector, c: NCube) -> Subobject:
             for y in bucket:
                 if (ax, a1[y]) in marked:
                     seeds.add((kx, kmul[y]))
-    inner = _pair_span(F0, seeds)
-    return subobject(F0, _module_span(F0, {y for x, y in inner if x == 0}))
+    return subobject(F0, {y for x, y in seeds if x == 0})
 
 
 def radical_n(ctx: BirkhoffContext, c: NCube) -> Subobject:
     """The n-th radical of an n-cube, in its top vertex.
 
-    Dimension one is the kernel-pair radical; above that, the cube of
-    levelwise kernel pairs along the last axis carries the recursion.
+    Take the kernel pair along the last axis: of the arrow in dimension
+    one, levelwise as a cube one dimension down above that.  Its
+    radical (the reflector's object radical in dimension one, this
+    radical of the smaller cube above) is cut by the first projection's
+    kernel, pushed forward along the second and normally closed.
     Module squares under a scalar-acting radical run the same recursion
-    on raw pair sets instead; see _square_radical_on_modules.
+    on raw pair sets instead; their seed set is k times a submodule, so
+    a submodule with no span to take (see _square_radical_on_modules).
     """
-    if c.dim == 1:
-        return birkhoff_radical(ctx, c.arrow)
     if (c.dim == 2 and c.top_vertex.kind == "zmod-module"
             and (ctx.B.k is not None or ctx.B.name == "id")):
         return _square_radical_on_modules(ctx.B, c)
-    return _radical_n_cube(ctx, c)
-
-
-def _radical_n_cube(ctx: BirkhoffContext, c: NCube) -> Subobject:
-    """Materialised kernel-pair recursion, any variety."""
-    rcube, p1, p2 = _kernel_pair_cube(c)
-    inner = radical_n(ctx, rcube)
-    cut = meet_subobjects(rcube.top_vertex, inner, kernel(p1))
+    if c.dim == 1:
+        R, p1, p2 = kernel_pair(c.arrow)
+        inner = radical(ctx.B, R)
+    else:
+        rcube, p1, p2 = _kernel_pair_cube(c)
+        R, inner = rcube.top_vertex, radical_n(ctx, rcube)
+    cut = meet_subobjects(R, inner, kernel(p1))
     return normal_closure(c.top_vertex, *image_elements(p2, cut))
 
 
@@ -263,23 +228,17 @@ def object_cube(A: Algebra) -> NCube:
 
 
 def _is_free_module(V: Algebra) -> bool:
+    """Whether V is (Z/m)^r: |V| = m^r, and for each prime p dividing m
+    the scalar m/p kills exactly (m/p)^r elements, which holds exactly
+    when every p-primary cyclic summand has full length."""
     m = V.variety.modulus
     rank, size = 0, 1
     while size < V.order:
         size *= m
         rank += 1
-    if size != V.order:
-        return False
-    p = next((d for d in range(2, m + 1) if m % d == 0), None)
-    q = m
-    while p is not None and q % p == 0:
-        q //= p
-    if p is not None and q == 1:
-        # prime-power modulus: free means every cyclic summand has full
-        # length, which pins the size of the (m/p)-annihilator
-        killed = V.sorts[0].unary[1 + m // p].count(0)
-        return killed == (m // p) ** rank
-    return find_isomorphism(V, zmod_free(m, rank)) is not None
+    primes = [p for p in range(2, m + 1) if m % p == 0 and all(p % d for d in range(2, p))]
+    return size == V.order and all(
+        V.sorts[0].unary[1 + m // p].count(0) == (m // p) ** rank for p in primes)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,11 @@
 
 Candidates are generated sort by sort by images of a small generating
 set, pruned by element-order arithmetic (the image order must divide
-the source order, and must equal it for embeddings), then verified
-against every operation table; with several sorts, the product of the
-per-sort arrays is filtered by the structure maps.  Isomorphism search
-additionally prunes on the order profile and reports the first hit in
-enumeration order.
+the source order), then verified against every operation table; with
+several sorts, the product of the per-sort arrays is filtered by the
+structure maps.  Isomorphism search additionally prunes on the order
+profile, keeps only injective arrays whose images have the source
+orders, and reports the first hit in enumeration order.
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ from .algebra import (
     identity_morphism,
     is_surjective,
 )
-
-MODES = ("all", "monos", "isos")
-
 
 @lru_cache(maxsize=None)
 def _generation_plan(S: Sort):
@@ -55,7 +52,8 @@ def _sort_homs(S: Sort, T: Sort, exact: bool):
     """Homomorphism arrays from sort S to sort T, lazily, in product order.
 
     Each generator's image ranges over the elements whose order
-    divides its own, or equals it when ``exact`` (embeddings only).
+    divides its own, or equals it when ``exact``, which also keeps
+    only injective arrays.
     """
     plan = _generation_plan(S)
     orders, source = _element_orders(T), _element_orders(S)
@@ -76,37 +74,32 @@ def _sort_homs(S: Sort, T: Sort, exact: bool):
             yield tuple(m)
 
 
-def _iter_homs(A: Algebra, B: Algebra, mode: str):
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+def _iter_homs(A: Algebra, B: Algebra, isos: bool):
     if A.variety != B.variety:
         raise ValueError("hom enumeration needs a shared variety")
-    if mode == "isos" and ([sorted(_element_orders(S)) for S in A.sorts]
-                           != [sorted(_element_orders(T)) for T in B.sorts]):
+    if isos and ([sorted(_element_orders(S)) for S in A.sorts]
+                 != [sorted(_element_orders(T)) for T in B.sorts]):
         return
-    exact = mode != "all"
-    # product over the sorts, lazy in the first so that a search can stop early
-    rest = [tuple(_sort_homs(S, T, exact)) for S, T in zip(A.sorts[1:], B.sorts[1:])]
-    for first in _sort_homs(A.sorts[0], B.sorts[0], exact):
+    # with matching order profiles the sorts have equal sizes, so the
+    # injective candidates that ``isos`` keeps are bijective; the product
+    # over the sorts is lazy in the first so that a search can stop early
+    rest = [tuple(_sort_homs(S, T, isos)) for S, T in zip(A.sorts[1:], B.sorts[1:])]
+    for first in _sort_homs(A.sorts[0], B.sorts[0], isos):
         for others in itertools.product(*rest):
             mapping = (first, *others)
-            if not _respects_structure(A, B, mapping):
-                continue
-            f = Morphism(A, B, mapping)
-            if mode == "isos" and not is_surjective(f):
-                continue
-            yield f
+            if _respects_structure(A, B, mapping):
+                yield Morphism(A, B, mapping)
 
 
 @lru_cache(maxsize=None)
-def enumerate_homs(A: Algebra, B: Algebra, mode: str = "all") -> tuple[Morphism, ...]:
-    """All morphisms A -> B; ``monos`` embeddings only, ``isos`` bijective."""
-    return tuple(_iter_homs(A, B, mode))
+def enumerate_homs(A: Algebra, B: Algebra) -> tuple[Morphism, ...]:
+    """All morphisms A -> B, in enumeration order."""
+    return tuple(_iter_homs(A, B, False))
 
 
 def find_isomorphism(A: Algebra, B: Algebra) -> Morphism | None:
     """First isomorphism in enumeration order, or None."""
-    for f in _iter_homs(A, B, "isos"):
+    for f in _iter_homs(A, B, True):
         return f
     return None
 

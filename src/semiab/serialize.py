@@ -17,8 +17,8 @@ from .algebra import (
     GROUP,
     Morphism,
     RING_KINDS,
+    Sort,
     Variety,
-    _algebra,
     gpd_algebra,
     group_algebra,
     module_algebra,
@@ -132,30 +132,35 @@ def _per_sort_to_doc(A: Algebra, parts):
 
 
 def algebra_to_doc(A: Algebra) -> dict:
+    if A.kind == GPD_IN_GROUP:
+        # each sort as a group document, then d, c and i
+        docs = [_algebra_doc(S.variety, S.order, _sort_tables(S), S.name) for S in A.sorts]
+        tables = {**_per_sort_to_doc(A, docs), **dict(zip("dci", map(list, A.maps)))}
+    else:
+        tables = _sort_tables(A.sorts[0])
+    return _algebra_doc(A.variety, A.order, tables, A.name)
+
+
+def _algebra_doc(variety: Variety, order: int, tables: dict, name: str | None) -> dict:
     doc = {
         "format": ALGEBRA_FORMAT,
         "version": FORMAT_VERSION,
-        "variety": variety_to_doc(A.variety),
-        "order": A.order,
-        "tables": _tables_to_doc(A),
+        "variety": variety_to_doc(variety),
+        "order": order,
+        "tables": tables,
     }
-    if A.name:
-        doc["name"] = A.name
+    if name:
+        doc["name"] = name
     return doc
 
 
-def _tables_to_doc(A: Algebra) -> dict:
-    (op, *mul), (inv, *act) = A.sorts[0].binary, A.sorts[0].unary
-    if A.kind == GROUP:
+def _sort_tables(S: Sort) -> dict:
+    (op, *mul), (inv, *act) = S.binary, S.unary
+    if S.variety.kind == GROUP:
         return {"op": [list(r) for r in op], "inv": list(inv)}
-    if A.kind in RING_KINDS:
+    if S.variety.kind in RING_KINDS:
         return {"add": [list(r) for r in op], "mul": [list(r) for r in mul[0]]}
-    if A.kind == "zmod-module":
-        return {"add": [list(r) for r in op], "act": [list(r) for r in act]}
-    # a groupoid: each sort as a group document, then d, c and i
-    docs = [algebra_to_doc(_algebra(S.variety, [(S.variety, S.binary, S.unary, S.name)], name=S.name))
-            for S in A.sorts]
-    return {**_per_sort_to_doc(A, docs), **dict(zip("dci", map(list, A.maps)))}
+    return {"add": [list(r) for r in op], "act": [list(r) for r in act]}
 
 
 def algebra_from_doc(doc, path: str = "$") -> Algebra:

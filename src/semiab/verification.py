@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 from .algebra import (
@@ -85,8 +84,7 @@ class SuiteCompatibilityError(ValueError):
 # instance streams
 
 
-@lru_cache(maxsize=None)
-def _surjections_in(corpus: tuple) -> tuple[Morphism, ...]:
+def _surjections_in(corpus) -> tuple[Morphism, ...]:
     return tuple(_corpus_surjections(corpus))
 
 

@@ -68,6 +68,12 @@ def test_module_scalar_action_validated():
         module_algebra(0, [[0]], [])
 
 
+def test_the_only_z1_module_is_zero():
+    assert module_algebra(1, [[0]], [[0]]).order == 1
+    with pytest.raises(AlgebraError):  # 1 = 0 in Z/1, so 1x = x forces x = 0
+        module_algebra(1, [[0, 1], [1, 0]], [[0, 0]])
+
+
 def test_subobject_must_contain_constant_and_close():
     c4 = cyclic_group(4)
     with pytest.raises(AlgebraError):

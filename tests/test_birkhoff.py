@@ -11,14 +11,17 @@ from semiab import (
     corpus_by_id,
     cube_of_morphism,
     cyclic_group,
+    direct_product,
     find_isomorphism,
     full_subobject,
     hopf_homology,
     huq_commutator,
     is_birkhoff_normal,
     kernel,
+    meet_subobjects,
     morphism,
     named_algebra,
+    normal_closure,
     object_cube,
     radical_n,
     reflector_by_id,
@@ -28,7 +31,10 @@ from semiab import (
     zmod_cyclic,
     zmod_free,
 )
-from semiab.birkhoff import Presentation, build_presentation
+from semiab.birkhoff import Presentation, _is_free_module, build_presentation
+from semiab.cubes import _kernel_pair_cube
+from semiab.ops import image_elements
+from semiab.verification import _pushout_square
 
 
 def _ctx(rid, cid, inner=None):
@@ -150,6 +156,45 @@ def test_presentation_rejects_non_free_top():
     cube = object_cube(m2)
     with pytest.raises(AlgebraError):
         Presentation(0, cube)
+
+
+@pytest.mark.parametrize("m", [*range(1, 13), 18])
+def test_freeness_test_matches_the_isomorphism_search(m):
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    modules = [zmod_free(m, 2)] + [direct_product(zmod_cyclic(m, a), zmod_cyclic(m, b))[0]
+                                   for i, a in enumerate(divisors) for b in divisors[i:]]
+    for V in modules:
+        rank = 0
+        while m ** rank < V.order:
+            rank += 1
+        assert _is_free_module(V) == (find_isomorphism(V, zmod_free(m, rank)) is not None), V
+
+
+def _module_squares():
+    """Pushout squares of zmod4-modules surjections onto orders <= 2, from
+    members of order <= 8, whose materialised kernel pairs stay small."""
+    corpus = corpus_by_id("zmod4-modules")
+    out = []
+    for A in corpus:
+        if A.order > 8:
+            continue
+        fs = [f for B in corpus if B.order <= 2 for f in surjections(A, B)]
+        out += [_pushout_square(f, g) for i, f in enumerate(fs) for g in fs[i:]
+                if A.order * A.order // g.cod.order <= 16 or f.cod.order == 2]
+    return out
+
+
+@pytest.mark.parametrize("rid", ["burnside:2", "id"])
+def test_module_square_radical_matches_the_materialised_recursion(rid):
+    ctx = _ctx(rid, "zmod4-modules")
+    nonzero = 0
+    for c in _module_squares():
+        rcube, p1, p2 = _kernel_pair_cube(c)
+        cut = meet_subobjects(rcube.top_vertex, radical_n(ctx, rcube), kernel(p1))
+        rad = radical_n(ctx, c)
+        assert rad == normal_closure(c.top_vertex, *image_elements(p2, cut))
+        nonzero += not rad.is_zero()
+    assert nonzero == (3 if rid == "burnside:2" else 0)
 
 
 def test_build_presentation_covers_with_free_module():

@@ -116,6 +116,15 @@ def test_empty_algebra_is_exit_3(tmp_path, capsys):
     assert "empty.json.tables:" in capsys.readouterr().err
 
 
+def test_two_element_z1_module_is_exit_3(tmp_path, capsys):
+    path = _write(tmp_path / "z1.json", {
+        "format": "semiab-algebra", "version": 1,
+        "variety": {"kind": "zmod-module", "modulus": 1},
+        "order": 2, "tables": {"add": [[0, 1], [1, 0]], "act": [[0, 0]]}})
+    assert run(["radical", "--reflector", "burnside:2", "--algebra", path]) == 3
+    assert "1*x != x" in capsys.readouterr().err
+
+
 def test_wrong_format_doc_is_exit_3(tmp_path, capsys):
     path = _write(tmp_path / "m.json", morphism_to_doc(_ring_mod(4, 2)))
     assert run(["radical", "--reflector", "reduced", "--algebra", path]) == 3

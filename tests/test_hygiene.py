@@ -1,5 +1,6 @@
 """Static hygiene of the package: no unused imports, no dead definitions,
-no groupoid branches outside the modules that define the kinds.
+no groupoid branches outside the modules that define the kinds, and no
+use of the internal constructor outside `algebra`.
 
 The tests read the source with ``ast`` and import nothing.  A name
 counts as used when it appears as a name or an attribute anywhere
@@ -151,4 +152,20 @@ def test_groupoids_are_named_only_where_kinds_are_defined():
             elif isinstance(n, ast.Constant) and n.value == "gpd-in-group":
                 if path.name not in ("algebra.py", "reflectors.py"):
                     found.append(f"{path.name}: 'gpd-in-group'")
+    assert found == []
+
+
+def test_only_algebra_names_the_internal_constructor():
+    """``algebra._algebra`` builds and checks every algebra; other modules
+    reach it through the public constructors or the derived constructions,
+    never to re-check tables they only mean to read."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        for n in ast.walk(_parse(path)):
+            if (isinstance(n, ast.Name) and n.id == "_algebra"
+                    or isinstance(n, ast.alias) and n.name == "_algebra"
+                    or isinstance(n, ast.Attribute) and n.attr == "_algebra"):
+                found.append(f"{path.name}:{n.lineno}")
     assert found == []
