@@ -21,6 +21,14 @@ associativity, distributivity and s(x+y) = sx+sy on generators (the
 elements g at which such an identity holds form a subalgebra), and
 groupoids by commuting kernels of d, c.
 
+Each distinct content is checked once while an equal sort is alive.
+Every table is shape-checked on every build; ``_CHECKED`` then interns
+the sorts that passed the identity checks, weakly, so tables equal to a
+live sort's return that sort.  Each sort keeps, in its ``__dict__`` and
+per codomain sort, the arrays that passed the homomorphism scan, so an
+equal array is not scanned again.  Failing verdicts are never recorded, and
+both records go with their sorts.
+
 Morphisms and subobjects have one part per sort: ``Morphism.mapping``
 holds one image array and ``Subobject.elements`` one frozenset per
 sort.  Constructions here, in ``ops`` and in ``homs`` run sort by sort;
@@ -31,6 +39,7 @@ maps.  ``_close`` is the one closure routine.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 GROUP = "group"
@@ -87,7 +96,7 @@ def _as_table(rows, n: int, width: int, what: str) -> tuple[tuple[int, ...], ...
         if len(row) != width:
             raise AlgebraError(f"{what} rows must have length {width}")
         for v in row:
-            if not isinstance(v, int) or not 0 <= v < width:
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < width:
                 raise AlgebraError(f"{what} entries must be indices below {width}")
     return table
 
@@ -97,7 +106,7 @@ def _as_map(values, n: int, cod: int, what: str) -> tuple[int, ...]:
     if len(m) != n:
         raise AlgebraError(f"{what} must have length {n}")
     for v in m:
-        if not isinstance(v, int) or not 0 <= v < cod:
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < cod:
             raise AlgebraError(f"{what} entries must be indices below {cod}")
     return m
 
@@ -312,28 +321,46 @@ class Algebra(_Structural):
         return self.variety.kind
 
 
+# every sort that passed its checks, by content, for as long as it is alive
+_CHECKED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _check_sort(V: Variety, binary, unary, what: str) -> None:
+    """Every defining identity of V on a sort's shape-checked tables."""
+    if V.kind != GROUP:
+        _check_abelian(binary[0], what)
+    _check_group_tables(binary[0], unary[0], what)
+    if V.kind in RING_KINDS:
+        _check_ring(V.kind, binary, unary, what)
+    elif V.kind == ZMOD_MODULE:
+        _check_module(binary[0], unary[1:], V.modulus, what)
+
+
 def _sort(V: Variety, binary, unary, name: str | None) -> Sort:
     """A sort of variety V from raw tables, checked against every identity.
 
     A first unary map of ``None`` is derived: the inverse of x is where
-    0 stands in its row, which the group check then confirms.
+    0 stands in its row, which the group check then confirms.  Tables
+    equal to those of a live checked sort return that sort (or, under
+    another name, a sort sharing its tables) without checking again.
     """
     op_name, inv_name = ("op", "inv") if V.kind == GROUP else ("add", "neg")
     n = len(binary[0])
     binary = tuple(_as_table(t, n, n, w) for t, w in zip(binary, (op_name, "mul")))
     unary = tuple(u if u is None else _as_map(u, n, n, w)
                   for u, w in zip(unary, (inv_name, *["act"] * (len(unary) - 1))))
-    what = name or str(V)
-    if V.kind != GROUP:
-        _check_abelian(binary[0], what)
     if unary[0] is None:
         unary = (tuple(row.index(0) if 0 in row else 0 for row in binary[0]), *unary[1:])
-    _check_group_tables(binary[0], unary[0], what)
-    if V.kind in RING_KINDS:
-        _check_ring(V.kind, binary, unary, what)
-    elif V.kind == ZMOD_MODULE:
-        _check_module(binary[0], unary[1:], V.modulus, what)
-    return Sort(V, n, binary, unary, name)
+    key = (V, n, binary, unary)
+    live = _CHECKED.get(key)
+    if live is None:
+        _check_sort(V, binary, unary, name or str(V))
+        live = _CHECKED[key] = Sort(V, n, binary, unary, name)
+    if live.name == name:
+        return live
+    renamed = Sort(V, n, live.binary, live.unary, name)
+    object.__setattr__(renamed, "_passed", _passed(live))
+    return renamed
 
 
 def _algebra(variety: Variety, sorts, maps=(), name: str | None = None) -> Algebra:
@@ -410,7 +437,7 @@ def _rebuild(parents, binary_map, unary_map):
             [unary_map(*us) for us in zip(*(P.unary for P in parents))], None)
 
 
-def _violation(dom: Sort, cod: Sort, m) -> str | None:
+def _scan(dom: Sort, cod: Sort, m) -> str | None:
     """How the array m fails to be a homomorphism, or None if it is one."""
     if m[0] != 0:
         return "does not send 0 to 0"
@@ -427,6 +454,26 @@ def _violation(dom: Sort, cod: Sort, m) -> str | None:
             if m[du_k[x]] != cu_k[m[x]]:
                 return f"does not preserve a unary operation at {x}"
     return None
+
+
+def _passed(dom: Sort) -> dict:
+    """Per codomain sort, the arrays from ``dom`` that passed ``_scan``."""
+    passed = dom.__dict__.get("_passed")
+    if passed is None:
+        passed = {}
+        object.__setattr__(dom, "_passed", passed)
+    return passed
+
+
+def _violation(dom: Sort, cod: Sort, m: tuple[int, ...]) -> str | None:
+    """``_scan``, remembering the arrays that pass (see ``_passed``)."""
+    arrays = _passed(dom).setdefault(cod, set())
+    if m in arrays:
+        return None
+    bad = _scan(dom, cod, m)
+    if bad is None:
+        arrays.add(m)
+    return bad
 
 
 def _one_per_sort(A: Algebra, parts, what: str) -> tuple:
@@ -476,7 +523,7 @@ class Morphism(_Structural):
     mapping: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        validate_morphism(self)
+        object.__setattr__(self, "mapping", validate_morphism(self))
 
     def _key(self):
         return (self.dom, self.cod, self.mapping)
@@ -485,18 +532,23 @@ class Morphism(_Structural):
         return f"<Morphism {self.dom!r} -> {self.cod!r}>"
 
 
-def validate_morphism(f: Morphism) -> None:
+def validate_morphism(f: Morphism) -> tuple[tuple[int, ...], ...]:
+    """The checked image arrays of f, as tuples; AlgebraError if f is no morphism."""
     dom, cod = f.dom, f.cod
     if dom.variety != cod.variety:
         raise AlgebraError("morphism endpoints must share a variety")
-    arrays = _one_per_sort(dom, f.mapping, "array")
-    for k, (D, C, m) in enumerate(zip(dom.sorts, cod.sorts, arrays)):
-        what = "map" if len(arrays) == 1 else f"map of sort {k}"
-        bad = _violation(D, C, _as_map(m, D.order, C.order, what))
+    parts = _one_per_sort(dom, f.mapping, "array")
+    arrays = []
+    for k, (D, C, m) in enumerate(zip(dom.sorts, cod.sorts, parts)):
+        what = "map" if len(parts) == 1 else f"map of sort {k}"
+        m = _as_map(m, D.order, C.order, what)
+        bad = _violation(D, C, m)
         if bad is not None:
             raise AlgebraError(f"{what} {bad}")
+        arrays.append(m)
     if not _respects_structure(dom, cod, arrays):
         raise AlgebraError("map does not commute with source, target and unit")
+    return tuple(arrays)
 
 
 def morphism(dom: Algebra, cod: Algebra, *arrays) -> Morphism:

@@ -7,6 +7,11 @@ several sorts, the product of the per-sort arrays is filtered by the
 structure maps.  Isomorphism search additionally prunes on the order
 profile, keeps only injective arrays whose images have the source
 orders, and reports the first hit in enumeration order.
+
+Each array is checked once while its domain sort is alive: the tuple
+that passed is the one the ``Morphism`` stores, and the morphism's own
+validation finds it in the sort's record of passing arrays (see the
+``algebra`` docstring).
 """
 
 from __future__ import annotations
@@ -70,8 +75,9 @@ def _sort_homs(S: Sort, T: Sort, exact: bool):
                 m[v] = tu[-1 - t_id][m[x]] if t_id < 0 else tb[t_id][m[x]][m[y]]
         if exact and len(set(m)) != S.order:
             continue
+        m = tuple(m)
         if _violation(S, T, m) is None:
-            yield tuple(m)
+            yield m
 
 
 def _iter_homs(A: Algebra, B: Algebra, isos: bool):

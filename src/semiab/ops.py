@@ -1,6 +1,8 @@
 """Kernels, quotients, limits and subobject arithmetic.
 
-All constructions return fully validated algebras; quotient carriers
+All constructions return algebras that passed every check of the
+``algebra`` constructor, each distinct content checked once while an
+equal sort is alive (see the ``algebra`` docstring); quotient carriers
 are cosets indexed in first-appearance order, so the class of the
 constant is always index 0, and pair carriers (products, pullbacks,
 kernel pairs) are sorted lexicographically for the same reason.
