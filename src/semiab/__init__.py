@@ -113,7 +113,6 @@ from .reflectors import (
     Reflector,
     ReflectorError,
     is_free_member,
-    is_protoadditive,
     is_torsion_member,
     known_protoadditive_on,
     map_reflect,
@@ -123,7 +122,6 @@ from .reflectors import (
     reflector_by_id,
     short_exact_sequences,
     split_exact_sequences,
-    torsion_theory_report,
 )
 from .report import Report, merge_reports
 from .serialize import (
@@ -144,8 +142,6 @@ from .verification import (
     SuiteCompatibilityError,
     SuiteError,
     protoadditive_by_definition,
-    protoadditive_by_protosplit_monos,
-    protoadditive_by_pullbacks,
     replay_witness,
     suite_ids,
     verify_all,

@@ -593,16 +593,16 @@ def is_isomorphism_map(f: Morphism) -> bool:
 class Subobject:
     """A subalgebra of ``parent`` given by one element set per sort.
 
-    ``normal`` certifies that the sets form the kernel of some
-    morphism out of the parent.
+    ``normal``, computed on construction, says whether the sets form
+    the kernel of some morphism out of the parent.
     """
 
     parent: Algebra
     elements: tuple[frozenset[int], ...]
-    normal: bool
+    normal: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        sets = _one_per_sort(self.parent, self.elements, "element set")
+        sets = tuple(map(frozenset, _one_per_sort(self.parent, self.elements, "element set")))
         for S, X in zip(self.parent.sorts, sets):
             if 0 not in X:
                 raise AlgebraError("subobject must contain the constant")
@@ -610,6 +610,8 @@ class Subobject:
                 raise AlgebraError("subobject is not closed under the operations")
         if not all(img <= X for img, X in zip(_structure_images(self.parent, sets), sets)):
             raise AlgebraError("subobject is not closed under source, target and unit")
+        object.__setattr__(self, "elements", sets)
+        object.__setattr__(self, "normal", is_normal_subset(self.parent, *sets))
 
     @property
     def size(self) -> int:
@@ -675,8 +677,7 @@ def is_normal_subset(A: Algebra, *sets) -> bool:
 
 def subobject(parent: Algebra, *sets) -> Subobject:
     """The subobject with one element set per sort of ``parent``."""
-    elems = tuple(frozenset(X) for X in sets)
-    return Subobject(parent, elems, is_normal_subset(parent, *elems))
+    return Subobject(parent, sets)
 
 
 def zero_subobject(A: Algebra) -> Subobject:

@@ -196,19 +196,17 @@ def centralize(ctx: BirkhoffContext, c: NCube) -> NCube:
     return out
 
 
-def composite_radical(ctx: BirkhoffContext, c: NCube, mode: str) -> Subobject:
+def composite_radical(ctx: BirkhoffContext, c: NCube) -> Subobject:
     """Radical for a sharpened subcategory, as a join in the top vertex.
 
-    mode "join": the radical for the comparison subcategory C itself.
-    mode "intersection": the radical for the meet of B with a second
-    subcategory, which is C's role in the context.  Both are the join
-    of the B-radical with the normal closure of C's radical of the
-    rib-kernel meet; the ambient object is always the top vertex.
+    The comparison reflector C names the sharpened subcategory: C itself
+    when it is a composite over B, or the meet of B with a second
+    subcategory.  Either way the radical is the join of the B-radical
+    with the normal closure of C's radical of the rib-kernel meet; the
+    ambient object is always the top vertex.
     """
     if ctx.C is None:
         raise AlgebraError("composite radicals need a comparison reflector")
-    if mode not in ("join", "intersection"):
-        raise AlgebraError(f"unknown mode {mode!r}")
     if not is_nfold_extension(c):
         raise AlgebraError("composite radical expects an n-fold extension")
     base = radical_n(ctx, c)

@@ -1,4 +1,4 @@
-"""Named reflections, their radicals, and reflector-level law checks.
+"""Named reflections, their radicals, and the corpus sequences they act on.
 
 Each reflector quotients by a computable radical subobject: ab by the
 commutator subgroup, burnside:k by k-th powers joined with commutators,
@@ -27,7 +27,7 @@ from .algebra import (
     subobject,
     zero_subobject,
 )
-from .homs import _corpus_surjections, enumerate_homs, sections
+from .homs import _corpus_surjections, sections
 from .ops import (
     ExactSequence,
     huq_commutator,
@@ -39,8 +39,6 @@ from .ops import (
     power_subobject,
     quotient,
 )
-from .report import Report, check
-from .serialize import algebra_to_doc, subobject_to_doc
 
 
 class ReflectorError(ValueError):
@@ -190,8 +188,6 @@ _BASES = {
     "id": (tuple(sorted(ALL_KINDS)), True),
 }
 
-BASE_REFLECTOR_IDS = tuple(_BASES) + ("burnside:<k>", "composite:<outer>∘<inner>")
-
 
 def reflector_by_id(rid: str) -> Reflector:
     rid = rid.strip()
@@ -235,7 +231,7 @@ def known_protoadditive_on(R: Reflector, kind: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# corpus sweeps
+# corpus sequences
 
 
 def split_exact_sequences(corpus) -> list[ExactSequence]:
@@ -260,87 +256,3 @@ def preserves_split_sequence(R: Reflector, seq: ExactSequence) -> bool:
     if not is_injective(Fk):
         return False
     return image(Fk).elements == kernel(Ff).elements
-
-
-def breaks_extension_closure(member, R: Reflector, seq: ExactSequence) -> bool:
-    """Kernel and quotient satisfy ``member`` but the extension does not."""
-    K, A, B = seq.k.dom, seq.f.dom, seq.f.cod
-    return member(R, K) and member(R, B) and not member(R, A)
-
-
-@check("split-preservation", ("reflector", "reflector"), (None, "sequence"))
-def _split_not_preserved(R: Reflector, seq: ExactSequence) -> bool:
-    return not preserves_split_sequence(R, seq)
-
-
-@check("idempotent-radical", ("reflector", "reflector"), ("algebra", "algebra"))
-def _radical_not_idempotent(R: Reflector, A: Algebra) -> bool:
-    return not radical(R, radical_algebra(R, A)).is_whole()
-
-
-@check("hom-vanishing", ("reflector", "reflector"), ("morphism", "morphism"))
-def _torsion_to_free_nonzero(R: Reflector, f: Morphism) -> bool:
-    nonzero = any(v != 0 for m in f.mapping for v in m)
-    return nonzero and is_torsion_member(R, f.dom) and is_free_member(R, f.cod)
-
-
-@check("torsion-extension-closure", ("reflector", "reflector"), (None, "sequence"))
-def _torsion_not_extension_closed(R: Reflector, seq: ExactSequence) -> bool:
-    return breaks_extension_closure(is_torsion_member, R, seq)
-
-
-@check("free-extension-closure", ("reflector", "reflector"), (None, "sequence"))
-def _free_not_extension_closed(R: Reflector, seq: ExactSequence) -> bool:
-    return breaks_extension_closure(is_free_member, R, seq)
-
-
-def is_protoadditive(R: Reflector, sequences) -> Report:
-    """Scan split short exact sequences for preservation failures."""
-    seqs = list(sequences)
-    for seq in seqs:
-        if seq.splitting is None:
-            raise AlgebraError("protoadditivity takes split sequences only")
-    witnesses = _split_not_preserved.violations((R, seq) for seq in seqs)
-    return Report.scan(f"protoadditive[{R.name}]", witnesses, {"split-sequences": len(seqs)})
-
-
-def is_idempotent_radical(R: Reflector, corpus) -> Report:
-    witnesses = []
-    count = 0
-    for A in corpus:
-        if not R.applies_to(A.variety):
-            continue
-        count += 1
-        if _radical_not_idempotent(R, A):
-            witnesses.append(_radical_not_idempotent.witness(R, A, extra={
-                "radical": subobject_to_doc(radical(R, A)),
-                "radical-of-radical": subobject_to_doc(radical(R, radical_algebra(R, A))),
-            }))
-    return Report.scan(f"idempotent-radical[{R.name}]", witnesses, {"objects": count})
-
-
-def torsion_theory_report(R: Reflector, corpus) -> Report:
-    """Idempotency, hom-vanishing, and closure under extensions."""
-    algebras = [A for A in corpus if R.applies_to(A.variety)]
-    idem = is_idempotent_radical(R, algebras)
-    witnesses = list(idem.witnesses)
-    torsion = [A for A in algebras if is_torsion_member(R, A)]
-    free = [A for A in algebras if is_free_member(R, A)]
-    hom_pairs = 0
-    for T in torsion:
-        for F in free:
-            if T.variety != F.variety:
-                continue
-            hom_pairs += 1
-            bad = next((f for f in enumerate_homs(T, F) if _torsion_to_free_nonzero(R, f)), None)
-            if bad is not None:
-                witnesses.append(_torsion_to_free_nonzero.witness(R, bad, extra={
-                    "torsion": algebra_to_doc(T), "free": algebra_to_doc(F)}))
-    seq_count = 0
-    for seq in short_exact_sequences(algebras):
-        seq_count += 1
-        for closure in (_torsion_not_extension_closed, _free_not_extension_closed):
-            if closure(R, seq):
-                witnesses.append(closure.witness(R, seq))
-    return Report.scan(f"torsion-theory[{R.name}]", witnesses, {
-        "objects": len(algebras), "hom-pairs": hom_pairs, "sequences": seq_count})

@@ -13,6 +13,7 @@ from typing import Callable
 
 from .algebra import AlgebraError
 from .ops import ExactSequence
+from .reflectors import ReflectorError, reflector_by_id
 from .serialize import (
     FormatError,
     _need,
@@ -128,8 +129,6 @@ def _read_field(doc: dict, key, kind):
         return _DOCS[kind][1](_need(doc, key, "$"), path)
     value = _need(doc, key, "$", str)
     if kind == "reflector":
-        from .reflectors import ReflectorError, reflector_by_id
-
         try:
             return reflector_by_id(value)
         except ReflectorError as exc:

@@ -8,7 +8,6 @@ path of the offending field, never a bare KeyError or crash.
 from __future__ import annotations
 
 import json
-from typing import Callable
 
 from .algebra import (
     Algebra,
@@ -24,6 +23,7 @@ from .algebra import (
     module_algebra,
     ring_algebra,
 )
+from .cubes import NCube
 
 FORMAT_VERSION = 1
 
@@ -31,8 +31,6 @@ ALGEBRA_FORMAT = "semiab-algebra"
 MORPHISM_FORMAT = "semiab-morphism"
 CUBE_FORMAT = "semiab-cube"
 CORPUS_FORMAT = "semiab-corpus"
-
-Resolver = Callable[[str], "Algebra | None"]
 
 # the keys of a groupoid's two sorts, arrows then objects, wherever a
 # document holds one value per sort
@@ -206,12 +204,6 @@ def _algebra_from_tables(variety: Variety, tables: dict, path: str, name: str) -
 # morphisms
 
 
-def _endpoint_to_doc(A: Algebra, as_name: bool):
-    if as_name and A.name:
-        return A.name
-    return algebra_to_doc(A)
-
-
 def _map_to_doc(f: Morphism):
     """The ``map`` field: an array, or {g1, g0} arrays for groupoids."""
     return _per_sort_to_doc(f.dom, [list(m) for m in f.mapping])
@@ -231,29 +223,20 @@ def _map_from_doc(dom: Algebra, cod: Algebra, raw, path: str) -> Morphism:
         raise FormatError(path, str(exc)) from None
 
 
-def morphism_to_doc(f: Morphism, named_endpoints: bool = False) -> dict:
+def morphism_to_doc(f: Morphism) -> dict:
     return {
         "format": MORPHISM_FORMAT,
         "version": FORMAT_VERSION,
-        "dom": _endpoint_to_doc(f.dom, named_endpoints),
-        "cod": _endpoint_to_doc(f.cod, named_endpoints),
+        "dom": algebra_to_doc(f.dom),
+        "cod": algebra_to_doc(f.cod),
         "map": _map_to_doc(f),
     }
 
 
-def _endpoint_from_doc(doc, path: str, resolve: Resolver | None) -> Algebra:
-    if isinstance(doc, str):
-        found = resolve(doc) if resolve is not None else None
-        if found is None:
-            raise FormatError(path, f"unknown algebra name {doc!r}")
-        return found
-    return algebra_from_doc(doc, path)
-
-
-def morphism_from_doc(doc, path: str = "$", resolve: Resolver | None = None) -> Morphism:
+def morphism_from_doc(doc, path: str = "$") -> Morphism:
     _check_header(doc, MORPHISM_FORMAT, path)
-    dom = _endpoint_from_doc(_need(doc, "dom", path), f"{path}.dom", resolve)
-    cod = _endpoint_from_doc(_need(doc, "cod", path), f"{path}.cod", resolve)
+    dom = algebra_from_doc(_need(doc, "dom", path), f"{path}.dom")
+    cod = algebra_from_doc(_need(doc, "cod", path), f"{path}.cod")
     return _map_from_doc(dom, cod, _need(doc, "map", path), f"{path}.map")
 
 
@@ -275,9 +258,7 @@ def cube_to_doc(cube) -> dict:
     }
 
 
-def cube_from_doc(doc, path: str = "$", resolve: Resolver | None = None):
-    from .cubes import NCube
-
+def cube_from_doc(doc, path: str = "$") -> NCube:
     _check_header(doc, CUBE_FORMAT, path)
     dim = _need(doc, "dim", path, int)
     if dim < 1 or dim > 3:
@@ -288,7 +269,7 @@ def cube_from_doc(doc, path: str = "$", resolve: Resolver | None = None):
         key = str(mask)
         if key not in raw_vertices:
             raise FormatError(f"{path}.vertices.{key}", "missing vertex")
-        vertices[mask] = _endpoint_from_doc(raw_vertices[key], f"{path}.vertices.{key}", resolve)
+        vertices[mask] = algebra_from_doc(raw_vertices[key], f"{path}.vertices.{key}")
     raw_edges = _need(doc, "edges", path, list)
     edges: dict[tuple[int, int], Morphism] = {}
     for k, entry in enumerate(raw_edges):

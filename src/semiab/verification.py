@@ -4,7 +4,8 @@ Each suite certifies one equivalence or closure property over a named
 corpus, or emits replayable counterexample witnesses.  A pass never
 claims more than the sweep saw.  Where an instance stream is quadratic
 the sweep samples it deterministically from the seed and reports the
-sample size.
+sample size.  This module registers all 22 checks and is the one place
+that turns their violations into reports.
 """
 
 from __future__ import annotations
@@ -56,20 +57,20 @@ from .ops import (
 )
 from .reflectors import (
     Reflector,
-    breaks_extension_closure,
     is_free_member,
-    is_protoadditive,
     is_torsion_member,
     known_protoadditive_on,
     map_reflect,
+    preserves_split_sequence,
     radical,
+    radical_algebra,
     reflect,
     reflector_by_id,
     split_exact_sequences,
     short_exact_sequences,
-    torsion_theory_report,
 )
-from .report import CHECKS, CORPUS_NOTE, Report, check, merge_reports
+from .report import CHECKS, CORPUS_NOTE, Check, Report, check, merge_reports
+from .serialize import algebra_to_doc, subobject_to_doc
 
 
 class SuiteError(ValueError):
@@ -134,46 +135,6 @@ def _derived_squares(corpus, seed: int, cap: int) -> list[NCube]:
 
 
 # ---------------------------------------------------------------------------
-# protoadditivity routes
-
-
-def protoadditive_by_definition(R: Reflector, corpus) -> Report:
-    """Split-sequence preservation, checked sequence by sequence."""
-    seqs = split_exact_sequences(_applicable(R, corpus))
-    report = is_protoadditive(R, seqs)
-    return Report.scan("protoadditive-definition", report.witnesses, report.sample)
-
-
-def protoadditive_by_pullbacks(R: Reflector, corpus, seed: int = 0) -> Report:
-    """Preservation of pullbacks along split epimorphisms."""
-    algebras = _applicable(R, corpus)
-    seqs = split_exact_sequences(algebras)
-    witnesses = []
-    checked = 0
-    for seq in seqs:
-        f = seq.f
-        others = []
-        for C in algebras:
-            if C.variety == f.cod.variety:
-                others.extend(enumerate_homs(C, f.cod))
-        for g in _sample(others, seed, 6):
-            checked += 1
-            if _pullback_not_preserved(R, seq, g):
-                witnesses.append(_pullback_not_preserved.witness(R, seq, g))
-                break
-    return Report.scan("protoadditive-pullbacks", witnesses,
-                       {"split-sequences": len(seqs), "pullbacks": checked})
-
-
-def protoadditive_by_protosplit_monos(R: Reflector, corpus) -> Report:
-    """Reflected protosplit monomorphisms staying normal monomorphisms."""
-    seqs = split_exact_sequences(_applicable(R, corpus))
-    witnesses = _mono_image_not_normal.violations((R, seq) for seq in seqs)
-    return Report.scan("protoadditive-protosplit-monos", witnesses,
-                       {"protosplit-monos": len(seqs)})
-
-
-# ---------------------------------------------------------------------------
 # checks: each predicate is True when its instance violates the claim
 
 
@@ -182,6 +143,38 @@ _SEQUENCE = (None, "sequence")
 _EPI = ("epi", "morphism")
 _MEMBERS = {"torsion": is_torsion_member, "free": is_free_member,
             "subvariety": is_free_member}
+
+
+def _breaks_extension_closure(member, R: Reflector, seq: ExactSequence) -> bool:
+    """Kernel and quotient satisfy ``member`` but the extension does not."""
+    K, A, B = seq.k.dom, seq.f.dom, seq.f.cod
+    return member(R, K) and member(R, B) and not member(R, A)
+
+
+@check("split-preservation", _REFLECTOR, _SEQUENCE)
+def _split_not_preserved(R: Reflector, seq: ExactSequence) -> bool:
+    return not preserves_split_sequence(R, seq)
+
+
+@check("idempotent-radical", _REFLECTOR, ("algebra", "algebra"))
+def _radical_not_idempotent(R: Reflector, A: Algebra) -> bool:
+    return not radical(R, radical_algebra(R, A)).is_whole()
+
+
+@check("hom-vanishing", _REFLECTOR, ("morphism", "morphism"))
+def _torsion_to_free_nonzero(R: Reflector, f: Morphism) -> bool:
+    nonzero = any(v != 0 for m in f.mapping for v in m)
+    return nonzero and is_torsion_member(R, f.dom) and is_free_member(R, f.cod)
+
+
+@check("torsion-extension-closure", _REFLECTOR, _SEQUENCE)
+def _torsion_not_extension_closed(R: Reflector, seq: ExactSequence) -> bool:
+    return _breaks_extension_closure(is_torsion_member, R, seq)
+
+
+@check("free-extension-closure", _REFLECTOR, _SEQUENCE)
+def _free_not_extension_closed(R: Reflector, seq: ExactSequence) -> bool:
+    return _breaks_extension_closure(is_free_member, R, seq)
 
 
 @check("unit-pullback-not-inverted", _REFLECTOR, ("algebra", "algebra"), ("along", "morphism"))
@@ -214,7 +207,7 @@ def _heredity_mismatch(R: Reflector, seq: ExactSequence) -> bool:
 
 @check("class-extension-closure", _REFLECTOR, _SEQUENCE, ("class", tuple(_MEMBERS)))
 def _class_not_extension_closed(R: Reflector, seq: ExactSequence, label: str) -> bool:
-    return breaks_extension_closure(_MEMBERS[label], R, seq)
+    return _breaks_extension_closure(_MEMBERS[label], R, seq)
 
 
 @check("normal-vs-kernel-mismatch", _REFLECTOR, _EPI)
@@ -274,7 +267,7 @@ def _normal_vs_kernel_membership(ctx: BirkhoffContext, R: Reflector, f: Morphism
 @check("composite-normal-routes", _REFLECTOR, _EPI,
        context=lambda R, f: BirkhoffContext(R.inner, (f.dom, f.cod), C=R))
 def _composite_normal_routes(ctx: BirkhoffContext, R: Reflector, f: Morphism) -> bool:
-    via_join = composite_radical(ctx, cube_of_morphism(f), "join").is_zero()
+    via_join = composite_radical(ctx, cube_of_morphism(f)).is_zero()
     b_normal = birkhoff_radical(ctx, f).is_zero()
     kernel_in_c = torsion_of_kernel(R, f).is_zero()
     return not (via_join == (b_normal and kernel_in_c) == is_normal_extension(R, f))
@@ -285,7 +278,7 @@ def _composite_normal_routes(ctx: BirkhoffContext, R: Reflector, f: Morphism) ->
                              BirkhoffContext(R, (f.dom, f.cod))))
 def _join_vs_direct(ctxs: tuple, R: Reflector, f: Morphism) -> bool:
     """``ctxs``: the inner context relative to R, then R's own context."""
-    joined = composite_radical(ctxs[0], cube_of_morphism(f), "join")
+    joined = composite_radical(ctxs[0], cube_of_morphism(f))
     direct = birkhoff_radical(ctxs[1], f)
     return joined.elements != direct.elements
 
@@ -293,7 +286,7 @@ def _join_vs_direct(ctxs: tuple, R: Reflector, f: Morphism) -> bool:
 @check("composite-object-radical", _REFLECTOR, ("algebra", "algebra"),
        context=lambda R, A: BirkhoffContext(R.inner, (A,), C=R.outer))
 def _composite_object_radical(ctx: BirkhoffContext, R: Reflector, A: Algebra) -> bool:
-    via_cube = composite_radical(ctx, object_cube(A), "intersection")
+    via_cube = composite_radical(ctx, object_cube(A))
     oracle = join_normal(A, radical(R.inner, A),
                          normal_closure(A, *power_subobject(A, R.outer.k).elements))
     return not (radical(R, A).elements == via_cube.elements == oracle.elements)
@@ -304,10 +297,31 @@ def _composite_object_radical(ctx: BirkhoffContext, R: Reflector, A: Algebra) ->
 
 
 def _suite_thm_1_6(R: Reflector, corpus, seed: int) -> Report:
+    """Idempotency, hom-vanishing, closure under extensions, stable units."""
     algebras = _applicable(R, corpus)
-    base = torsion_theory_report(R, algebras)
-    witnesses = list(base.witnesses)
-    sample = dict(base.sample)
+    witnesses = []
+    for A in algebras:
+        if _radical_not_idempotent(R, A):
+            witnesses.append(_radical_not_idempotent.witness(R, A, extra={
+                "radical": subobject_to_doc(radical(R, A)),
+                "radical-of-radical": subobject_to_doc(radical(R, radical_algebra(R, A)))}))
+    torsion = [A for A in algebras if is_torsion_member(R, A)]
+    free = [A for A in algebras if is_free_member(R, A)]
+    hom_pairs = 0
+    for T in torsion:
+        for F in free:
+            if T.variety != F.variety:
+                continue
+            hom_pairs += 1
+            bad = next((f for f in enumerate_homs(T, F) if _torsion_to_free_nonzero(R, f)), None)
+            if bad is not None:
+                witnesses.append(_torsion_to_free_nonzero.witness(R, bad, extra={
+                    "torsion": algebra_to_doc(T), "free": algebra_to_doc(F)}))
+    seqs = short_exact_sequences(algebras)
+    for seq in seqs:
+        for closure in (_torsion_not_extension_closed, _free_not_extension_closed):
+            if closure(R, seq):
+                witnesses.append(closure.witness(R, seq))
     pullbacks = 0
     for A in algebras:
         dec = reflect(R, A)
@@ -320,52 +334,70 @@ def _suite_thm_1_6(R: Reflector, corpus, seed: int) -> Report:
                 if _unit_pullback_not_inverted(R, A, g):
                     witnesses.append(_unit_pullback_not_inverted.witness(
                         R, A, g, extra={"semi-left-exact-instance": free_Y}))
-    sample["unit-pullbacks"] = pullbacks
-    return Report.scan("thm-1.6", witnesses, sample)
+    return Report.scan("thm-1.6", witnesses, {"objects": len(algebras), "hom-pairs": hom_pairs,
+                                              "sequences": len(seqs), "unit-pullbacks": pullbacks})
+
+
+def protoadditive_by_definition(R: Reflector, corpus) -> Report:
+    """Split-sequence preservation, checked sequence by sequence."""
+    seqs = split_exact_sequences(_applicable(R, corpus))
+    witnesses = _split_not_preserved.violations((R, seq) for seq in seqs)
+    return Report.scan("protoadditive-definition", witnesses, {"split-sequences": len(seqs)})
 
 
 def _suite_prop_2_2(R: Reflector, corpus, seed: int) -> Report:
-    report = protoadditive_by_pullbacks(R, corpus, seed)
-    return Report.scan("prop-2.2", report.witnesses, report.sample)
+    """Preservation of pullbacks along split epimorphisms."""
+    algebras = _applicable(R, corpus)
+    seqs = split_exact_sequences(algebras)
+    witnesses = []
+    checked = 0
+    for seq in seqs:
+        f = seq.f
+        others = []
+        for C in algebras:
+            if C.variety == f.cod.variety:
+                others.extend(enumerate_homs(C, f.cod))
+        for g in _sample(others, seed, 6):
+            checked += 1
+            if _pullback_not_preserved(R, seq, g):
+                witnesses.append(_pullback_not_preserved.witness(R, seq, g))
+                break
+    return Report.scan("prop-2.2", witnesses, {"split-sequences": len(seqs), "pullbacks": checked})
+
+
+def _against_split_preservation(suite: str, R: Reflector, corpus, route: Check,
+                                keys: tuple[str, str], note, both_fail: str) -> Report:
+    """Split-sequence preservation and ``route``, an equivalent condition,
+    on the same split sequences; ``keys`` name the two sample counts.
+
+    The suite passes when both routes pass or both fail.  Witnesses come
+    from ``route`` when it fails, else from split-sequence preservation.
+    ``note(agree)`` words the agreement; ``both_fail`` is noted when
+    both routes fail.
+    """
+    seqs = split_exact_sequences(_applicable(R, corpus))
+    preserved = _split_not_preserved.violations((R, seq) for seq in seqs)
+    other = route.violations((R, seq) for seq in seqs)
+    agree = bool(preserved) == bool(other)
+    notes = [CORPUS_NOTE, note(agree)] + ([both_fail] if preserved and other else [])
+    return Report(suite, "pass" if agree else "fail", other or preserved,
+                  dict.fromkeys(keys, len(seqs)), notes)
 
 
 def _suite_prop_2_3(R: Reflector, corpus, seed: int) -> Report:
-    lhs = protoadditive_by_definition(R, corpus)
-    rhs = protoadditive_by_protosplit_monos(R, corpus)
-    agree = lhs.passed == rhs.passed
-    notes = [CORPUS_NOTE,
-             "equivalence agreement: split-sequence route "
-             + ("and" if agree else "versus")
-             + " protosplit-mono route"]
-    witnesses = []
-    if agree and not lhs.passed:
-        notes.append("both routes fail together; witnesses replay the mono route")
-        witnesses = rhs.witnesses
-    if not agree:
-        witnesses = (lhs.witnesses or rhs.witnesses)
-    sample = dict(lhs.sample)
-    sample.update(rhs.sample)
-    return Report("prop-2.3", "pass" if agree else "fail", witnesses, sample, notes)
+    return _against_split_preservation(
+        "prop-2.3", R, corpus, _mono_image_not_normal, ("split-sequences", "protosplit-monos"),
+        lambda agree: "equivalence agreement: split-sequence route "
+                      + ("and" if agree else "versus") + " protosplit-mono route",
+        "both routes fail together; witnesses replay the mono route")
 
 
 def _suite_thm_2_4(R: Reflector, corpus, seed: int) -> Report:
-    lhs = protoadditive_by_definition(R, corpus)
-    seqs = split_exact_sequences(_applicable(R, corpus))
-    witnesses = _heredity_mismatch.violations((R, seq) for seq in seqs)
-    hereditary = not witnesses
-    agree = lhs.passed == hereditary
-    if agree and not hereditary:
-        kept = witnesses
-    elif not agree:
-        kept = witnesses or lhs.witnesses
-    else:
-        kept = []
-    notes = [CORPUS_NOTE,
-             "equivalence agreement: protoadditivity versus radical heredity on protosplit monos"]
-    if agree and not hereditary:
-        notes.append("both sides fail together; witnesses replay the heredity route")
-    return Report("thm-2.4", "pass" if agree else "fail", kept,
-                  {"protosplit-monos": len(seqs), **lhs.sample}, notes)
+    return _against_split_preservation(
+        "thm-2.4", R, corpus, _heredity_mismatch, ("protosplit-monos", "split-sequences"),
+        lambda agree: "equivalence agreement: protoadditivity versus radical heredity"
+                      " on protosplit monos",
+        "both sides fail together; witnesses replay the heredity route")
 
 
 def _suite_prop_2_5_2_7(R: Reflector, corpus, seed: int) -> Report:
@@ -529,37 +561,28 @@ def _suite_prop_5_5(R: Reflector, corpus, seed: int) -> Report:
     return Report.scan("prop-5.5", witnesses, {"surjections": len(surjs)})
 
 
-def _composite_parts(R: Reflector) -> tuple[Reflector, Reflector]:
-    if not R.is_composite:
-        raise SuiteCompatibilityError("this suite needs a composite reflector")
-    return R.outer, R.inner
-
-
 def _suite_thm_6_2(R: Reflector, corpus, seed: int) -> Report:
-    _, inner = _composite_parts(R)
     algebras = _applicable(R, corpus)
-    ctx = BirkhoffContext(inner, algebras, C=R)
+    ctx = BirkhoffContext(R.inner, algebras, C=R)
     surjs = _surjections_in(algebras)
     witnesses = _composite_normal_routes.violations(((R, f) for f in surjs), ctx=ctx)
     return Report.scan("thm-6.2", witnesses, {"surjections": len(surjs)})
 
 
 def _suite_thm_6_5(R: Reflector, corpus, seed: int) -> Report:
-    _, inner = _composite_parts(R)
     algebras = _applicable(R, corpus)
-    ctxs = (BirkhoffContext(inner, algebras, C=R), BirkhoffContext(R, algebras))
+    ctxs = (BirkhoffContext(R.inner, algebras, C=R), BirkhoffContext(R, algebras))
     surjs = _surjections_in(algebras)
     witnesses = _join_vs_direct.violations(((R, f) for f in surjs), ctx=ctxs)
     return Report.scan("thm-6.5", witnesses, {"surjections": len(surjs)})
 
 
 def _suite_lemma_6_6(R: Reflector, corpus, seed: int) -> Report:
-    outer, inner = _composite_parts(R)
-    if inner.name != "ab" or outer.k is None:
+    if R.inner.name != "ab" or R.outer.k is None:
         raise SuiteCompatibilityError(
             "the join identity is stated for burnside:k over abelianisation")
     algebras = _applicable(R, corpus)
-    ctx = BirkhoffContext(inner, algebras, C=outer)
+    ctx = BirkhoffContext(R.inner, algebras, C=R.outer)
     witnesses = _composite_object_radical.violations(((R, A) for A in algebras), ctx=ctx)
     return Report.scan("lemma-6.6", witnesses, {"objects": len(algebras)})
 
@@ -661,19 +684,24 @@ def verify_suite(name: str, reflector=None, corpus=None, seed: int = 0) -> Repor
     if R is None and algebras is None:
         parts = []
         for rid, cid in suite.defaults:
-            part = suite.runner(_resolve_reflector(rid), corpus_by_id(cid), seed)
+            part = _run(suite, _resolve_reflector(rid), corpus_by_id(cid), seed)
             part.notes.append(f"configuration: {rid or '-'} on {cid}")
             parts.append(part)
         return merge_reports(suite.name, parts)
     if algebras is None:
         cid = next((c for _, c in suite.defaults if _default_fits(R, c)), suite.defaults[0][1])
         algebras = corpus_by_id(cid)
-    if suite.needs == "none" and R is None:
-        part = suite.runner(None, algebras, seed)
+    part = _run(suite, R, algebras, seed)
+    if R is None:
         part.notes.append("configuration: - on given corpus")
         return merge_reports(suite.name, [part])
+    return part
+
+
+def _run(suite: Suite, R: Reflector | None, corpus, seed: int) -> Report:
+    """One configuration, behind the one gate on what the suite needs."""
     _check_needs(suite, R)
-    return suite.runner(R, algebras, seed)
+    return suite.runner(R, corpus, seed)
 
 
 def _default_fits(R: Reflector, corpus_id: str) -> bool:

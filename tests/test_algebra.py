@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from semiab import (
     AlgebraError,
     Morphism,
+    Subobject,
     compose,
     closure_under_ops,
     cyclic_group,
@@ -23,6 +24,7 @@ from semiab import (
     morphism,
     normal_closure,
     quaternion_8,
+    quotient,
     ring_algebra,
     sub_algebra,
     subobject,
@@ -90,6 +92,24 @@ def test_normality_certificate():
     reflection = closure_under_ops(s3, {1})
     assert len(reflection) == 2
     assert not subobject(s3, reflection).normal
+
+
+def test_subobject_computes_its_own_normality():
+    s3 = symmetric_3()
+    reflection = Subobject(s3, (frozenset({0, 1}),))
+    assert reflection.normal is False
+    with pytest.raises(AlgebraError, match="can only quotient by a normal subobject"):
+        quotient(s3, reflection)
+    with pytest.raises(TypeError):
+        Subobject(s3, (frozenset({0, 1}),), True)  # the flag is computed
+
+
+def test_subobject_converts_element_sets():
+    s3 = symmetric_3()
+    zero = Subobject(s3, ([0],))
+    assert zero.elements == (frozenset({0}),)
+    assert all(type(X) is frozenset for X in zero.elements)
+    assert zero.normal and zero == subobject(s3, {0})
 
 
 def test_sub_algebra_inclusion_is_injective_morphism():

@@ -7,6 +7,7 @@ from semiab import (
     check_orthogonal,
     classify_em,
     compose,
+    corpus_by_id,
     cube_of_morphism,
     cube_torsion_meet,
     cyclic_group,
@@ -33,6 +34,7 @@ from semiab import (
     zring,
 )
 from semiab.factorisation import condition_N_check, nfold_normal_by_criterion
+from semiab.verification import _derived_squares
 
 
 RED = reflector_by_id("reduced")
@@ -174,6 +176,22 @@ def test_nfold_factorize_splits_into_trivial_over_normal():
     # the lower part is a normal extension and composes back to f
     assert compose(lower.edge(0, 0), upper.edge(0, 0)) == f
     assert is_nfold_normal(RED, lower)
+
+
+def test_nfold_factorize_on_double_extensions():
+    squares = [sq for sq in _derived_squares(corpus_by_id("rings"), 0, 400)
+               if is_nfold_extension(sq)]
+    with_torsion = [sq for sq in squares if cube_torsion_meet(RED, sq).size > 1]
+    torsion_free = [sq for sq in squares if cube_torsion_meet(RED, sq).size == 1]
+    assert len(with_torsion) >= 4 and torsion_free
+    for sq in with_torsion[:4] + torsion_free[:1]:
+        e_cube, m_cube = nfold_factorize(RED, sq)
+        for c in (e_cube, m_cube):
+            assert c.dim == 2 and is_nfold_extension(c)
+        assert is_nfold_normal(RED, m_cube)
+        meet = cube_torsion_meet(RED, sq)
+        assert m_cube.top_vertex.order == sq.top_vertex.order // meet.size
+        assert e_cube.top_vertex == sq.top_vertex
 
 
 def test_zerorng_extension_checks():

@@ -1,6 +1,7 @@
-"""Static hygiene of the package: no unused imports, no dead definitions,
-no groupoid branches outside the modules that define the kinds, and no
-use of the internal constructor outside `algebra`.
+"""Static hygiene of the package: no unused imports, no dead definitions
+or unread module-level names, no imports inside functions, no groupoid
+branches outside the modules that define the kinds, and no use of the
+internal constructor outside `algebra`.
 
 The tests read the source with ``ast`` and import nothing.  A name
 counts as used when it appears as a name or an attribute anywhere
@@ -109,6 +110,47 @@ def test_every_definition_in_the_package_is_referenced():
             if name not in referenced:
                 dead.append(f"{path.name}: {name}")
     assert dead == []
+
+
+def _loaded_names(tree: ast.AST) -> set[str]:
+    """Names and attributes read (loaded), not assigned, anywhere in ``tree``."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            out.add(n.attr)
+    return out
+
+
+def test_every_module_level_name_is_read():
+    """A constant or alias assigned at module level is read somewhere else."""
+    trees = {path: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    tests = [_parse(path) for path in sorted((ROOT / "tests").glob("*.py"))]
+    read: set[str] = set()
+    for tree in [*trees.values(), *tests]:
+        read |= _loaded_names(tree) | _annotation_names(tree)
+    unread = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            unread += [f"{path.name}: {n.id}" for t in targets for n in ast.walk(t)
+                       if isinstance(n, ast.Name) and not n.id.startswith("__")
+                       and n.id not in read]
+    assert unread == []
+
+
+def test_no_function_imports():
+    """Every import sits at module level, so the import graph is the
+    module graph and stays acyclic."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(_parse(path)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{n.lineno}" for n in ast.walk(fn)
+                          if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert found == []
 
 
 def test_every_dataclass_field_is_read():

@@ -24,10 +24,13 @@ from semiab import (
     reflector_by_id,
     split_exact_sequences,
     symmetric_3,
-    torsion_theory_report,
+    verify_suite,
     zring,
 )
-from semiab.reflectors import is_idempotent_radical, known_protoadditive_on, short_exact_sequences
+from semiab.reflectors import known_protoadditive_on, short_exact_sequences
+
+_TORSION_THEORY_CHECKS = {"idempotent-radical", "hom-vanishing",
+                          "torsion-extension-closure", "free-extension-closure"}
 
 
 def _rad_elems(rid, A):
@@ -144,21 +147,24 @@ def test_split_sequence_count_for_rings_corpus():
 
 def test_torsion_theory_report_verdicts():
     red = reflector_by_id("reduced")
-    rep = torsion_theory_report(red, corpus_by_id("rings"))
+    rep = verify_suite("thm-1.6", reflector=red, corpus=corpus_by_id("rings"))
     assert rep.passed
+    assert list(rep.sample) == ["objects", "hom-pairs", "sequences", "unit-pullbacks"]
     b2 = reflector_by_id("burnside:2")
-    rep2 = torsion_theory_report(b2, corpus_by_id("zmod4-modules"))
+    rep2 = verify_suite("thm-1.6", reflector=b2, corpus=corpus_by_id("zmod4-modules"))
     assert not rep2.passed
-    assert rep2.witnesses
+    assert any(w["check"] in _TORSION_THEORY_CHECKS for w in rep2.witnesses)
 
 
 def test_idempotent_radical_check():
     red = reflector_by_id("reduced")
-    rep = is_idempotent_radical(red, corpus_by_id("rings"))
-    assert rep.passed
+    rep = verify_suite("thm-1.6", reflector=red, corpus=corpus_by_id("rings"))
+    assert not any(w["check"] == "idempotent-radical" for w in rep.witnesses)
     b2 = reflector_by_id("burnside:2")
-    rep2 = is_idempotent_radical(b2, corpus_by_id("zmod4-modules"))
-    assert not rep2.passed
+    rep2 = verify_suite("thm-1.6", reflector=b2, corpus=corpus_by_id("zmod4-modules"))
+    idem = [w for w in rep2.witnesses if w["check"] == "idempotent-radical"]
+    assert idem
+    assert all({"radical", "radical-of-radical"} <= set(w) for w in idem)
 
 
 def test_known_protoadditive_table():

@@ -68,14 +68,14 @@ def test_morphism_round_trip_inline():
 
 
 def test_morphism_round_trip_named_endpoints():
+    # endpoints are always inline documents; a bare name is not one
     c4 = named_algebra("c4")
-    f = identity_morphism(c4)
-    doc = morphism_to_doc(f, named_endpoints=True)
-    assert doc["dom"] == c4.name
-    back = morphism_from_doc(doc, resolve=named_algebra)
-    assert back == f
-    with pytest.raises(FormatError):
-        morphism_from_doc(doc)  # names need a resolver
+    doc = morphism_to_doc(identity_morphism(c4))
+    assert doc["dom"] == algebra_to_doc(c4)
+    doc["dom"] = c4.name
+    with pytest.raises(FormatError) as err:
+        morphism_from_doc(doc)
+    assert err.value.path == "$.dom"
 
 
 def test_gpd_morphism_round_trip():
