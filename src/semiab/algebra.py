@@ -19,7 +19,26 @@ are immutable, hashable and compare structurally; names are metadata.
 defining identity of its kind exactly, one way at every carrier size:
 associativity, distributivity and s(x+y) = sx+sy on generators (the
 elements g at which such an identity holds form a subalgebra), and
-groupoids by commuting kernels of d, c.
+groupoids by commuting kernels of d, c.  ``_check_sort`` takes the
+greedy generating set of the group table once and shares it among
+these checks; ``_sort`` stores it on the sort as ``gens``.
+
+``_scan``, the homomorphism test, tests each binary table only at the
+rows of ``gens`` and each unary map at every element.  This is exact
+because both sorts passed their identity checks.  Let D be the set of
+x with m(x*y) = m(x)*m(y) for all y.  If m(0) = 0, D contains 0, and
+for the group operation, if a and b are in D, associativity in both
+sorts gives m((ab)y) = m(a)m(by) = m(a)m(b)m(y) = m(ab)m(y), so D is a
+subgroup; it holds the generators, so it is everything.  For a ring's
+multiplication, once m is additive (the group table comes first),
+distributivity in both sorts makes D closed under +, which needs no
+associativity of the product.  When the test fails, ``_full_scan``,
+the plain test at every pair, names the first failing pair; it is
+also the tests' oracle for ``_scan``.  ``_scan`` and the identity
+checks compare rows element by element inside ``all(map(...))`` and
+fall back to their element loops only to name a failure; they build no
+row, since a freed row-sized temporary between the rows of a table kept
+alive raised the sweep's peak memory.
 
 Each distinct content is checked once while an equal sort is alive.
 Every table is shape-checked on every build; ``_CHECKED`` then interns
@@ -41,6 +60,8 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import eq
 
 GROUP = "group"
 COMM_RING = "comm-ring"
@@ -86,18 +107,29 @@ class Variety:
         return self.kind
 
 
+def _indices_below(rows, width: int) -> bool:
+    """Fast path of the entry checks: every entry of the rows an ``int`` in range(width)."""
+    return (set(map(type, chain.from_iterable(rows))) == {int}
+            and min(map(min, rows)) >= 0 and max(map(max, rows)) < width)
+
+
+def _check_entries(row, width: int, what: str) -> None:
+    for v in row:
+        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < width:
+            raise AlgebraError(f"{what} entries must be indices below {width}")
+
+
 def _as_table(rows, n: int, width: int, what: str) -> tuple[tuple[int, ...], ...]:
     if width < 1:
         raise AlgebraError("an algebra has at least one element")
     table = tuple(tuple(row) for row in rows)
     if len(table) != n:
         raise AlgebraError(f"{what} must have {n} rows")
-    for row in table:
-        if len(row) != width:
-            raise AlgebraError(f"{what} rows must have length {width}")
-        for v in row:
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < width:
-                raise AlgebraError(f"{what} entries must be indices below {width}")
+    if set(map(len, table)) != {width} or not _indices_below(table, width):
+        for row in table:
+            if len(row) != width:
+                raise AlgebraError(f"{what} rows must have length {width}")
+            _check_entries(row, width, what)
     return table
 
 
@@ -105,9 +137,8 @@ def _as_map(values, n: int, cod: int, what: str) -> tuple[int, ...]:
     m = tuple(values)
     if len(m) != n:
         raise AlgebraError(f"{what} must have length {n}")
-    for v in m:
-        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < cod:
-            raise AlgebraError(f"{what} entries must be indices below {cod}")
+    if not _indices_below((m,), cod):
+        _check_entries(m, cod, what)
     return m
 
 
@@ -177,22 +208,27 @@ def _check_associative(table, what: str, gens) -> None:
         for x in range(n):
             tx = table[x]
             txg = table[tx[g]]
-            for z in range(n):
-                if txg[z] != tx[tg[z]]:
-                    raise AlgebraError(f"{what} not associative at ({x},{g},{z})")
+            # row (x*g)*z against row x*(g*z), without building either
+            if not all(map(eq, txg, map(tx.__getitem__, tg))):
+                for z in range(n):
+                    if txg[z] != tx[tg[z]]:
+                        raise AlgebraError(f"{what} not associative at ({x},{g},{z})")
 
 
-def _check_group_tables(op, inv, what: str) -> None:
+def _check_group_tables(op, inv, what: str, gens) -> None:
     n = len(op)
     for x in range(n):
         if op[0][x] != x or op[x][0] != x:
             raise AlgebraError(f"{what}: 0 is not neutral at {x}")
         if op[x][inv[x]] != 0 or op[inv[x]][x] != 0:
             raise AlgebraError(f"{what}: inverse fails at {x}")
-    _check_associative(op, what, _generators((op,), (), n))
+    _check_associative(op, what, gens)
 
 
 def _check_abelian(op, what: str) -> None:
+    # column y against row y, one column at a time
+    if all(map(eq, zip(*op), op)):
+        return
     n = len(op)
     for x in range(n):
         for y in range(x):
@@ -200,10 +236,9 @@ def _check_abelian(op, what: str) -> None:
                 raise AlgebraError(f"{what} not commutative at ({x},{y})")
 
 
-def _check_bilinear(add, mul, what: str) -> None:
+def _check_bilinear(add, mul, what: str, gens) -> None:
     # additivity in each argument on additive generators implies it everywhere
     n = len(add)
-    gens = _generators((add,), (), n)
     for x in range(n):
         mx = mul[x]
         for g in gens:
@@ -221,9 +256,9 @@ def _check_bilinear(add, mul, what: str) -> None:
                     raise AlgebraError(f"{what}: (x+y)z != xz+yz at ({g},{x},{y})")
 
 
-def _check_ring(kind: str, binary, unary, what: str) -> None:
+def _check_ring(kind: str, binary, unary, what: str, gens) -> None:
     (add, mul), n = binary, len(binary[0])
-    _check_bilinear(add, mul, what)
+    _check_bilinear(add, mul, what, gens)
     if kind in (COMM_RING, RNG_STAR):
         # once bilinearity holds, the g that associate with everything are
         # closed under +, - and the product, so ring generators decide
@@ -238,12 +273,11 @@ def _check_ring(kind: str, binary, unary, what: str) -> None:
                     raise AlgebraError(f"{what}: xyxy != xy at ({x},{y})")
 
 
-def _check_module(add, act, modulus: int, what: str) -> None:
+def _check_module(add, act, modulus: int, what: str, gens) -> None:
     n = len(add)
     for x in range(n):
         if act[1 % modulus][x] != x:
             raise AlgebraError(f"{what}: 1*x != x at {x}")
-    gens = _generators((add,), (), n)
     for s in range(modulus):
         row = act[s]
         for t in range(modulus):
@@ -280,12 +314,17 @@ class _Structural:
 
 @dataclass(frozen=True, eq=False)
 class Sort(_Structural):
-    """One carrier with its tables, in the order the module docstring gives."""
+    """One carrier with its tables, in the order the module docstring gives.
+
+    ``gens`` generates the carrier under the group table alone; like
+    ``name``, it is not part of equality.
+    """
 
     variety: Variety
     order: int
     binary: tuple[tuple[tuple[int, ...], ...], ...]
     unary: tuple[tuple[int, ...], ...]
+    gens: tuple[int, ...] = field(compare=False)
     name: str | None = field(default=None, compare=False)
 
     def _key(self):
@@ -325,15 +364,21 @@ class Algebra(_Structural):
 _CHECKED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _check_sort(V: Variety, binary, unary, what: str) -> None:
-    """Every defining identity of V on a sort's shape-checked tables."""
+def _check_sort(V: Variety, binary, unary, what: str) -> tuple[int, ...]:
+    """Every defining identity of V on a sort's shape-checked tables.
+
+    Returns the greedy generating set of the group table, which the
+    identity checks share and ``_scan`` tests homomorphisms on.
+    """
     if V.kind != GROUP:
         _check_abelian(binary[0], what)
-    _check_group_tables(binary[0], unary[0], what)
+    gens = tuple(_generators((binary[0],), (), len(binary[0])))
+    _check_group_tables(binary[0], unary[0], what, gens)
     if V.kind in RING_KINDS:
-        _check_ring(V.kind, binary, unary, what)
+        _check_ring(V.kind, binary, unary, what, gens)
     elif V.kind == ZMOD_MODULE:
-        _check_module(binary[0], unary[1:], V.modulus, what)
+        _check_module(binary[0], unary[1:], V.modulus, what, gens)
+    return gens
 
 
 def _sort(V: Variety, binary, unary, name: str | None) -> Sort:
@@ -354,11 +399,11 @@ def _sort(V: Variety, binary, unary, name: str | None) -> Sort:
     key = (V, n, binary, unary)
     live = _CHECKED.get(key)
     if live is None:
-        _check_sort(V, binary, unary, name or str(V))
-        live = _CHECKED[key] = Sort(V, n, binary, unary, name)
+        gens = _check_sort(V, binary, unary, name or str(V))
+        live = _CHECKED[key] = Sort(V, n, binary, unary, gens, name)
     if live.name == name:
         return live
-    renamed = Sort(V, n, live.binary, live.unary, name)
+    renamed = Sort(V, n, live.binary, live.unary, live.gens, name)
     object.__setattr__(renamed, "_passed", _passed(live))
     return renamed
 
@@ -437,8 +482,25 @@ def _rebuild(parents, binary_map, unary_map):
             [unary_map(*us) for us in zip(*(P.unary for P in parents))], None)
 
 
-def _scan(dom: Sort, cod: Sort, m) -> str | None:
-    """How the array m fails to be a homomorphism, or None if it is one."""
+def _scan(dom: Sort, cod: Sort, m: tuple[int, ...]) -> str | None:
+    """How the array m fails to be a homomorphism, or None if it is one.
+
+    Each binary table is tested at the rows of ``dom.gens`` only (see
+    the module docstring), each unary map at every element; a failure
+    is named by ``_full_scan``.
+    """
+    at = m.__getitem__
+    if (m[0] == 0
+            and all(all(map(eq, map(at, dt[g]), map(ct[m[g]].__getitem__, m)))
+                    for dt, ct in zip(dom.binary, cod.binary) for g in dom.gens)
+            and all(all(map(eq, map(at, du), map(cu.__getitem__, m)))
+                    for du, cu in zip(dom.unary, cod.unary))):
+        return None
+    return _full_scan(dom, cod, m)
+
+
+def _full_scan(dom: Sort, cod: Sort, m) -> str | None:
+    """``_scan`` at every pair of elements: the first failure in index order."""
     if m[0] != 0:
         return "does not send 0 to 0"
     n = dom.order

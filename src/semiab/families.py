@@ -2,7 +2,9 @@
 
 Every builder funnels through the validating constructors in
 :mod:`semiab.algebra`, so a malformed table or action is rejected at
-build time.
+build time.  Products go through :func:`semiab.ops.direct_product`,
+which also builds the free Z/m-modules (``zmod_free``) and the arrow
+groups of indiscrete groupoids.
 """
 
 from __future__ import annotations
@@ -140,28 +142,18 @@ def split_witness_ring(name: str | None = None) -> Algebra:
 
 
 def zmod_free(m: int, rank: int, name: str | None = None) -> Algebra:
-    """The free Z/m-module of the given rank; little-endian digit indexing."""
+    """The free Z/m-module of the given rank; little-endian digit indexing.
+
+    Built by ``rank`` direct products with Z/m, whose lexicographic
+    pairs (a, b) are labelled a*m + b, so the digits of label x, lowest
+    first, are its coordinates.
+    """
     if rank < 0:
         raise AlgebraError("rank must be >= 0")
-    n = m ** rank
-
-    def digits(x: int) -> list[int]:
-        out = []
-        for _ in range(rank):
-            x, r = divmod(x, m)
-            out.append(r)
-        return out
-
-    def pack(ds) -> int:
-        x = 0
-        for v in reversed(ds):
-            x = x * m + v
-        return x
-
-    elems = [digits(x) for x in range(n)]
-    add = [[pack([(a + b) % m for a, b in zip(elems[x], elems[y])]) for y in range(n)]
-           for x in range(n)]
-    act = [[pack([(s * a) % m for a in elems[x]]) for x in range(n)] for s in range(m)]
+    free, factor = module_algebra(m, [[0]], [[0]] * m), zmod_cyclic(m, m)
+    for _ in range(rank):
+        free = direct_product(free, factor)[0]
+    (add,), (_, *act) = free.sorts[0].binary, free.sorts[0].unary
     return module_algebra(m, add, act, name=name or f"zmod{m}^({rank})")
 
 

@@ -5,7 +5,9 @@ All constructions return algebras that passed every check of the
 equal sort is alive (see the ``algebra`` docstring); quotient carriers
 are cosets indexed in first-appearance order, so the class of the
 constant is always index 0, and pair carriers (products, pullbacks,
-kernel pairs) are sorted lexicographically for the same reason.
+kernel pairs) are sorted lexicographically for the same reason.  A
+pair algebra looks pair (a, b) up as ``index[a][b]`` and builds each
+table row as one chain of ``map``s, with no per-entry tuple or hash.
 
 Each construction is written once and runs sort by sort (see the
 ``algebra`` docstring).
@@ -14,6 +16,9 @@ Each construction is written once and runs sort by sort (see the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import groupby
+from operator import getitem, itemgetter
 
 from .algebra import (
     Algebra,
@@ -216,18 +221,42 @@ def power_subobject(A: Algebra, k: int) -> Subobject:
 # products, pullbacks, kernel pairs
 
 
+def _pair_table(index, firsts, seconds, tA, tB) -> list[tuple[int, ...]]:
+    """The table on the pairs (firsts[k], seconds[k]) from the tables tA, tB.
+
+    Rows with one first component x1, consecutive in sorted pairs, share
+    the lookup of ``index`` at the entries of row x1 of tA.  Each row is
+    built as a list and copied once into a tuple of its exact size:
+    ``tuple(map(...))`` grows its result by reallocation, and the freed
+    blocks it leaves between the rows kept alive raised the sweep's peak
+    memory by about 1%.
+    """
+    rows = []
+    for x1, run in groupby(zip(firsts, seconds), key=itemgetter(0)):
+        halves = list(map(index.__getitem__, map(tA[x1].__getitem__, firsts)))
+        rows.extend(tuple(list(map(getitem, halves, map(tB[x2].__getitem__, seconds))))
+                    for _, x2 in run)
+    return rows
+
+
+def _pair_map(index, firsts, seconds, uA, uB) -> tuple[int, ...]:
+    """The unary map on the pairs from the maps uA, uB, sized as in ``_pair_table``."""
+    return tuple(list(map(getitem, map(index.__getitem__, map(uA.__getitem__, firsts)),
+                          map(uB.__getitem__, seconds))))
+
+
 def _pairs_algebra(A: Algebra, B: Algebra, sort_pairs) -> tuple[Algebra, Morphism, Morphism]:
     """The algebra on the given sorted pairs, sort by sort, with its projections."""
     sorts, legs, backs = [], [], []
     for SA, SB, pairs in zip(A.sorts, B.sorts, sort_pairs):
-        idx = {p: k for k, p in enumerate(pairs)}
-        sorts.append(_rebuild(
-            (SA, SB),
-            lambda tA, tB: [[idx[(tA[x1][y1], tB[x2][y2])] for (y1, y2) in pairs]
-                            for (x1, x2) in pairs],
-            lambda uA, uB: [idx[(uA[x1], uB[x2])] for (x1, x2) in pairs]))
-        legs.append((tuple(a for a, _ in pairs), tuple(b for _, b in pairs)))
-        backs.append(lambda a, b, idx=idx: idx[(a, b)])
+        firsts, seconds = tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
+        index = [[-1] * SB.order for _ in range(SA.order)]
+        for k, (a, b) in enumerate(pairs):
+            index[a][b] = k
+        sorts.append(_rebuild((SA, SB), partial(_pair_table, index, firsts, seconds),
+                              partial(_pair_map, index, firsts, seconds)))
+        legs.append((firsts, seconds))
+        backs.append(lambda a, b, index=index: index[a][b])
     P = _assemble((A, B), sorts, legs, backs)
     return (P, Morphism(P, A, tuple(leg[0] for leg in legs)),
             Morphism(P, B, tuple(leg[1] for leg in legs)))

@@ -3,11 +3,14 @@
 ``algebra._CHECKED`` interns the sorts that passed every identity check,
 and each sort remembers the (codomain, array) pairs that passed the
 homomorphism scan.  These tests pin down that neither record changes a
-verdict, and that the derived constructions pass the checks when these
-are called directly, past both records.
+verdict, that the derived constructions pass the checks when these are
+called directly, past both records, and that the homomorphism test on
+generator rows (``_scan``) agrees with the test at every pair
+(``_full_scan``), which the direct checks use.
 """
 
 import gc
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +32,15 @@ from semiab import (
     sub_algebra,
 )
 from semiab import algebra
-from semiab.algebra import _MAP_ENDS, _check_sort, _respects_structure, _scan
+from semiab.algebra import (
+    _MAP_ENDS,
+    _check_sort,
+    _close,
+    _full_scan,
+    _respects_structure,
+    _scan,
+)
+from semiab.corpus import corpus_ids
 
 
 def _cyclic_table(n: int):
@@ -135,19 +146,62 @@ def test_the_intern_holds_a_sort_only_while_it_is_alive():
 
 
 # ---------------------------------------------------------------------------
-# derived constructions pass the checks called directly
+# the homomorphism test on generators
+
+
+def _corpus_algebras():
+    return [A for cid in corpus_ids() for A in corpus_by_id(cid)]
+
+
+def test_the_generator_test_agrees_with_the_pairwise_scan():
+    """On every corpus hom with |A|.|B| <= 600, and on three random
+    one-entry mutations of each, ``_scan`` (generator rows only) and
+    ``_full_scan`` (every pair) give the same verdict and message."""
+    rng = random.Random(2008)
+    algebras = _corpus_algebras()
+    verdicts = {"pass": 0, "fail": 0}
+    for A in algebras:
+        for B in algebras:
+            if A.variety != B.variety or A.order * B.order > 600:
+                continue
+            for f in enumerate_homs(A, B):
+                for D, C, m in zip(A.sorts, B.sorts, f.mapping):
+                    arrays = [m]
+                    for _ in range(3):
+                        x = rng.randrange(D.order)
+                        arrays.append(m[:x] + (rng.randrange(C.order),) + m[x + 1:])
+                    for a in arrays:
+                        bad = _scan(D, C, a)
+                        assert bad == _full_scan(D, C, a), (A, B, a)
+                        verdicts["pass" if bad is None else "fail"] += 1
+    assert verdicts["pass"] > 5000 and verdicts["fail"] > 5000, verdicts
+
+
+def test_the_stored_generating_set_generates_the_carrier():
+    for A in _corpus_algebras() + [direct_product(cyclic_group(4), cyclic_group(6))[0]]:
+        for S in A.sorts:
+            closed = _close((S.binary[0],), (), {0, *S.gens}, [0, *S.gens])
+            assert closed == set(range(S.order)), (A, S.gens)
+    a = group_algebra(_cyclic_table(10), name="a")
+    b = group_algebra(_cyclic_table(10), name="b")
+    assert b.sorts[0].gens is a.sorts[0].gens == (1,)
+
+
+# ---------------------------------------------------------------------------
+# derived constructions pass the checks called directly; the pairwise
+# scan keeps these independent of the generator test
 
 
 def _assert_checked_algebra(A) -> None:
     for S in A.sorts:
         _check_sort(S.variety, S.binary, S.unary, "derived sort")
     for m, (s, t) in zip(A.maps, _MAP_ENDS):
-        assert _scan(A.sorts[s], A.sorts[t], m) is None
+        assert _full_scan(A.sorts[s], A.sorts[t], m) is None
 
 
 def _assert_checked_morphism(f) -> None:
     for D, C, m in zip(f.dom.sorts, f.cod.sorts, f.mapping):
-        assert _scan(D, C, m) is None
+        assert _full_scan(D, C, m) is None
     assert _respects_structure(f.dom, f.cod, f.mapping)
 
 

@@ -83,6 +83,40 @@ def test_module_builders():
     assert find_isomorphism(zmod_cyclic(4, 4), f) is not None
 
 
+def _digit_free_module(m: int, rank: int):
+    """The tables of the free Z/m-module built digit by digit, little-endian."""
+    def digits(x):
+        out = []
+        for _ in range(rank):
+            x, r = divmod(x, m)
+            out.append(r)
+        return out
+
+    def pack(ds):
+        x = 0
+        for v in reversed(ds):
+            x = x * m + v
+        return x
+
+    elems = [digits(x) for x in range(m ** rank)]
+    add = [[pack([(a + b) % m for a, b in zip(ex, ey)]) for ey in elems] for ex in elems]
+    act = [[pack([(s * a) % m for a in ex]) for ex in elems] for s in range(m)]
+    return add, act
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("rank", [0, 1, 2, 3])
+def test_free_module_labels_are_little_endian_digits(m, rank):
+    free = zmod_free(m, rank)
+    add, act = _digit_free_module(m, rank)
+    (table,), (_, *scalars) = free.sorts[0].binary, free.sorts[0].unary
+    assert [list(row) for row in table] == add
+    assert [list(row) for row in scalars] == act
+    assert free.name == free.sorts[0].name == f"zmod{m}^({rank})"
+    if rank == 0:
+        assert free.order == 1
+
+
 def test_semidirect_builds_dihedral():
     c3, c2 = cyclic_group(3), cyclic_group(2)
     # invert the fibre on the nontrivial actor element

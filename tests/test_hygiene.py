@@ -211,3 +211,25 @@ def test_only_algebra_names_the_internal_constructor():
                     or isinstance(n, ast.Attribute) and n.attr == "_algebra"):
                 found.append(f"{path.name}:{n.lineno}")
     assert found == []
+
+
+def test_one_group_generating_set_per_sort():
+    """``_check_sort`` alone takes the generating set of a group table
+    (``_generators`` of a one-table tuple); the identity checks and the
+    homomorphism test share the one it stores on the sort."""
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for n in ast.walk(fn):
+                    owner.setdefault(n, fn.name)
+        for n in ast.walk(tree):
+            if not isinstance(n, ast.Call) or not n.args:
+                continue
+            name = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+            first = n.args[0]
+            if name == "_generators" and isinstance(first, ast.Tuple) and len(first.elts) == 1:
+                calls.append(f"{path.name}:{owner.get(n)}")
+    assert calls == ["algebra.py:_check_sort"]
