@@ -23,6 +23,26 @@ groupoids by commuting kernels of d, c.  ``_check_sort`` takes the
 greedy generating set of the group table once and shares it among
 these checks; ``_sort`` stores it on the sort as ``gens``.
 
+Derived algebras inherit their identities.  By Birkhoff's HSP theorem
+a variety is closed under products, subalgebras and homomorphic
+images; a pullback is a subalgebra of a product, and a quotient by a
+normal subobject is an image.  ``_algebra`` marks each algebra it
+builds, and when every parent given to ``_assemble`` (the one path of
+``sub_algebra``, ``ops.quotient`` and the pair algebras of ``ops``)
+carries that mark, the derived algebra skips the shape, identity and
+structure-map checks: its rows are only made tuples, once.  Its sorts
+are still interned, with ``gens`` from where they are cheapest: the
+(g, 0) and (0, h) of the factors' ``gens`` for a product, the nonzero
+images of the parent's for a quotient, and the greedy set, still taken
+by ``_check_sort``, for a pullback or a sub-algebra.  Under the same
+rule, projections, inclusions, quotient maps and composites, which are
+morphisms by construction, skip ``validate_morphism``
+(``_derived_morphism``).  A hand-built ``Algebra`` carries no mark, so
+what is derived from it is checked in full, and its normality is
+tested over the whole carrier, since nothing checks the ``gens`` of a
+hand-built ``Sort``.  The tests run every skipped check directly on
+derived algebras and maps.
+
 ``_scan``, the homomorphism test, tests each binary table only at the
 rows of ``gens`` and each unary map at every element.  This is exact
 because both sorts passed their identity checks.  Let D be the set of
@@ -41,27 +61,31 @@ row, since a freed row-sized temporary between the rows of a table kept
 alive raised the sweep's peak memory.
 
 Each distinct content is checked once while an equal sort is alive.
-Every table is shape-checked on every build; ``_CHECKED`` then interns
-the sorts that passed the identity checks, weakly, so tables equal to a
-live sort's return that sort.  Each sort keeps, in its ``__dict__`` and
-per codomain sort, the arrays that passed the homomorphism scan, so an
-equal array is not scanned again.  Failing verdicts are never recorded, and
-both records go with their sorts.
+Every table not derived as above is shape-checked on every build;
+``_CHECKED`` then interns the sorts that passed the identity checks or
+were derived, weakly, so tables equal to a live sort's return that
+sort.  Each sort keeps, in its ``__dict__`` and per codomain sort, the
+arrays that passed the homomorphism scan, so an equal array is not
+scanned again.  Failing verdicts are never recorded, and both records
+go with their sorts.
 
 Morphisms and subobjects have one part per sort: ``Morphism.mapping``
 holds one image array and ``Subobject.elements`` one frozenset per
 sort.  Constructions here, in ``ops`` and in ``homs`` run sort by sort;
 ``_rebuild`` derives a sort's tables, and ``_assemble``,
 ``_respects_structure`` and ``_structure_images`` carry the structure
-maps.  ``_close`` is the one closure routine.
+maps.  ``_close`` is the one closure routine.  Normality in an algebra
+that ``_algebra`` built is tested on ``gens`` alone
+(``_normal_demands``), exactly, for the reason that makes ``_scan``
+exact.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
-from operator import eq
+from operator import eq, getitem
 
 GROUP = "group"
 COMM_RING = "comm-ring"
@@ -237,8 +261,15 @@ def _check_abelian(op, what: str) -> None:
 
 
 def _check_bilinear(add, mul, what: str, gens) -> None:
-    # additivity in each argument on additive generators implies it everywhere
+    # additivity in each argument on additive generators implies it everywhere;
+    # row x(g+y) against row xg+xy, then row (g+x)y against row gy+xy
     n = len(add)
+    at = add.__getitem__
+    if (all(all(map(eq, map(mx.__getitem__, add[g]), map(add[mx[g]].__getitem__, mx)))
+            for mx in mul for g in gens)
+            and all(all(map(eq, mul[add[g][x]], map(getitem, map(at, mul[g]), mul[x])))
+                    for g in gens for x in range(n))):
+        return
     for x in range(n):
         mx = mul[x]
         for g in gens:
@@ -360,19 +391,23 @@ class Algebra(_Structural):
         return self.variety.kind
 
 
-# every sort that passed its checks, by content, for as long as it is alive
+# every sort that passed its checks or was derived from checked sorts, by
+# content, for as long as it is alive
 _CHECKED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def _check_sort(V: Variety, binary, unary, what: str) -> tuple[int, ...]:
+def _check_sort(V: Variety, binary, unary, what: str, derived: bool = False) -> tuple[int, ...]:
     """Every defining identity of V on a sort's shape-checked tables.
 
     Returns the greedy generating set of the group table, which the
-    identity checks share and ``_scan`` tests homomorphisms on.
+    identity checks share and ``_scan`` tests homomorphisms on; a
+    ``derived`` sort gets the set alone.
     """
+    gens = tuple(_generators((binary[0],), (), len(binary[0])))
+    if derived:
+        return gens
     if V.kind != GROUP:
         _check_abelian(binary[0], what)
-    gens = tuple(_generators((binary[0],), (), len(binary[0])))
     _check_group_tables(binary[0], unary[0], what, gens)
     if V.kind in RING_KINDS:
         _check_ring(V.kind, binary, unary, what, gens)
@@ -381,25 +416,33 @@ def _check_sort(V: Variety, binary, unary, what: str) -> tuple[int, ...]:
     return gens
 
 
-def _sort(V: Variety, binary, unary, name: str | None) -> Sort:
+def _sort(V: Variety, binary, unary, name: str | None, gens=None,
+          derived: bool = False) -> Sort:
     """A sort of variety V from raw tables, checked against every identity.
 
     A first unary map of ``None`` is derived: the inverse of x is where
     0 stands in its row, which the group check then confirms.  Tables
     equal to those of a live checked sort return that sort (or, under
     another name, a sort sharing its tables) without checking again.
+    A ``derived`` sort is only converted to tuples and keeps ``gens``
+    if given, else takes the greedy set; any other ignores ``gens``.
     """
-    op_name, inv_name = ("op", "inv") if V.kind == GROUP else ("add", "neg")
     n = len(binary[0])
-    binary = tuple(_as_table(t, n, n, w) for t, w in zip(binary, (op_name, "mul")))
-    unary = tuple(u if u is None else _as_map(u, n, n, w)
-                  for u, w in zip(unary, (inv_name, *["act"] * (len(unary) - 1))))
-    if unary[0] is None:
-        unary = (tuple(row.index(0) if 0 in row else 0 for row in binary[0]), *unary[1:])
+    if derived:
+        binary = tuple(tuple(map(tuple, t)) for t in binary)
+        unary = tuple(map(tuple, unary))
+    else:
+        op_name, inv_name = ("op", "inv") if V.kind == GROUP else ("add", "neg")
+        binary = tuple(_as_table(t, n, n, w) for t, w in zip(binary, (op_name, "mul")))
+        unary = tuple(u if u is None else _as_map(u, n, n, w)
+                      for u, w in zip(unary, (inv_name, *["act"] * (len(unary) - 1))))
+        if unary[0] is None:
+            unary = (tuple(row.index(0) if 0 in row else 0 for row in binary[0]), *unary[1:])
     key = (V, n, binary, unary)
     live = _CHECKED.get(key)
     if live is None:
-        gens = _check_sort(V, binary, unary, name or str(V))
+        if gens is None or not derived:
+            gens = _check_sort(V, binary, unary, name or str(V), derived)
         live = _CHECKED[key] = Sort(V, n, binary, unary, gens, name)
     if live.name == name:
         return live
@@ -408,17 +451,31 @@ def _sort(V: Variety, binary, unary, name: str | None) -> Sort:
     return renamed
 
 
-def _algebra(variety: Variety, sorts, maps=(), name: str | None = None) -> Algebra:
+def _algebra(variety: Variety, sorts, maps=(), name: str | None = None,
+             derived: bool = False) -> Algebra:
     """The one constructor of every algebra, public or derived.
 
-    ``sorts`` holds one (variety, binary, unary, name) of raw tables
-    per sort (see ``_sort``) and ``maps`` the raw structure maps, which
-    are shape-checked and then checked against the groupoid conditions.
+    ``sorts`` holds one (variety, binary, unary, name[, gens]) of raw
+    tables per sort (see ``_sort``) and ``maps`` the raw structure maps,
+    which are shape-checked and then checked against the groupoid
+    conditions.  A ``derived`` algebra skips every check (see the module
+    docstring).  The result is marked as built here, which ``_trusted``
+    reads.
     """
-    built = tuple(_sort(*s) for s in sorts)
-    maps = tuple(_as_map(m, built[s].order, built[t].order, label)
-                 for m, (s, t), label in zip(maps, _MAP_ENDS, "dci"))
-    what = name or "gpd"
+    built = tuple(_sort(*s, derived=derived) for s in sorts)
+    if derived:
+        maps = tuple(map(tuple, maps))
+    else:
+        maps = tuple(_as_map(m, built[s].order, built[t].order, label)
+                     for m, (s, t), label in zip(maps, _MAP_ENDS, "dci"))
+        _check_structure(built, maps, name or "gpd")
+    A = Algebra(variety, built, maps, name)
+    object.__setattr__(A, "_built", True)
+    return A
+
+
+def _check_structure(built, maps, what: str) -> None:
+    """The groupoid conditions on shape-checked structure maps."""
     for m, (s, t), label in zip(maps, _MAP_ENDS, "dci"):
         bad = _violation(built[s], built[t], m)
         if bad is not None:
@@ -437,7 +494,24 @@ def _algebra(variety: Variety, sorts, maps=(), name: str | None = None) -> Algeb
                 for h in ker_d:
                     if op[g][h] != op[h][g]:
                         raise AlgebraError(f"{what}: kernels of c and d do not commute at ({g},{h})")
-    return Algebra(variety, built, maps, name)
+
+
+def _trusted(*algebras) -> bool:
+    """Whether what a construction derives from these algebras may skip its checks.
+
+    True when each was built by ``_algebra``, so passed its checks or
+    was derived from algebras that did.
+    """
+    # getattr, not __dict__: reading __dict__ gives each instance a dict of its own
+    return all(getattr(A, "_built", False) for A in algebras)
+
+
+def _renamed(A: Algebra, name: str) -> Algebra:
+    """A under another name, still ``_trusted`` if A was."""
+    B = replace(A, name=name)  # a new instance, without the mark
+    if _trusted(A):
+        object.__setattr__(B, "_built", True)
+    return B
 
 
 def group_algebra(op, inv=None, name: str | None = None) -> Algebra:
@@ -471,15 +545,16 @@ def gpd_algebra(g1: Algebra, g0: Algebra, d, c, i, name: str | None = None) -> A
 # sorts and structure maps
 
 
-def _rebuild(parents, binary_map, unary_map):
+def _rebuild(parents, binary_map, unary_map, gens=None):
     """Raw tables of a sort derived from the parent sorts' tables.
 
     ``binary_map`` gets the parents' matching binary tables and
     ``unary_map`` their matching unary maps (one of each per parent);
-    the result is a sort's (variety, binary, unary, name) for ``_algebra``.
+    the result is a sort's (variety, binary, unary, name, gens) for
+    ``_algebra``, where ``gens``, if given, generates the new group table.
     """
     return (parents[0].variety, [binary_map(*ts) for ts in zip(*(P.binary for P in parents))],
-            [unary_map(*us) for us in zip(*(P.unary for P in parents))], None)
+            [unary_map(*us) for us in zip(*(P.unary for P in parents))], None, gens)
 
 
 def _scan(dom: Sort, cod: Sort, m: tuple[int, ...]) -> str | None:
@@ -564,12 +639,13 @@ def _assemble(parents, sorts, legs, backs) -> Algebra:
 
     Element e of sort k stands for the elements ``legs[k][j][e]`` of
     sort k of ``parents[j]``, and ``backs[k]`` takes such elements
-    back to e; the structure maps are carried over through them.
+    back to e; the structure maps are carried over through them.  The
+    result skips its checks when the parents are ``_trusted``.
     """
     maps = [tuple(backs[t](*(P.maps[k][leg[e]] for P, leg in zip(parents, legs[s])))
                   for e in range(len(legs[s][0])))
             for k, (s, t) in enumerate(_MAP_ENDS[:len(parents[0].maps)])]
-    return _algebra(parents[0].variety, sorts, maps)
+    return _algebra(parents[0].variety, sorts, maps, derived=_trusted(*parents))
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +689,30 @@ def validate_morphism(f: Morphism) -> tuple[tuple[int, ...], ...]:
     return tuple(arrays)
 
 
+def _derived_morphism(dom: Algebra, cod: Algebra, arrays, *via: Algebra) -> Morphism:
+    """A map that a construction made: projection, inclusion, quotient map
+    or composite, with its arrays as tuples.
+
+    It is a morphism by construction and skips ``validate_morphism``
+    when ``dom``, ``cod`` and the algebras ``via`` which it passes
+    through are ``_trusted``.  Its arrays are still recorded as passing
+    (see ``_passed``); that record keeps each codomain sort alive, and
+    so interned, while the domain sort lives, and without it the
+    sweep's peak memory was about 3% higher.
+    """
+    if not _trusted(dom, cod, *via):
+        return Morphism(dom, cod, arrays)
+    for D, C, m in zip(dom.sorts, cod.sorts, arrays):
+        _passed(D).setdefault(C, set()).add(m)
+    # field by field, as the dataclass does: a __dict__ update would give
+    # each map its own key table instead of the class's shared one
+    f = object.__new__(Morphism)
+    object.__setattr__(f, "dom", dom)
+    object.__setattr__(f, "cod", cod)
+    object.__setattr__(f, "mapping", arrays)
+    return f
+
+
 def morphism(dom: Algebra, cod: Algebra, *arrays) -> Morphism:
     """The morphism with one image array per sort of ``dom``."""
     return Morphism(dom, cod, tuple(tuple(m) for m in arrays))
@@ -630,8 +730,9 @@ def compose(outer: Morphism, inner: Morphism) -> Morphism:
     """outer after inner."""
     if inner.cod != outer.dom:
         raise AlgebraError("morphisms do not compose")
-    return Morphism(inner.dom, outer.cod, tuple(
-        tuple(map(o.__getitem__, i)) for o, i in zip(outer.mapping, inner.mapping)))
+    return _derived_morphism(inner.dom, outer.cod, tuple(
+        tuple(map(o.__getitem__, i)) for o, i in zip(outer.mapping, inner.mapping)),
+        inner.cod, outer.dom)
 
 
 def is_surjective(f: Morphism) -> bool:
@@ -668,6 +769,8 @@ class Subobject:
         for S, X in zip(self.parent.sorts, sets):
             if 0 not in X:
                 raise AlgebraError("subobject must contain the constant")
+            if not _indices_below((X,), S.order):
+                _check_entries(X, S.order, "subobject")
             if not _closed_subset(S, X):
                 raise AlgebraError("subobject is not closed under the operations")
         if not all(img <= X for img, X in zip(_structure_images(self.parent, sets), sets)):
@@ -705,21 +808,27 @@ def _closed_subset(S: Sort, X) -> bool:
     return True
 
 
-def _normal_demands(S: Sort, X):
+def _normal_demands(S: Sort, X, by):
     """Elements that a normal subset of the sort containing X must also contain.
 
-    Groups: conjugates.  Rings: products with any element on either
-    side.  Modules: nothing.
+    Groups: conjugates by the elements ``by``.  Rings: products with
+    them on either side.  Modules: nothing.  ``by`` is the carrier or,
+    for a sort whose identities were checked, ``S.gens`` (see
+    ``_normal_tests``): the g with gXg^-1 within X are closed under the
+    product, so in a finite group they form a subgroup; the a with aX
+    and Xa within a closed X contain 0 and, by distributivity, are
+    closed under +.  Either set is the whole carrier once it holds the
+    generators of the group table.
     """
     if S.variety.kind == GROUP:
         (op,), (inv,) = S.binary, S.unary
-        for g in range(S.order):
+        for g in by:
             og, ig = op[g], inv[g]
             for x in X:
                 yield op[og[x]][ig]
     elif S.variety.kind in RING_KINDS:
         mul = S.binary[1]
-        for a in range(S.order):
+        for a in by:
             ma = mul[a]
             for x in X:
                 yield ma[x]
@@ -734,7 +843,16 @@ def is_normal_subset(A: Algebra, *sets) -> bool:
     under the operations and the structure maps is taken as given.
     """
     sets = _one_per_sort(A, sets, "element set")
-    return all(X.issuperset(_normal_demands(S, X)) for S, X in zip(A.sorts, sets))
+    return all(X.issuperset(_normal_demands(S, X, by))
+               for S, X, by in zip(A.sorts, sets, _normal_tests(A)))
+
+
+def _normal_tests(A: Algebra) -> list:
+    """Per sort, the elements that ``_normal_demands`` multiplies by:
+    ``gens`` when ``_algebra`` built A, else the whole carrier, since
+    nothing checks the ``gens`` or the identities of a hand-built sort."""
+    trusted = _trusted(A)
+    return [S.gens if trusted else range(S.order) for S in A.sorts]
 
 
 def subobject(parent: Algebra, *sets) -> Subobject:
@@ -768,7 +886,7 @@ def sub_algebra(A: Algebra, sub: Subobject) -> tuple[Algebra, Morphism]:
         incls.append(elems)
         backs.append(back.__getitem__)
     B = _assemble((A,), sorts, [(m,) for m in incls], backs)
-    return B, Morphism(B, A, tuple(incls))
+    return B, _derived_morphism(B, A, tuple(incls))
 
 
 def closure_under_ops(A: Algebra, seed) -> frozenset[int]:

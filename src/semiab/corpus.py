@@ -9,11 +9,10 @@ SEMIAB_CORPUS_DIR environment variable points at a directory of
 from __future__ import annotations
 
 import os
-from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
-from .algebra import Algebra, AlgebraError, ring_algebra
+from .algebra import Algebra, AlgebraError, _renamed, ring_algebra
 from .families import (
     cyclic_group,
     dihedral_group,
@@ -34,13 +33,9 @@ from .serialize import corpus_from_doc, load_json_file
 CORPUS_DIR_VAR = "SEMIAB_CORPUS_DIR"
 
 
-def _named(A: Algebra, name: str) -> Algebra:
-    return replace(A, name=name)
-
-
 def _product(A: Algebra, B: Algebra, name: str) -> Algebra:
     P, _, _ = direct_product(A, B)
-    return _named(P, name)
+    return _renamed(P, name)
 
 
 def _groups() -> tuple[Algebra, ...]:
@@ -94,8 +89,8 @@ def _rng_stars() -> tuple[Algebra, ...]:
 def _modules(m: int) -> tuple[Algebra, ...]:
     # all modules over Z/m on at most two cyclic summands
     divisors = [d for d in range(2, m + 1) if m % d == 0]
-    singles = [_named(zmod_free(m, 0), f"m{m}-0")]
-    singles += [_named(zmod_cyclic(m, d), f"m{m}-c{d}") for d in divisors]
+    singles = [_renamed(zmod_free(m, 0), f"m{m}-0")]
+    singles += [_renamed(zmod_cyclic(m, d), f"m{m}-c{d}") for d in divisors]
     out = list(singles)
     for i, A in enumerate(singles[1:], start=1):
         for B in singles[i:]:

@@ -1,13 +1,18 @@
 """Kernels, quotients, limits and subobject arithmetic.
 
-All constructions return algebras that passed every check of the
-``algebra`` constructor, each distinct content checked once while an
-equal sort is alive (see the ``algebra`` docstring); quotient carriers
-are cosets indexed in first-appearance order, so the class of the
-constant is always index 0, and pair carriers (products, pullbacks,
-kernel pairs) are sorted lexicographically for the same reason.  A
-pair algebra looks pair (a, b) up as ``index[a][b]`` and builds each
-table row as one chain of ``map``s, with no per-entry tuple or hash.
+Quotients and pair algebras go through ``algebra._assemble``.  Built
+from algebras that the ``algebra`` constructor built, they satisfy every
+identity of their kind by construction and skip its checks, as do their
+projections and quotient maps; from anything else they pass every
+check of that constructor, each distinct content checked once while an
+equal sort is alive (see the ``algebra`` docstring).  A product's sort is generated by the
+(g, 0) and (0, h) of its factors' ``gens``, a quotient's by the images
+of its parent's.  Quotient carriers are cosets indexed in
+first-appearance order, so the class of the constant is always index 0,
+and pair carriers (products, pullbacks, kernel pairs) are sorted
+lexicographically for the same reason.  A pair algebra looks pair
+(a, b) up as ``index[a][b]`` and builds each table row as one chain of
+``map``s, with no per-entry tuple or hash.
 
 Each construction is written once and runs sort by sort (see the
 ``algebra`` docstring).
@@ -29,7 +34,9 @@ from .algebra import (
     Subobject,
     _assemble,
     _close,
+    _derived_morphism,
     _normal_demands,
+    _normal_tests,
     _one_per_sort,
     _rebuild,
     _structure_images,
@@ -100,11 +107,12 @@ def quotient(A: Algebra, N: Subobject) -> tuple[Algebra, Morphism]:
         sorts.append(_rebuild(
             (S,),
             lambda t: [[qmap[t[rx][ry]] for ry in reps] for rx in reps],
-            lambda u: [qmap[u[r]] for r in reps]))
+            lambda u: [qmap[u[r]] for r in reps],
+            tuple(dict.fromkeys(qmap[g] for g in S.gens if qmap[g]))))
         qmaps.append(qmap)
         legs.append((reps,))
     Q = _assemble((A,), sorts, legs, [q.__getitem__ for q in qmaps])
-    return Q, Morphism(A, Q, tuple(map(tuple, qmaps)))
+    return Q, _derived_morphism(A, Q, tuple(map(tuple, qmaps)))
 
 
 def cokernel(f: Morphism) -> tuple[Algebra, Morphism]:
@@ -124,9 +132,10 @@ def normal_closure(A: Algebra, *seeds) -> Subobject:
     until stable.
     """
     sets = [set(X) | {0} for X in _one_per_sort(A, seeds, "seed set")]
+    tests = _normal_tests(A)
     while True:
         sets = [_close(S.binary, S.unary, X, list(X)) for S, X in zip(A.sorts, sets)]
-        bigger = [X.union(_normal_demands(S, X)) for S, X in zip(A.sorts, sets)]
+        bigger = [X.union(_normal_demands(S, X, by)) for S, X, by in zip(A.sorts, sets, tests)]
         bigger = [X | img for X, img in zip(bigger, _structure_images(A, bigger))]
         if bigger == sets:
             sub = subobject(A, *sets)
@@ -253,13 +262,16 @@ def _pairs_algebra(A: Algebra, B: Algebra, sort_pairs) -> tuple[Algebra, Morphis
         index = [[-1] * SB.order for _ in range(SA.order)]
         for k, (a, b) in enumerate(pairs):
             index[a][b] = k
+        # a product is generated by the (g, 0) and (0, h) of its factors' gens
+        gens = (tuple(index[g][0] for g in SA.gens) + tuple(index[0][h] for h in SB.gens)
+                if len(pairs) == SA.order * SB.order else None)
         sorts.append(_rebuild((SA, SB), partial(_pair_table, index, firsts, seconds),
-                              partial(_pair_map, index, firsts, seconds)))
+                              partial(_pair_map, index, firsts, seconds), gens))
         legs.append((firsts, seconds))
         backs.append(lambda a, b, index=index: index[a][b])
     P = _assemble((A, B), sorts, legs, backs)
-    return (P, Morphism(P, A, tuple(leg[0] for leg in legs)),
-            Morphism(P, B, tuple(leg[1] for leg in legs)))
+    return (P, _derived_morphism(P, A, tuple(leg[0] for leg in legs)),
+            _derived_morphism(P, B, tuple(leg[1] for leg in legs)))
 
 
 def pullback(f: Morphism, g: Morphism) -> tuple[Algebra, Morphism, Morphism]:

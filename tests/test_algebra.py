@@ -84,6 +84,25 @@ def test_subobject_must_contain_constant_and_close():
         subobject(c4, {0, 1})  # 1+1 = 2 escapes
 
 
+@pytest.mark.parametrize("order,elements", [
+    (4, {0, 99}),    # past the carrier: an IndexError in the closure test
+    (4, {0, 2.0}),   # not an index: a TypeError there
+    (1, {0, -1}),    # wraps round to 0 and was accepted, with size 2
+    (2, {0, True}),  # equal to {0, 1}, which is closed, and was accepted
+    (3, {0, "1"}),
+], ids=["past-order", "float", "negative-on-trivial", "bool", "str"])
+def test_subobject_rejects_entries_outside_the_carrier(order, elements):
+    with pytest.raises(AlgebraError, match=f"subobject entries must be indices below {order}"):
+        subobject(cyclic_group(order), elements)
+
+
+def test_subobject_checks_each_sort_of_a_groupoid():
+    G = gpd_discrete(cyclic_group(2))
+    assert subobject(G, {0, 1}, {0, 1}).size == 2
+    with pytest.raises(AlgebraError, match="subobject entries must be indices below 2"):
+        subobject(G, {0, 1}, {0, 2})
+
+
 def test_normality_certificate():
     s3 = symmetric_3()
     rotations = closure_under_ops(s3, {3})  # a 3-cycle generates the even part

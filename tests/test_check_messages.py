@@ -10,8 +10,23 @@ arguments whose meaning does not depend on the fast paths.
 
 import pytest
 
-from semiab import AlgebraError, cyclic_group, dihedral_group, morphism, symmetric_3, zring
-from semiab.algebra import _as_map, _as_table, _check_abelian, _check_associative, _scan
+from semiab import (
+    AlgebraError,
+    corpus_by_id,
+    cyclic_group,
+    dihedral_group,
+    morphism,
+    symmetric_3,
+    zring,
+)
+from semiab.algebra import (
+    _as_map,
+    _as_table,
+    _check_abelian,
+    _check_associative,
+    _check_bilinear,
+    _scan,
+)
 
 
 def _outcome(check, *args):
@@ -91,6 +106,53 @@ def test_commutativity_messages(x, y, v, expected):
 def test_associativity_messages(group, gens, x, y, v, expected):
     table = _cyclic(6) if group == "c6" else symmetric_3().sorts[0].binary[0]
     assert _outcome(_check_associative, _put(table, x, y, v), "op", gens) == expected
+
+
+Z6 = zring(6).sorts[0]
+EX = next(A for A in corpus_by_id("nonassoc-rings") if A.name == "example-2.8.3-ring").sorts[0]
+
+
+def _near(n, h, left):
+    """h(x)y on Z/n, distributive on the left only; with x, y swapped, on the right only."""
+    return tuple(tuple((h[x] * y if left else h[y] * x) % n for y in range(n)) for x in range(n))
+
+
+@pytest.mark.parametrize("ring,x,y,v,expected", [
+    # one entry of the product moved, in the first and in the second argument
+    ("z6", 0, 0, 1, "mul: x(y+z) != xy+xz at (0,1,0)"),
+    ("z6", 1, 2, 0, "mul: x(y+z) != xy+xz at (1,1,1)"),
+    ("z6", 2, 1, 0, "mul: x(y+z) != xy+xz at (2,1,1)"),
+    ("z6", 5, 5, 0, "mul: x(y+z) != xy+xz at (5,1,4)"),
+    ("z6", 3, 4, 1, "mul: x(y+z) != xy+xz at (3,1,3)"),
+    ("z6", 4, 3, 5, "mul: x(y+z) != xy+xz at (4,1,2)"),
+    ("z6", 0, 5, 2, "mul: x(y+z) != xy+xz at (0,1,4)"),
+    ("z6", 5, 0, 2, "mul: x(y+z) != xy+xz at (5,1,0)"),
+    ("ex", 1, 2, 0, "mul: x(y+z) != xy+xz at (1,1,2)"),
+    ("ex", 2, 1, 3, "mul: x(y+z) != xy+xz at (2,1,2)"),
+    ("ex", 3, 3, 1, "mul: x(y+z) != xy+xz at (3,1,2)"),
+    ("ex", 0, 2, 1, "mul: x(y+z) != xy+xz at (0,1,2)"),
+    ("ex", 2, 0, 1, "mul: x(y+z) != xy+xz at (2,1,0)"),
+])
+def test_bilinearity_messages(ring, x, y, v, expected):
+    S = Z6 if ring == "z6" else EX
+    add, mul = S.binary
+    assert _outcome(_check_bilinear, add, _put(mul, x, y, v), "mul", S.gens) == expected
+
+
+@pytest.mark.parametrize("left,expected", [
+    (True, "mul: (x+y)z != xz+yz at (1,1,1)"),
+    (False, "mul: x(y+z) != xy+xz at (1,1,1)"),
+])
+def test_one_sided_bilinearity_messages(left, expected):
+    # a one-entry change always breaks x(y+z) first, so (x+y)z needs a table
+    # that is additive in its second argument
+    add = zring(3).sorts[0].binary[0]
+    assert _outcome(_check_bilinear, add, _near(3, (0, 1, 1), left), "mul", (1,)) == expected
+
+
+def test_a_bilinear_product_passes():
+    for S in (Z6, EX):
+        assert _outcome(_check_bilinear, *S.binary, "mul", S.gens) is None
 
 
 C4, C8 = cyclic_group(4).sorts[0], cyclic_group(8).sorts[0]

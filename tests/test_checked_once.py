@@ -1,44 +1,62 @@
-"""Each distinct table and map is checked once while an equal sort is alive.
+"""Each distinct table and map is checked once, and derived ones not at all.
 
-``algebra._CHECKED`` interns the sorts that passed every identity check,
-and each sort remembers the (codomain, array) pairs that passed the
-homomorphism scan.  These tests pin down that neither record changes a
-verdict, that the derived constructions pass the checks when these are
-called directly, past both records, and that the homomorphism test on
+``algebra._CHECKED`` interns the sorts that passed every identity check
+or were derived from such sorts, and each sort remembers the (codomain,
+array) pairs that passed the homomorphism scan.  These tests pin down
+that neither record changes a verdict, that the derived constructions
+pass every check they skip when it is called directly, past both
+records, that they really skip it, that the homomorphism test on
 generator rows (``_scan``) agrees with the test at every pair
-(``_full_scan``), which the direct checks use.
+(``_full_scan``), which the direct checks use, and that normality
+tested on generators agrees with the test over the carrier.
 """
 
 import gc
 import random
+import weakref
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from semiab import (
+    Algebra,
     AlgebraError,
     Morphism,
+    Variety,
     corpus_by_id,
     cyclic_group,
     direct_product,
     enumerate_homs,
+    gpd_indiscrete,
     group_algebra,
+    is_normal_subset,
     kernel_pair,
     module_algebra,
     morphism,
+    named_algebra,
+    normal_closure,
     normal_subobjects,
     pullback,
     quotient,
     sub_algebra,
+    subobject,
+    symmetric_3,
+    zero_subobject,
+    zmod_cyclic,
+    zring,
 )
 from semiab import algebra
 from semiab.algebra import (
     _MAP_ENDS,
+    Sort,
     _check_sort,
+    _check_structure,
     _close,
     _full_scan,
     _respects_structure,
     _scan,
+    _structure_images,
 )
 from semiab.corpus import corpus_ids
 
@@ -195,8 +213,10 @@ def test_the_stored_generating_set_generates_the_carrier():
 def _assert_checked_algebra(A) -> None:
     for S in A.sorts:
         _check_sort(S.variety, S.binary, S.unary, "derived sort")
+        assert _close((S.binary[0],), (), {0, *S.gens}, [0, *S.gens]) == set(range(S.order))
     for m, (s, t) in zip(A.maps, _MAP_ENDS):
         assert _full_scan(A.sorts[s], A.sorts[t], m) is None
+    _check_structure(A.sorts, A.maps, "derived gpd")
 
 
 def _assert_checked_morphism(f) -> None:
@@ -236,3 +256,154 @@ def test_derived_constructions_pass_the_direct_checks(pair, data):
         _assert_checked_algebra(X)
         _assert_checked_morphism(u)
         _assert_checked_morphism(v)
+
+
+# ---------------------------------------------------------------------------
+# the shortcut, and the algebras it does not apply to
+
+
+def _loop_algebra() -> Algebra:
+    """A hand-built algebra whose table is a loop of order 5, not a group."""
+    op = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+    V = Variety("group")
+    return Algebra(V, (Sort(V, 5, (op,), ((0, 1, 2, 3, 4),), (1, 2)),))
+
+
+def test_a_hand_built_algebra_is_still_checked():
+    bad = _loop_algebra()
+    with pytest.raises(AlgebraError, match="not associative"):
+        direct_product(bad, cyclic_group(2))
+    with pytest.raises(AlgebraError, match="not associative"):
+        quotient(bad, zero_subobject(bad))
+    with pytest.raises(AlgebraError, match="not associative"):
+        sub_algebra(bad, subobject(bad, range(5)))
+
+
+def test_normality_in_a_hand_built_algebra_is_tested_over_the_carrier():
+    """A hand-built sort's ``gens`` are not checked, so they are not used."""
+    s3 = symmetric_3()
+    (S,) = s3.sorts
+    bare = Algebra(S.variety, (Sort(S.variety, S.order, S.binary, S.unary, ()),))
+    flip = next(x for x in range(1, 6) if S.binary[0][x][x] == 0)
+    assert subobject(s3, {0, flip}).normal is False
+    assert subobject(bare, {0, flip}).normal is False
+    assert normal_closure(bare, {flip}).elements == normal_closure(s3, {flip}).elements
+    assert normal_closure(bare, {flip}).size == 6
+
+
+def _kernel_sets(f):
+    return [{x for x in range(len(m)) if m[x] == 0} for m in f.mapping]
+
+
+_IDENTITY_CHECKS = ("_as_table", "_as_map", "_check_abelian", "_check_group_tables",
+                    "_check_associative", "_check_ring", "_check_bilinear", "_check_module",
+                    "_check_structure", "validate_morphism")
+
+
+@pytest.mark.parametrize("factors", [
+    lambda: (cyclic_group(9), cyclic_group(10)),
+    lambda: (zring(6), zring(4)),
+    lambda: (zmod_cyclic(4, 2), zmod_cyclic(4, 4)),
+    lambda: (gpd_indiscrete(cyclic_group(3)), gpd_indiscrete(cyclic_group(2))),
+    lambda: (named_algebra("m8-c2"), named_algebra("m8-c2xc4")),
+], ids=["groups", "rings", "modules", "groupoids", "corpus-members"])
+def test_constructions_from_checked_algebras_run_no_check(monkeypatch, factors):
+    """A product, a quotient and a sub-algebra of checked algebras skip every identity, shape, structure-map and
+    morphism check, and are still interned."""
+    monkeypatch.setattr(algebra, "_CHECKED", weakref.WeakValueDictionary())
+    A, B = factors()
+    calls = []
+    for name in _IDENTITY_CHECKS:
+        monkeypatch.setattr(algebra, name, lambda *args, name=name: calls.append(name))
+    P, p1, p2 = direct_product(A, B)
+    Q, q = quotient(P, subobject(P, *_kernel_sets(p1)))
+    S, incl = sub_algebra(P, subobject(P, *_kernel_sets(p2)))
+    assert calls == []
+    for X in (P, Q, S):
+        for T in X.sorts:
+            assert (T.variety, T.order, T.binary, T.unary) in algebra._CHECKED
+    monkeypatch.undo()
+    for X in (P, Q, S):
+        _assert_checked_algebra(X)
+    for f in (p1, p2, q, incl):
+        _assert_checked_morphism(f)
+
+
+def test_the_product_generators_come_from_the_factors():
+    A, B = group_algebra(_cyclic_table(12)), group_algebra(_cyclic_table(15))
+    P, p1, p2 = direct_product(A, B)
+    (T,) = P.sorts
+    assert sorted((p1.mapping[0][g], p2.mapping[0][g]) for g in T.gens) == [(0, 1), (1, 0)]
+    closed = _close((T.binary[0],), (), {0, *T.gens}, [0, *T.gens])
+    assert closed == set(range(T.order))
+
+
+# ---------------------------------------------------------------------------
+# normality on generators against the test over the whole carrier
+
+
+def _carrier_demands(S, X):
+    """The normality demands of the earlier code, over every element of the carrier."""
+    if S.variety.kind == "group":
+        (op,), (inv,) = S.binary, S.unary
+        for g in range(S.order):
+            for x in X:
+                yield op[op[g][x]][inv[g]]
+    elif S.variety.kind in algebra.RING_KINDS:
+        mul = S.binary[1]
+        for a in range(S.order):
+            for x in X:
+                yield mul[a][x]
+                yield mul[x][a]
+
+
+def _carrier_normal_closure(A, *seeds):
+    """``normal_closure``'s fixed point with the carrier-wide demands."""
+    sets = [set(X) | {0} for X in seeds]
+    while True:
+        sets = [_close(S.binary, S.unary, X, list(X)) for S, X in zip(A.sorts, sets)]
+        bigger = [X.union(_carrier_demands(S, X)) for S, X in zip(A.sorts, sets)]
+        bigger = [X | img for X, img in zip(bigger, _structure_images(A, bigger))]
+        if bigger == sets:
+            return tuple(map(frozenset, sets))
+        sets = bigger
+
+
+def _closed_subsets(S):
+    """Every subset of the sort closed under its operations."""
+    found = {frozenset(_close(S.binary, S.unary, {0}, [0]))}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for X in frontier:
+            for y in range(S.order):
+                if y not in X:
+                    Y = frozenset(_close(S.binary, S.unary, set(X) | {y}, [y]))
+                    if Y not in found:
+                        found.add(Y)
+                        nxt.append(Y)
+        frontier = nxt
+    return found
+
+
+_NORMALITY_CORPUS = [A for cid in ("groups", "rings", "rng-star", "nonassoc-rings", "groupoids")
+                     for A in corpus_by_id(cid) if A.order <= 16]
+
+
+def test_normality_on_generators_agrees_with_the_carrier_scan():
+    counts = {True: 0, False: 0}
+    for A in _NORMALITY_CORPUS:
+        per_sort = [sorted(_closed_subsets(S), key=sorted) for S in A.sorts]
+        for sets in product(*per_sort):
+            expected = all(X.issuperset(_carrier_demands(S, X)) for S, X in zip(A.sorts, sets))
+            assert is_normal_subset(A, *sets) == expected, (A, sets)
+            counts[expected] += 1
+    assert counts[True] > 200 and counts[False] > 50, counts
+
+
+def test_normal_closure_reaches_the_carrier_fixed_point():
+    for A in _NORMALITY_CORPUS:
+        for k, S in enumerate(A.sorts):
+            for x in range(S.order):
+                seeds = [{x} if j == k else set() for j in range(len(A.sorts))]
+                assert normal_closure(A, *seeds).elements == _carrier_normal_closure(A, *seeds)
