@@ -38,14 +38,14 @@ by ``_check_sort``, for a pullback or a sub-algebra.  Under the same
 rule, projections, inclusions, quotient maps and composites, which are
 morphisms by construction, skip ``validate_morphism``
 (``_derived_morphism``).  A hand-built ``Algebra`` carries no mark, so
-what is derived from it is checked in full, and its normality is
-tested over the whole carrier, since nothing checks the ``gens`` of a
-hand-built ``Sort``.  The tests run every skipped check directly on
-derived algebras and maps.
+what is derived from it is checked in full, and its normality and the
+maps out of it are tested over the whole carrier (``_test_rows``),
+since nothing checks the ``gens`` of a hand-built ``Sort``.  The tests
+run every skipped check directly on derived algebras and maps.
 
 ``_scan``, the homomorphism test, tests each binary table only at the
 rows of ``gens`` and each unary map at every element.  This is exact
-because both sorts passed their identity checks.  Let D be the set of
+when both sorts passed their identity checks.  Let D be the set of
 x with m(x*y) = m(x)*m(y) for all y.  If m(0) = 0, D contains 0, and
 for the group operation, if a and b are in D, associativity in both
 sorts gives m((ab)y) = m(a)m(by) = m(a)m(b)m(y) = m(ab)m(y), so D is a
@@ -336,7 +336,8 @@ class _Structural:
         return self._key() == other._key()
 
     def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
+        # getattr, not __dict__: reading __dict__ gives each instance a dict of its own
+        h = getattr(self, "_hash", None)
         if h is None:
             h = hash(self._key())
             object.__setattr__(self, "_hash", h)
@@ -502,8 +503,11 @@ def _trusted(*algebras) -> bool:
     True when each was built by ``_algebra``, so passed its checks or
     was derived from algebras that did.
     """
-    # getattr, not __dict__: reading __dict__ gives each instance a dict of its own
-    return all(getattr(A, "_built", False) for A in algebras)
+    # a loop, not all() over a generator: this runs for every derived map
+    for A in algebras:
+        if not getattr(A, "_built", False):
+            return False
+    return True
 
 
 def _renamed(A: Algebra, name: str) -> Algebra:
@@ -557,17 +561,18 @@ def _rebuild(parents, binary_map, unary_map, gens=None):
             [unary_map(*us) for us in zip(*(P.unary for P in parents))], None, gens)
 
 
-def _scan(dom: Sort, cod: Sort, m: tuple[int, ...]) -> str | None:
+def _scan(dom: Sort, cod: Sort, m: tuple[int, ...], rows=None) -> str | None:
     """How the array m fails to be a homomorphism, or None if it is one.
 
-    Each binary table is tested at the rows of ``dom.gens`` only (see
-    the module docstring), each unary map at every element; a failure
-    is named by ``_full_scan``.
+    Each binary table is tested at the ``rows`` only, by default those
+    of ``dom.gens`` (see the module docstring and ``_test_rows``), each
+    unary map at every element; a failure is named by ``_full_scan``.
     """
     at = m.__getitem__
     if (m[0] == 0
             and all(all(map(eq, map(at, dt[g]), map(ct[m[g]].__getitem__, m)))
-                    for dt, ct in zip(dom.binary, cod.binary) for g in dom.gens)
+                    for dt, ct in zip(dom.binary, cod.binary)
+                    for g in (dom.gens if rows is None else rows))
             and all(all(map(eq, map(at, du), map(cu.__getitem__, m)))
                     for du, cu in zip(dom.unary, cod.unary))):
         return None
@@ -595,19 +600,23 @@ def _full_scan(dom: Sort, cod: Sort, m) -> str | None:
 
 def _passed(dom: Sort) -> dict:
     """Per codomain sort, the arrays from ``dom`` that passed ``_scan``."""
-    passed = dom.__dict__.get("_passed")
+    passed = getattr(dom, "_passed", None)
     if passed is None:
         passed = {}
         object.__setattr__(dom, "_passed", passed)
     return passed
 
 
-def _violation(dom: Sort, cod: Sort, m: tuple[int, ...]) -> str | None:
-    """``_scan``, remembering the arrays that pass (see ``_passed``)."""
+def _violation(dom: Sort, cod: Sort, m: tuple[int, ...], rows=None) -> str | None:
+    """``_scan``, remembering the arrays that pass (see ``_passed``).
+
+    Every caller tests a sort at the same ``rows`` each time, so a
+    record is never read under a weaker test than the one that made it.
+    """
     arrays = _passed(dom).setdefault(cod, set())
     if m in arrays:
         return None
-    bad = _scan(dom, cod, m)
+    bad = _scan(dom, cod, m, rows)
     if bad is None:
         arrays.add(m)
     return bad
@@ -677,10 +686,10 @@ def validate_morphism(f: Morphism) -> tuple[tuple[int, ...], ...]:
         raise AlgebraError("morphism endpoints must share a variety")
     parts = _one_per_sort(dom, f.mapping, "array")
     arrays = []
-    for k, (D, C, m) in enumerate(zip(dom.sorts, cod.sorts, parts)):
+    for k, (D, C, m, rows) in enumerate(zip(dom.sorts, cod.sorts, parts, _test_rows(dom))):
         what = "map" if len(parts) == 1 else f"map of sort {k}"
         m = _as_map(m, D.order, C.order, what)
-        bad = _violation(D, C, m)
+        bad = _violation(D, C, m, rows)
         if bad is not None:
             raise AlgebraError(f"{what} {bad}")
         arrays.append(m)
@@ -814,7 +823,7 @@ def _normal_demands(S: Sort, X, by):
     Groups: conjugates by the elements ``by``.  Rings: products with
     them on either side.  Modules: nothing.  ``by`` is the carrier or,
     for a sort whose identities were checked, ``S.gens`` (see
-    ``_normal_tests``): the g with gXg^-1 within X are closed under the
+    ``_test_rows``): the g with gXg^-1 within X are closed under the
     product, so in a finite group they form a subgroup; the a with aX
     and Xa within a closed X contain 0 and, by distributivity, are
     closed under +.  Either set is the whole carrier once it holds the
@@ -844,13 +853,14 @@ def is_normal_subset(A: Algebra, *sets) -> bool:
     """
     sets = _one_per_sort(A, sets, "element set")
     return all(X.issuperset(_normal_demands(S, X, by))
-               for S, X, by in zip(A.sorts, sets, _normal_tests(A)))
+               for S, X, by in zip(A.sorts, sets, _test_rows(A)))
 
 
-def _normal_tests(A: Algebra) -> list:
-    """Per sort, the elements that ``_normal_demands`` multiplies by:
-    ``gens`` when ``_algebra`` built A, else the whole carrier, since
-    nothing checks the ``gens`` or the identities of a hand-built sort."""
+def _test_rows(A: Algebra) -> list:
+    """Per sort, the elements that ``_normal_demands`` multiplies by and
+    the rows at which ``_scan`` tests a map out of A: ``gens`` when
+    ``_algebra`` built A, else the whole carrier, since nothing checks
+    the ``gens`` or the identities of a hand-built sort."""
     trusted = _trusted(A)
     return [S.gens if trusted else range(S.order) for S in A.sorts]
 

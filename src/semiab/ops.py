@@ -36,10 +36,10 @@ from .algebra import (
     _close,
     _derived_morphism,
     _normal_demands,
-    _normal_tests,
     _one_per_sort,
     _rebuild,
     _structure_images,
+    _test_rows,
     closure_under_ops,
     compose,
     full_subobject,
@@ -132,7 +132,7 @@ def normal_closure(A: Algebra, *seeds) -> Subobject:
     until stable.
     """
     sets = [set(X) | {0} for X in _one_per_sort(A, seeds, "seed set")]
-    tests = _normal_tests(A)
+    tests = _test_rows(A)
     while True:
         sets = [_close(S.binary, S.unary, X, list(X)) for S, X in zip(A.sorts, sets)]
         bigger = [X.union(_normal_demands(S, X, by)) for S, X, by in zip(A.sorts, sets, tests)]

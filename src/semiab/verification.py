@@ -111,27 +111,37 @@ def _pushout_square(f: Morphism, g: Morphism) -> NCube:
     return square(f, g, induced_on_quotient(f, q), induced_on_quotient(g, q))
 
 
+def _collapsed_square(f: Morphism, g: Morphism) -> NCube:
+    # collapsing the bottom vertex keeps the square commuting but spoils
+    # the pushout comparison (unless the two kernels already join to the
+    # whole domain)
+    T = trivial_of_variety(f.dom.variety)
+    return square(f, g, zero_morphism(f.cod, T), zero_morphism(g.cod, T))
+
+
+def _identity_square(f: Morphism, g: Morphism) -> NCube:
+    return square(f, g, identity_morphism(f.cod), identity_morphism(g.cod))
+
+
 def _derived_squares(corpus, seed: int, cap: int) -> list[NCube]:
-    """Double extensions (and a few non-extensions) built from corpus epis."""
+    """Double extensions (and a few non-extensions) built from corpus epis.
+
+    The pool holds, for each pair f, g of surjections out of one domain,
+    their pushout square and the square collapsed onto a trivial
+    algebra, then each surjection's square with itself and identities.
+    ``_sample`` draws indices into it by seed, from its length alone,
+    and only the squares drawn are built.
+    """
     surjs = [f for f in _surjections_in(corpus)
              if f.dom.order > 1 or f.cod.order > 1]
     by_dom: dict[int, list[Morphism]] = {}
     for f in surjs:
         by_dom.setdefault(id(f.dom), []).append(f)
-    squares: list[NCube] = []
-    for fs in by_dom.values():
-        for i, f in enumerate(fs):
-            for g in fs[i:]:
-                squares.append(_pushout_square(f, g))
-                # collapsing the bottom vertex keeps the square commuting
-                # but spoils the pushout comparison (unless the two kernels
-                # already join to the whole domain)
-                T = trivial_of_variety(f.dom.variety)
-                squares.append(square(f, g, zero_morphism(f.cod, T),
-                                      zero_morphism(g.cod, T)))
-    for f in surjs:
-        squares.append(square(f, f, identity_morphism(f.cod), identity_morphism(f.cod)))
-    return _sample(squares, seed, cap)
+    recipes = [(build, f, g) for fs in by_dom.values()
+               for i, f in enumerate(fs) for g in fs[i:]
+               for build in (_pushout_square, _collapsed_square)]
+    recipes += [(_identity_square, f, f) for f in surjs]
+    return [build(f, g) for build, f, g in _sample(recipes, seed, cap)]
 
 
 # ---------------------------------------------------------------------------

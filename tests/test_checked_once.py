@@ -7,8 +7,9 @@ that neither record changes a verdict, that the derived constructions
 pass every check they skip when it is called directly, past both
 records, that they really skip it, that the homomorphism test on
 generator rows (``_scan``) agrees with the test at every pair
-(``_full_scan``), which the direct checks use, and that normality
-tested on generators agrees with the test over the carrier.
+(``_full_scan``), which the direct checks use, that normality
+tested on generators agrees with the test over the carrier, and that a
+hand-built algebra is tested over its carrier.
 """
 
 import gc
@@ -46,7 +47,7 @@ from semiab import (
     zmod_cyclic,
     zring,
 )
-from semiab import algebra
+from semiab import algebra, homs
 from semiab.algebra import (
     _MAP_ENDS,
     Sort,
@@ -289,6 +290,25 @@ def test_normality_in_a_hand_built_algebra_is_tested_over_the_carrier():
     assert subobject(bare, {0, flip}).normal is False
     assert normal_closure(bare, {flip}).elements == normal_closure(s3, {flip}).elements
     assert normal_closure(bare, {flip}).size == 6
+
+
+def test_maps_out_of_a_hand_built_algebra_are_tested_over_the_carrier():
+    """A hand-built sort's ``gens`` do not pick the rows a map is tested
+    at either: ``gens=()`` would test none, and swapping the two 3-cycles
+    of S3 is no homomorphism."""
+    s3 = symmetric_3()
+    (S,) = s3.sorts
+    bare = Algebra(S.variety, (Sort(S.variety, S.order, S.binary, S.unary, ()),))
+    messages = []
+    for A in (s3, bare):
+        with pytest.raises(AlgebraError) as err:
+            morphism(A, A, (0, 1, 2, 4, 3, 5))
+        messages.append(str(err.value))
+    assert messages == ["map does not preserve an operation at (1,2)"] * 2
+    # uncached, unlike enumerate_homs, which takes bare for s3
+    assert ([f.mapping for f in homs._iter_homs(bare, bare, False)]
+            == [f.mapping for f in homs._iter_homs(s3, s3, False)])
+    assert len(enumerate_homs(s3, s3)) == 10
 
 
 def _kernel_sets(f):

@@ -9,14 +9,21 @@ from semiab import (
     corpus_by_id,
     enumerate_homs,
     identity_morphism,
+    induced_on_quotient,
+    join_normal,
+    kernel,
     named_algebra,
+    quotient,
     reflect,
     reflector_by_id,
     short_exact_sequences,
     split_exact_sequences,
     square,
     surjections,
+    trivial_of_variety,
+    zero_morphism,
 )
+from semiab import verification
 from semiab.report import CHECKS
 from semiab.verification import (
     SUITES,
@@ -133,6 +140,95 @@ def test_seed_changes_sample_not_soundness():
     rep0 = verify_suite("remark-4.3", seed=0)
     rep1 = verify_suite("remark-4.3", seed=1)
     assert rep0.passed and rep1.passed
+
+
+def _eager_squares(corpus):
+    """The reference pool: every derived square, built."""
+    surjs = [f for f in verification._surjections_in(corpus)
+             if f.dom.order > 1 or f.cod.order > 1]
+    by_dom = {}
+    for f in surjs:
+        by_dom.setdefault(id(f.dom), []).append(f)
+    squares = []
+    for fs in by_dom.values():
+        for i, f in enumerate(fs):
+            for g in fs[i:]:
+                j = join_normal(f.dom, kernel(f), kernel(g))
+                _, q = quotient(f.dom, j)
+                squares.append(square(f, g, induced_on_quotient(f, q),
+                                      induced_on_quotient(g, q)))
+                T = trivial_of_variety(f.dom.variety)
+                squares.append(square(f, g, zero_morphism(f.cod, T),
+                                      zero_morphism(g.cod, T)))
+    for f in surjs:
+        squares.append(square(f, f, identity_morphism(f.cod), identity_morphism(f.cod)))
+    return squares
+
+
+# every default configuration of the square suites, with the runner's cap
+# and the seeds to draw with
+_SQUARE_CONFIGS = [
+    ("remark-4.3", None, "rings", 140, (0, 1)),
+    ("remark-4.3", None, "groups", 140, (0,)),
+    ("thm-4.6", "reduced", "rings", 120, (0, 1)),
+    ("thm-4.6", "zerorng", "rng-star", 120, (0, 1)),
+]
+
+
+def test_square_configs_are_the_suite_defaults():
+    for name in ("remark-4.3", "thm-4.6"):
+        assert {(rid, cid) for n, rid, cid, _, _ in _SQUARE_CONFIGS
+                if n == name} == set(SUITES[name].defaults)
+
+
+@pytest.mark.parametrize("name, rid, cid, cap, seeds", _SQUARE_CONFIGS)
+def test_sampled_squares_are_the_eagerly_built_ones(monkeypatch, name, rid, cid, cap, seeds):
+    corpus = corpus_by_id(cid)
+    if rid is not None:
+        corpus = verification._applicable(reflector_by_id(rid), corpus)
+    pools = []
+    sample = verification._sample
+
+    def recorded(items, seed, cap):
+        pools.append(list(items))
+        return sample(pools[-1], seed, cap)
+
+    monkeypatch.setattr(verification, "_sample", recorded)
+    eager = _eager_squares(corpus)
+    for seed in seeds:
+        pools.clear()
+        drawn = verification._derived_squares(tuple(corpus), seed, cap)
+        expected = sample(eager, seed, cap)
+        assert [len(p) for p in pools] == [len(eager)]
+        assert len(drawn) == len(expected) == min(cap, len(eager))
+        for new, old in zip(drawn, expected):
+            assert new.vertices == old.vertices
+            assert [V.name for V in new.vertices.values()] == [
+                V.name for V in old.vertices.values()]
+            assert new.edges == old.edges
+
+
+def test_square_suites_build_only_the_squares_they_draw(monkeypatch):
+    built = []
+
+    def counted_square(*edges):
+        built.append(edges)
+        return square(*edges)
+
+    monkeypatch.setattr(verification, "square", counted_square)
+    derived = verification._derived_squares
+    caps = []
+
+    def counted(corpus, seed, cap):
+        built.clear()
+        squares = derived(corpus, seed, cap)
+        assert len(built) == len(squares) <= cap
+        caps.append(cap)
+        return squares
+
+    monkeypatch.setattr(verification, "_derived_squares", counted)
+    assert verify_suite("remark-4.3").passed and verify_suite("thm-4.6").passed
+    assert caps == [140, 140, 120, 120]
 
 
 def test_witness_replay_for_failing_reports():
