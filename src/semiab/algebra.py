@@ -713,6 +713,11 @@ def _derived_morphism(dom: Algebra, cod: Algebra, arrays, *via: Algebra) -> Morp
         return Morphism(dom, cod, arrays)
     for D, C, m in zip(dom.sorts, cod.sorts, arrays):
         _passed(D).setdefault(C, set()).add(m)
+    return _unchecked_morphism(dom, cod, arrays)
+
+
+def _unchecked_morphism(dom: Algebra, cod: Algebra, arrays) -> Morphism:
+    """The map with these arrays as given, without ``validate_morphism``."""
     # field by field, as the dataclass does: a __dict__ update would give
     # each map its own key table instead of the class's shared one
     f = object.__new__(Morphism)

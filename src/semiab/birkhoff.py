@@ -10,6 +10,7 @@ presentations by them give exact homology in degrees 2 and 3.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from .algebra import (
@@ -63,6 +64,12 @@ class BirkhoffContext:
     The optional comparison reflector C must cut out a subcategory of
     B's and act protoadditively on it; both facts are certified over
     the corpus at construction time.
+
+    A context remembers the radical of each 1-cube it is asked for,
+    keyed by the arrow; a hit made on an arrow equal by content is
+    moved, unchecked, to the caller's top vertex.  The memo lives
+    exactly as long as the context.  Contexts that differ only in C
+    can share it, and the base certification (``_shared_context``).
     """
 
     B: Reflector
@@ -78,6 +85,11 @@ class BirkhoffContext:
                 raise AlgebraError(
                     f"unit square of a corpus surjection is not a double extension under {self.B.name}")
         object.__setattr__(self, "checked_surjections", checked)
+        object.__setattr__(self, "_radicals", {})
+        self._compare(members)
+
+    def _compare(self, members) -> None:
+        """Certify C over the members and count the sequences compared."""
         compared = 0
         if self.C is not None:
             # C's subcategory must sit inside B's
@@ -94,6 +106,28 @@ class BirkhoffContext:
                     raise AlgebraError(
                         f"comparison reflector {self.C.name} is not protoadditive on the subcategory")
         object.__setattr__(self, "comparison_sequences", compared)
+
+
+def _shared_context(store: dict, B: Reflector, corpus,
+                    C: Reflector | None = None) -> BirkhoffContext:
+    """The context in ``store``, a dict its caller owns and drops, for B
+    over the corpus members that B applies to and comparison C, built
+    on first use.  One with a comparison is a copy of the stored base
+    context, sharing its memo, that certifies only C.  A context whose
+    certification fails is not stored.
+    """
+    members = tuple(A for A in corpus if B.applies_to(A.variety))
+    key = (B, members, C)
+    ctx = store.get(key)
+    if ctx is None:
+        if C is None:
+            ctx = BirkhoffContext(B, members)
+        else:
+            ctx = copy.copy(_shared_context(store, B, members))
+            object.__setattr__(ctx, "C", C)
+            ctx._compare(members)
+        store[key] = ctx
+    return ctx
 
 
 def birkhoff_radical(ctx: BirkhoffContext, f: Morphism) -> Subobject:
@@ -154,18 +188,29 @@ def radical_n(ctx: BirkhoffContext, c: NCube) -> Subobject:
     Module squares under a scalar-acting radical run the same recursion
     on raw pair sets instead; their seed set is k times a submodule, so
     a submodule with no span to take (see _square_radical_on_modules).
+    The radical of a 1-cube is taken once per context (its memo).
     """
     if (c.dim == 2 and c.top_vertex.kind == "zmod-module"
             and (ctx.B.k is not None or ctx.B.name == "id")):
         return _square_radical_on_modules(ctx.B, c)
     if c.dim == 1:
+        rad = ctx._radicals.get(c.arrow)
+        if rad is not None:
+            if rad.parent is not c.top_vertex:
+                # made on an arrow equal by content: the same sets, moved
+                rad = copy.copy(rad)
+                object.__setattr__(rad, "parent", c.top_vertex)
+            return rad
         R, p1, p2 = kernel_pair(c.arrow)
         inner = radical(ctx.B, R)
     else:
         rcube, p1, p2 = _kernel_pair_cube(c)
         R, inner = rcube.top_vertex, radical_n(ctx, rcube)
     cut = meet_subobjects(R, inner, kernel(p1))
-    return normal_closure(c.top_vertex, *image_elements(p2, cut))
+    rad = normal_closure(c.top_vertex, *image_elements(p2, cut))
+    if c.dim == 1:
+        ctx._radicals[c.arrow] = rad
+    return rad
 
 
 def _checked_radical(ctx: BirkhoffContext, c: NCube) -> Subobject:

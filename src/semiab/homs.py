@@ -28,6 +28,7 @@ from .algebra import (
     _generators,
     _respects_structure,
     _test_rows,
+    _unchecked_morphism,
     _violation,
     compose,
     identity_morphism,
@@ -101,10 +102,26 @@ def _iter_homs(A: Algebra, B: Algebra, isos: bool):
                 yield Morphism(A, B, mapping)
 
 
-@lru_cache(maxsize=None)
 def enumerate_homs(A: Algebra, B: Algebra) -> tuple[Morphism, ...]:
     """All morphisms A -> B, in enumeration order."""
+    return _between(_homs(A, B), A, B)
+
+
+@lru_cache(maxsize=None)
+def _homs(A: Algebra, B: Algebra) -> tuple[Morphism, ...]:
     return tuple(_iter_homs(A, B, False))
+
+
+def _between(homs: tuple[Morphism, ...], A: Algebra, B: Algebra) -> tuple[Morphism, ...]:
+    """Cached maps between A and B themselves.
+
+    The caches compare algebras by content, so a hit may hold maps made
+    for another A or B under another name; their arrays are bound to the
+    caller's algebras, unchecked, since the tables are the same.
+    """
+    if homs and (homs[0].dom is not A or homs[0].cod is not B):
+        return tuple(_unchecked_morphism(A, B, f.mapping) for f in homs)
+    return homs
 
 
 def find_isomorphism(A: Algebra, B: Algebra) -> Morphism | None:
@@ -118,8 +135,12 @@ def is_isomorphic(A: Algebra, B: Algebra) -> bool:
     return find_isomorphism(A, B) is not None
 
 
-@lru_cache(maxsize=None)
 def surjections(A: Algebra, B: Algebra) -> tuple[Morphism, ...]:
+    return _between(_surjections(A, B), A, B)
+
+
+@lru_cache(maxsize=None)
+def _surjections(A: Algebra, B: Algebra) -> tuple[Morphism, ...]:
     return tuple(f for f in enumerate_homs(A, B) if is_surjective(f))
 
 

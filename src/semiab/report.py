@@ -148,8 +148,8 @@ class Check:
     of allowed labels.  Calling the check runs ``predicate`` on values
     in field order; True means the check is violated.  A check with a
     ``context`` hands the predicate a context first: the one the caller
-    passes (a sweep builds one per configuration), else the one
-    ``context`` builds from the values.
+    passes (a sweep builds one per reflector and corpus and shares it
+    across suites), else the one ``context`` builds from the values.
     """
 
     name: str

@@ -31,7 +31,9 @@ from semiab import (
     zmod_cyclic,
     zmod_free,
 )
-from semiab.birkhoff import Presentation, _is_free_module, build_presentation
+from semiab import birkhoff
+from semiab.algebra import _renamed, subobject
+from semiab.birkhoff import Presentation, _is_free_module, _shared_context, build_presentation
 from semiab.cubes import _kernel_pair_cube
 from semiab.ops import image_elements
 from semiab.verification import _pushout_square
@@ -138,6 +140,50 @@ def test_context_certifies_containment():
             corpus_by_id("groups"),
             reflector_by_id("ab"),
         )
+
+
+def test_radical_memo_takes_each_kernel_pair_once(monkeypatch):
+    s3, c2 = named_algebra("s3"), cyclic_group(2)
+    other = _renamed(s3, "s3-renamed")
+    ctx = BirkhoffContext(reflector_by_id("ab"), (other, c2))
+    (f,) = surjections(s3, c2)
+    (g,) = surjections(other, c2)
+    pairs = []
+    kernel_pair = birkhoff.kernel_pair
+    monkeypatch.setattr(birkhoff, "kernel_pair", lambda h: pairs.append(h) or kernel_pair(h))
+    first = birkhoff_radical(ctx, f)
+    assert birkhoff_radical(ctx, f) is first
+    # the renamed member hits the entry of the first by content, and
+    # gets the same sets in its own algebra
+    moved = birkhoff_radical(ctx, g)
+    assert pairs == [f]
+    assert moved.parent is other and first.parent is s3
+    assert moved.elements == first.elements == (frozenset({0, 3, 4}),)
+    # the checks the move skips, run directly
+    assert subobject(other, *moved.elements).normal == moved.normal
+
+
+def test_comparison_contexts_share_the_base_certification_and_memo():
+    ab, b2 = reflector_by_id("ab"), reflector_by_id("burnside:2")
+    groups = corpus_by_id("groups")
+    store = {}
+    comp = _shared_context(store, ab, groups, b2)
+    base = _shared_context(store, ab, groups)
+    assert (comp.B, comp.C, base.C) == (ab, b2, None)
+    assert comp._radicals is base._radicals
+    assert _shared_context(store, ab, groups, b2) is comp and len(store) == 2
+    direct = BirkhoffContext(ab, groups, b2)
+    assert comp.checked_surjections == base.checked_surjections == direct.checked_surjections
+    assert comp.comparison_sequences == direct.comparison_sequences > 0
+
+
+def test_failed_certification_is_not_stored():
+    b2, ab = reflector_by_id("burnside:2"), reflector_by_id("ab")
+    store = {}
+    for _ in range(2):  # see test_context_certifies_containment
+        with pytest.raises(AlgebraError):
+            _shared_context(store, b2, corpus_by_id("groups"), ab)
+    assert [C for _, _, C in store] == [None]
 
 
 def test_context_with_inapplicable_corpus_checks_nothing():

@@ -26,7 +26,10 @@ from semiab import (
     zmod_cyclic,
     zring,
 )
+from semiab import algebra, homs
+from semiab.algebra import _renamed, validate_morphism
 from semiab.homs import is_split_epi
+from semiab.serialize import morphism_to_doc
 
 
 def test_hom_counts_between_cyclic_groups():
@@ -47,6 +50,32 @@ def test_surjections_counts():
     assert len(surjections(c4, c2)) == 1
     assert len(surjections(c4, cyclic_group(3))) == 0
     assert len(surjections(symmetric_3(), c2)) == 1
+
+
+def test_cached_hom_sets_carry_the_callers_algebras(monkeypatch):
+    # the caches compare algebras by content: a renamed copy hits the
+    # entry of the first, and the maps must be bound to the copy
+    A = cyclic_group(4)
+    first, onto = enumerate_homs(A, A), surjections(A, A)
+    B = _renamed(A, "other")
+
+    def no_enumeration(*args):
+        raise AssertionError("a hit enumerated again")
+
+    checked = []
+    monkeypatch.setattr(homs, "_iter_homs", no_enumeration)
+    monkeypatch.setattr(algebra, "validate_morphism",
+                        lambda f: checked.append(f) or validate_morphism(f))
+    hits = [(enumerate_homs(B, B), first, B), (surjections(B, B), onto, B),
+            (enumerate_homs(A, B), first, A)]
+    assert checked == []
+    for got, want, dom in hits:
+        assert got == want and len(got) > 0
+        assert all(f.dom is dom and f.cod is B for f in got)
+        # the skipped check, run directly on the rebound maps
+        assert all(validate_morphism(f) == f.mapping for f in got)
+    assert morphism_to_doc(hits[0][0][0])["dom"]["name"] == "other"
+    assert all(f.dom is A and f.cod is A for f in enumerate_homs(A, A))
 
 
 def test_sections_of_s3_onto_c2():

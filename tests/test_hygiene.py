@@ -1,7 +1,8 @@
 """Static hygiene of the package: no unused imports, no dead definitions
 or unread module-level names, no imports inside functions, no groupoid
-branches outside the modules that define the kinds, and no use of the
-internal constructor outside `algebra`.
+branches outside the modules that define the kinds, no use of the
+internal constructor outside `algebra`, and no unbounded cache beyond
+the known ones.
 
 The tests read the source with ``ast`` and import nothing.  A name
 counts as used when it appears as a name or an attribute anywhere
@@ -233,3 +234,45 @@ def test_one_group_generating_set_per_sort():
             if name == "_generators" and isinstance(first, ast.Tuple) and len(first.elts) == 1:
                 calls.append(f"{path.name}:{owner.get(n)}")
     assert calls == ["algebra.py:_check_sort"]
+
+
+def _unbounded_caches(tree: ast.Module) -> list[ast.AST]:
+    """``lru_cache`` calls with maxsize None, wherever they are, and
+    ``cache`` (plain or ``functools.cache``) used as a decorator."""
+    out = [dec for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+           for dec in fn.decorator_list
+           if (dec.id if isinstance(dec, ast.Name) else getattr(dec, "attr", None)) == "cache"]
+    for n in ast.walk(tree):
+        if not isinstance(n, ast.Call):
+            continue
+        name = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+        sizes = n.args[:1] + [k.value for k in n.keywords if k.arg == "maxsize"]
+        if name == "lru_cache" and any(isinstance(v, ast.Constant) and v.value is None
+                                       for v in sizes):
+            out.append(n)
+    return out
+
+
+def test_the_unbounded_caches_are_the_known_ones():
+    """Every cache that lives as long as the process: by module and the
+    function it decorates, or by line.
+
+    None of them can be cleared, so a new one has to be added here on
+    purpose; bounding them is an open ROADMAP item, which shortens the
+    list.
+    """
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        owner = {id(dec): fn.name for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for dec in fn.decorator_list}
+        found += [f"{path.name}:{owner.get(id(n), n.lineno)}" for n in _unbounded_caches(tree)]
+    assert sorted(found) == [
+        "corpus.py:_built",
+        "homs.py:_element_orders",
+        "homs.py:_generation_plan",
+        "homs.py:_homs",
+        "homs.py:_surjections",
+        "reflectors.py:reflect",
+    ]

@@ -1,6 +1,8 @@
 """The named verification suites: verdicts, witnesses and replay."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -23,7 +25,8 @@ from semiab import (
     trivial_of_variety,
     zero_morphism,
 )
-from semiab import verification
+from semiab import birkhoff, verification
+from semiab.homs import _corpus_surjections
 from semiab.report import CHECKS
 from semiab.verification import (
     SUITES,
@@ -134,6 +137,75 @@ def test_verify_all_is_complete_and_deterministic():
     assert all(r.passed for r in reports)
     again = verify_all(seed=0)
     assert [r.to_doc() for r in reports] == [r.to_doc() for r in again]
+
+
+_CONTEXT_SUITES = ("prop-5.5", "thm-6.2", "thm-6.5", "lemma-6.6")
+
+
+@pytest.fixture(scope="module")
+def shared_sweep():
+    """One ``verify_all(seed=0)``, with what its Birkhoff contexts did.
+
+    Records the unit squares certified under ``ab`` on groups, the
+    reflector and arrow of every kernel pair that ``radical_n`` takes,
+    and a weak reference to every context the suites were handed.
+    """
+    unit_square, kernel_pair = birkhoff.unit_square, birkhoff.kernel_pair
+    radical_n, shared = birkhoff.radical_n, verification._shared_context
+    seen = {"ab-group-squares": 0, "pairs": [], "contexts": []}
+    reflectors = []
+
+    def counted_square(R, f):
+        if R.name == "ab" and f.dom.kind == "group":
+            seen["ab-group-squares"] += 1
+        return unit_square(R, f)
+
+    def in_radical_n(ctx, c):
+        reflectors.append(ctx.B)
+        try:
+            return radical_n(ctx, c)
+        finally:
+            reflectors.pop()
+
+    def recorded_pair(f):
+        seen["pairs"].append((reflectors[-1], f))
+        return kernel_pair(f)
+
+    def recorded_context(*args):
+        ctx = shared(*args)
+        seen["contexts"].append(weakref.ref(ctx))
+        return ctx
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(birkhoff, "unit_square", counted_square)
+        mp.setattr(birkhoff, "radical_n", in_radical_n)
+        mp.setattr(birkhoff, "kernel_pair", recorded_pair)
+        mp.setattr(verification, "_shared_context", recorded_context)
+        reports = verify_all(seed=0)
+    gc.collect()
+    return {r.suite: r.to_doc() for r in reports}, seen
+
+
+@pytest.mark.parametrize("name", _CONTEXT_SUITES)
+def test_shared_contexts_leave_each_report_as_run_alone(shared_sweep, name):
+    docs, _ = shared_sweep
+    assert docs[name] == verify_suite(name, seed=0).to_doc()
+
+
+def test_a_sweep_certifies_each_reflector_and_corpus_once(shared_sweep):
+    _, seen = shared_sweep
+    # five contexts over (ab, groups), differing only in the comparison
+    # reflector, certify its unit squares once between them
+    groups = len(list(_corpus_surjections(corpus_by_id("groups"))))
+    assert seen["ab-group-squares"] == groups == 398
+    # one kernel pair per reflector and 1-cube arrow, by content
+    assert len(seen["pairs"]) == len(set(seen["pairs"])) > groups
+
+
+def test_the_context_store_goes_with_the_sweep(shared_sweep):
+    _, seen = shared_sweep
+    assert len(seen["contexts"]) == 7  # one per context a suite asks for
+    assert all(ref() is None for ref in seen["contexts"])
 
 
 def test_seed_changes_sample_not_soundness():
