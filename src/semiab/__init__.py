@@ -51,6 +51,7 @@ from .cubes import (
     cube_between,
     cube_of_morphism,
     is_nfold_extension,
+    is_pullback_square,
     is_pushout_square,
     rib_kernel_meet,
     square,

@@ -713,18 +713,18 @@ def _derived_morphism(dom: Algebra, cod: Algebra, arrays, *via: Algebra) -> Morp
         return Morphism(dom, cod, arrays)
     for D, C, m in zip(dom.sorts, cod.sorts, arrays):
         _passed(D).setdefault(C, set()).add(m)
-    return _unchecked_morphism(dom, cod, arrays)
+    return _unchecked(Morphism, dom, cod, arrays)
 
 
-def _unchecked_morphism(dom: Algebra, cod: Algebra, arrays) -> Morphism:
-    """The map with these arrays as given, without ``validate_morphism``."""
-    # field by field, as the dataclass does: a __dict__ update would give
-    # each map its own key table instead of the class's shared one
-    f = object.__new__(Morphism)
-    object.__setattr__(f, "dom", dom)
-    object.__setattr__(f, "cod", cod)
-    object.__setattr__(f, "mapping", arrays)
-    return f
+def _unchecked(cls, *values):
+    """The frozen dataclass ``cls`` with these field values as given,
+    without its checks (a map's ``validate_morphism``)."""
+    # field by field in order, as the dataclass does: a __dict__ update
+    # would give each object its own key table instead of the class's
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def morphism(dom: Algebra, cod: Algebra, *arrays) -> Morphism:

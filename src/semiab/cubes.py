@@ -4,7 +4,10 @@ A cube of dimension n has vertices indexed by bitmasks 0..2^n-1 (mask 0
 is the top vertex) and one edge per (mask, free axis) pair pointing in
 the increasing direction.  The initial ribs are the n edges out of the
 top vertex.  Every square face is checked to commute elementwise at
-construction.
+construction, which puts the image of each vertex inside the limit of
+the vertices below it: so whether a cube is an n-fold extension, or a
+square a pullback, is decided by counting on the edges' arrays, and no
+pullback algebra is built.
 
 The two constructions that build a new cube from an old one live here
 too: the cube of levelwise kernel pairs along the last axis, and the
@@ -14,7 +17,6 @@ cube with its top vertex quotiented and the initial ribs induced.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 from .algebra import Algebra, AlgebraError, Morphism, Subobject, compose, is_surjective
 from .ops import (
@@ -24,7 +26,6 @@ from .ops import (
     kernel,
     kernel_pair,
     meet_subobjects,
-    pullback,
     quotient,
 )
 
@@ -191,68 +192,58 @@ def _quotient_top(c: NCube, S: Subobject) -> tuple[Morphism, NCube]:
 # extension checks
 
 
-def square_comparison(sq: NCube) -> tuple[Morphism, Algebra, Morphism, Morphism]:
-    """Comparison of a square's top vertex to the pullback of its bottom cospan."""
-    if sq.dim != 2:
-        raise AlgebraError("comparison is for squares")
-    P, p1, p2 = pullback(sq.edge(1, 1), sq.edge(2, 0))
-    cmp = into_pullback(P, p1, p2, sq.rib(0), sq.rib(1))
-    return cmp, P, p1, p2
+def _limit_comparison(cube: NCube, mask: int, k: int) -> tuple[bool, bool]:
+    """(surjective, injective) for sort k of the map from vertex(mask)
+    into the limit of the vertices strictly below it.
 
-
-def _punctured_limit_surjective(dim: int, sizes, maps, mask: int) -> bool:
-    """Is vertex(mask) -> lim of the strictly finer vertices surjective?
-
-    The limit is cut out of the product over the atoms mask|{i} by the
-    pairwise compatibility equations one level further down.
+    The limit is joined atom by atom over the vertices mask|{i}, each
+    later atom's elements indexed by their image at the first atom's
+    level and the other equations tested on each match; the last join
+    only counts, and stops once it passes the image.  ``NCube`` checks
+    that every face commutes, so the image lies in the limit, and the
+    map is onto exactly when the two have the same size.
     """
-    atoms = [i for i in range(dim) if not mask & (1 << i)]
-    if not atoms:
-        return True
-    hit = set()
-    for x in range(sizes[mask]):
-        hit.add(tuple(maps[(mask, i)][x] for i in atoms))
-    # walk the full product, counting compatible tuples not in the image
-    def compatible(tup) -> bool:
-        for a, i in enumerate(atoms):
-            for b in range(a + 1, len(atoms)):
-                j = atoms[b]
-                lhs = maps[(mask | (1 << i), j)][tup[a]]
-                rhs = maps[(mask | (1 << j), i)][tup[b]]
-                if lhs != rhs:
-                    return False
-        return True
-
-    for tup in product(*(range(sizes[mask | (1 << i)]) for i in atoms)):
-        if compatible(tup) and tup not in hit:
-            return False
-    return True
+    maps = {key: f.mapping[k] for key, f in cube.edges.items()}
+    atoms = [i for i in range(cube.dim) if not mask & (1 << i)]
+    image = set(zip(*(maps[(mask, i)] for i in atoms)))
+    injective = len(image) == cube.vertices[mask].sorts[k].order
+    tuples = list(zip(range(cube.vertices[mask | (1 << atoms[0])].sorts[k].order)))
+    size = len(tuples)
+    for b, j in enumerate(atoms[1:], 1):
+        fibres: dict[int, list[int]] = {}
+        for x, y in enumerate(maps[(mask | (1 << j), atoms[0])]):
+            fibres.setdefault(y, []).append(x)
+        key = maps[(mask | (1 << atoms[0]), j)]
+        equations = [(c, maps[(mask | (1 << atoms[c]), j)], maps[(mask | (1 << j), atoms[c])])
+                     for c in range(1, b)]
+        last, size, joined = b == len(atoms) - 1, 0, []
+        for t in tuples:
+            xs = fibres.get(key[t[0]], ())
+            if equations:
+                xs = [x for x in xs if all(u[t[c]] == v[x] for c, u, v in equations)]
+            size += len(xs)
+            if not last:
+                joined += [t + (x,) for x in xs]
+            elif size > len(image):
+                return False, injective
+        tuples = joined
+    return size == len(image), injective
 
 
 def is_nfold_extension(cube: NCube) -> bool:
-    """The inductive extension property.
-
-    Dimension 1 is surjectivity; a square needs all four maps and the
-    comparison to the pullback surjective; in general every vertex above
-    the bottom must cover the limit of the vertices strictly below it.
-    """
-    if cube.dim == 1:
-        return is_surjective(cube.arrow)
-    for k in range(len(cube.top_vertex.sorts)):
-        sizes = {mask: V.sorts[k].order for mask, V in cube.vertices.items()}
-        maps = {key: f.mapping[k] for key, f in cube.edges.items()}
-        for mask in range((1 << cube.dim) - 1):
-            if not _punctured_limit_surjective(cube.dim, sizes, maps, mask):
-                return False
-    return True
+    """The inductive extension property: every vertex above the bottom
+    maps onto the limit of the vertices strictly below it."""
+    return all(_limit_comparison(cube, mask, k)[0]
+               for k in range(len(cube.top_vertex.sorts))
+               for mask in range((1 << cube.dim) - 1))
 
 
-def square_extension_explicit(sq: NCube) -> bool:
-    """Direct form for squares: four surjections plus surjective comparison."""
-    if not all(is_surjective(f) for f in sq.edges.values()):
-        return False
-    cmp, _, _, _ = square_comparison(sq)
-    return is_surjective(cmp)
+def is_pullback_square(sq: NCube) -> bool:
+    """Whether the top vertex maps bijectively onto the bottom cospan's pullback."""
+    if sq.dim != 2:
+        raise AlgebraError("the pullback test is for squares")
+    return all(_limit_comparison(sq, 0, k) == (True, True)
+               for k in range(len(sq.top_vertex.sorts)))
 
 
 def is_pushout_square(sq: NCube) -> bool:

@@ -2,8 +2,8 @@
 
 A surjection factors canonically as the quotient by the torsion part
 of its kernel followed by a map with torsion-free kernel.  Trivial and
-normal extensions are recognised by pullback comparisons against the
-reflection; the cube machinery lifts both notions to squares and
+normal extensions are recognised by whether squares over the reflection
+are pullbacks; the cube machinery lifts both notions to squares and
 higher dimensions, where the same torsion quotient of the top vertex
 splits an n-fold extension into a torsion part and a normal part.
 """
@@ -19,7 +19,6 @@ from .algebra import (
     Subobject,
     compose,
     identity_morphism,
-    is_isomorphism_map,
     is_surjective,
     sub_algebra,
     subobject,
@@ -31,6 +30,7 @@ from .cubes import (
     cube_between,
     cube_of_morphism,
     is_nfold_extension,
+    is_pullback_square,
     rib_kernel_meet,
     square,
 )
@@ -38,10 +38,8 @@ from .homs import enumerate_homs
 from .ops import (
     image_elements,
     induced_on_quotient,
-    into_pullback,
     kernel,
     kernel_pair,
-    pullback,
     quotient,
 )
 from .reflectors import Reflector, map_reflect, radical, reflect
@@ -139,19 +137,11 @@ def unit_square(R: Reflector, f: Morphism) -> NCube:
     return square(f, eta_dom, eta_cod, map_reflect(R, f))
 
 
-def trivial_comparison(R: Reflector, f: Morphism) -> Morphism:
-    """The map from dom(f) into the pullback of F(dom f) -> F(cod f) <- cod f."""
-    Ff = map_reflect(R, f)
-    eta_dom = reflect(R, f.dom).unit
-    eta_cod = reflect(R, f.cod).unit
-    P, p1, p2 = pullback(Ff, eta_cod)
-    return into_pullback(P, p1, p2, eta_dom, f)
-
-
 def is_trivial_extension(R: Reflector, f: Morphism) -> bool:
+    """Whether the unit square over f is a pullback."""
     if not is_surjective(f):
         raise AlgebraError("extension tests take surjections")
-    return is_isomorphism_map(trivial_comparison(R, f))
+    return is_pullback_square(unit_square(R, f))
 
 
 def is_normal_extension(R: Reflector, f: Morphism) -> bool:
@@ -182,8 +172,9 @@ def double_normal_by_galois(R: Reflector, c: NCube) -> bool:
     The square is read as a map of vertical arrows; its levelwise
     self-pullback projects back onto it, and that projection is tested
     for arrow-level triviality.  Since arrow units have identity
-    bottom components, triviality reduces to the top-level comparison
-    being an isomorphism.
+    bottom components, triviality reduces to the top square, from the
+    kernel pair's top vertex through its torsion quotient, being a
+    pullback.
     """
     if c.dim != 2:
         raise AlgebraError("the derived-reflection route is for squares")
@@ -195,11 +186,9 @@ def double_normal_by_galois(R: Reflector, c: NCube) -> bool:
     if not (Tu.normal and Tv.normal):
         raise AlgebraError("torsion parts of the kernels are not normal")
     _, qu = quotient(r.dom, Tu)
-    qv_cod, qv = quotient(a1.dom, Tv)
+    _, qv = quotient(a1.dom, Tv)
     reflected = induced_on_quotient(qu, compose(qv, pt1))
-    P, p1, p2 = pullback(reflected, qv)
-    cmp = into_pullback(P, p1, p2, qu, pt1)
-    return is_isomorphism_map(cmp)
+    return is_pullback_square(square(qu, pt1, reflected, qv))
 
 
 def is_nfold_normal(R: Reflector, c: NCube) -> bool:

@@ -28,7 +28,7 @@ from .algebra import (
     _generators,
     _respects_structure,
     _test_rows,
-    _unchecked_morphism,
+    _unchecked,
     _violation,
     compose,
     identity_morphism,
@@ -120,7 +120,7 @@ def _between(homs: tuple[Morphism, ...], A: Algebra, B: Algebra) -> tuple[Morphi
     caller's algebras, unchecked, since the tables are the same.
     """
     if homs and (homs[0].dom is not A or homs[0].cod is not B):
-        return tuple(_unchecked_morphism(A, B, f.mapping) for f in homs)
+        return tuple(_unchecked(Morphism, A, B, f.mapping) for f in homs)
     return homs
 
 

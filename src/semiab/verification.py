@@ -33,7 +33,7 @@ from .birkhoff import (
     object_cube,
 )
 from .corpus import corpus_by_id
-from .cubes import NCube, cube_of_morphism, is_nfold_extension, is_pushout_square, square
+from .cubes import NCube, cube_of_morphism, is_nfold_extension, is_pullback_square, is_pushout_square, square
 from .factorisation import (
     classify_em,
     check_orthogonal,
@@ -52,7 +52,6 @@ from .ops import (
     image,
     image_elements,
     induced_on_quotient,
-    into_pullback,
     join_normal,
     kernel,
     meet_subobjects,
@@ -201,11 +200,9 @@ def _unit_pullback_not_inverted(R: Reflector, A: Algebra, g: Morphism) -> bool:
 
 @check("pullback-not-preserved", _REFLECTOR, _SEQUENCE, ("along", "morphism"))
 def _pullback_not_preserved(R: Reflector, seq: ExactSequence, g: Morphism) -> bool:
-    f = seq.f
-    P, p1, p2 = pullback(f, g)
-    Q, q1, q2 = pullback(map_reflect(R, f), map_reflect(R, g))
-    return not is_isomorphism_map(
-        into_pullback(Q, q1, q2, map_reflect(R, p1), map_reflect(R, p2)))
+    _, p1, p2 = pullback(seq.f, g)
+    return not is_pullback_square(square(map_reflect(R, p1), map_reflect(R, p2),
+                                         map_reflect(R, seq.f), map_reflect(R, g)))
 
 
 @check("protosplit-mono-image", _REFLECTOR, _SEQUENCE)

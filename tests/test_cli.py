@@ -13,10 +13,12 @@ from semiab import (
     corpus_to_doc,
     cube_to_doc,
     cyclic_group,
+    dihedral_group,
     identity_morphism,
     morphism,
     morphism_to_doc,
     morphism_from_doc,
+    named_algebra,
     square,
     zring,
 )
@@ -171,6 +173,48 @@ def test_extension_check_double_needs_square(tmp_path, capsys):
     # a morphism is not enough for the double check
     mpath = _write(tmp_path / "f.json", morphism_to_doc(f))
     assert run(["extension-check", "--reflector", "reduced", "--morphism", mpath, "--kind", "double"]) == 1
+
+
+def _sign(n):
+    return morphism(dihedral_group(n), cyclic_group(2), [0] * n + [1] * n)
+
+
+def _module_map(dom, cod, values):
+    return morphism(named_algebra(dom), named_algebra(cod), values)
+
+
+def _doubled(f):
+    return square(f, f, identity_morphism(f.cod), identity_morphism(f.cod))
+
+
+@pytest.mark.parametrize("rid, kind, build, verdict", [
+    ("reduced", "trivial", lambda: _ring_mod(12, 2), "fail"),
+    ("reduced", "normal", lambda: _ring_mod(6, 2), "pass"),
+    ("burnside:2", "trivial", lambda: _module_map("m4-c2xc4", "m4-c4", [0, 1, 2, 3] * 2), "pass"),
+    ("burnside:2", "normal", lambda: _module_map("m4-c2xc4", "m4-c4", [0, 1, 2, 3] * 2), "pass"),
+    ("burnside:2", "trivial", lambda: _module_map("m4-c4", "m4-c2", [0, 1] * 2), "fail"),
+    ("burnside:2", "normal", lambda: _module_map("m4-c4", "m4-c2", [0, 1] * 2), "pass"),
+    ("ab", "trivial", lambda: _sign(4), "fail"),
+    ("ab", "normal", lambda: _sign(4), "fail"),
+    ("ab", "trivial", lambda: _sign(3), "fail"),
+    ("ab", "normal", lambda: _sign(3), "fail"),
+    ("reduced", "double", lambda: _doubled(_ring_mod(4, 2)), "fail"),
+    ("reduced", "double", lambda: _doubled(_ring_mod(12, 2)), "fail"),
+    ("ab", "double", lambda: _doubled(_sign(4)), "pass"),
+    ("burnside:2", "double", lambda: _doubled(_module_map("m4-c4", "m4-c2", [0, 1] * 2)), "pass"),
+])
+def test_extension_check_json_verdicts(tmp_path, capsys, rid, kind, build, verdict):
+    """Ring reductions, module projections, dihedral sign maps and doubled
+    squares: the JSON verdict, and exit code 0 on pass and 2 on fail."""
+    arrow = build()
+    flag, doc = ("--cube", cube_to_doc(arrow)) if kind == "double" else (
+        "--morphism", morphism_to_doc(arrow))
+    path = _write(tmp_path / "in.json", doc)
+    code = run(["extension-check", "--reflector", rid, flag, path, "--kind", kind, "--json"])
+    assert json.loads(capsys.readouterr().out) == {
+        "format": "semiab-extension-check", "version": 1, "reflector": rid, "kind": kind,
+        "verdict": verdict}
+    assert code == (0 if verdict == "pass" else 2)
 
 
 _MOD2 = _ring_mod(4, 2)

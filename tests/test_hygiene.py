@@ -274,5 +274,5 @@ def test_the_unbounded_caches_are_the_known_ones():
         "homs.py:_generation_plan",
         "homs.py:_homs",
         "homs.py:_surjections",
-        "reflectors.py:reflect",
+        "reflectors.py:_reflect",
     ]

@@ -27,7 +27,10 @@ from semiab import (
     verify_suite,
     zring,
 )
+from semiab import reflectors
+from semiab.algebra import _renamed, subobject, validate_morphism
 from semiab.reflectors import known_protoadditive_on, short_exact_sequences
+from semiab.serialize import morphism_to_doc
 
 _TORSION_THEORY_CHECKS = {"idempotent-radical", "hom-vanishing",
                           "torsion-extension-closure", "free-extension-closure"}
@@ -187,3 +190,26 @@ def test_radical_is_normal_and_kernel_of_unit(name):
     dec = reflect(ab, A)
     assert dec.radical_part.normal
     assert kernel(dec.unit).elements == dec.radical_part.elements
+
+
+def test_cached_decompositions_carry_the_callers_algebra(monkeypatch):
+    # the cache compares algebras by content: a renamed copy hits the
+    # entry of the first, and its parts must be moved to the copy
+    ab, s3 = reflector_by_id("ab"), symmetric_3()
+    first = reflect(ab, s3)
+    B = _renamed(s3, "other")
+
+    def no_radical(*args):
+        raise AssertionError("a hit computed the radical again")
+
+    monkeypatch.setattr(reflectors, "_base_radical", no_radical)
+    dec = reflect(ab, B)
+    assert dec.algebra is B and dec.unit.dom is B and dec.radical_part.parent is B
+    assert morphism_to_doc(dec.unit)["dom"]["name"] == "other"
+    assert dec.reflection is first.reflection and dec.unit.mapping == first.unit.mapping
+    assert radical(ab, B).parent is B
+    assert reflect(ab, s3).algebra is s3
+    # the skipped checks, run directly on the moved parts
+    assert validate_morphism(dec.unit) == dec.unit.mapping
+    assert kernel(dec.unit).elements == dec.radical_part.elements
+    assert subobject(B, *dec.radical_part.elements).normal == dec.radical_part.normal
