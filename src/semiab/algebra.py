@@ -20,8 +20,9 @@ defining identity of its kind exactly, one way at every carrier size:
 associativity, distributivity and s(x+y) = sx+sy on generators (the
 elements g at which such an identity holds form a subalgebra), and
 groupoids by commuting kernels of d, c.  ``_check_sort`` takes the
-greedy generating set of the group table once and shares it among
-these checks; ``_sort`` stores it on the sort as ``gens``.
+greedy generating set of the group table once, coset by coset
+(``_coset_generators``), and shares it among these checks; ``_sort``
+stores it on the sort as ``gens``.
 
 Derived algebras inherit their identities.  By Birkhoff's HSP theorem
 a variety is closed under products, subalgebras and homomorphic
@@ -33,10 +34,10 @@ carries that mark, the derived algebra skips the shape, identity and
 structure-map checks: its rows are only made tuples, once.  Its sorts
 are still interned, with ``gens`` from where they are cheapest: the
 (g, 0) and (0, h) of the factors' ``gens`` for a product, the nonzero
-images of the parent's for a quotient, and the greedy set, still taken
-by ``_check_sort``, for a pullback or a sub-algebra.  Under the same
-rule, projections, inclusions, quotient maps and composites, which are
-morphisms by construction, skip ``validate_morphism``
+images of the parent's for a quotient, and the greedy set, taken by
+``_check_sort`` coset by coset, for a pullback or a sub-algebra.  Under
+the same rule, projections, inclusions, quotient maps and composites,
+which are morphisms by construction, skip ``validate_morphism``
 (``_derived_morphism``).  A hand-built ``Algebra`` carries no mark, so
 what is derived from it is checked in full, and its normality and the
 maps out of it are tested over the whole carrier (``_test_rows``),
@@ -74,7 +75,11 @@ holds one image array and ``Subobject.elements`` one frozenset per
 sort.  Constructions here, in ``ops`` and in ``homs`` run sort by sort;
 ``_rebuild`` derives a sort's tables, and ``_assemble``,
 ``_respects_structure`` and ``_structure_images`` carry the structure
-maps.  ``_close`` is the one closure routine.  Normality in an algebra
+maps.  ``_close`` is the one closure routine, with one exception: the
+greedy generating set under a group table alone, whose closures are
+subgroups, is built coset by coset (``_coset_generators``), for
+``_check_sort`` and for ``generating_set`` on the group and module
+sorts of algebras that ``_algebra`` built.  Normality in an algebra
 that ``_algebra`` built is tested on ``gens`` alone
 (``_normal_demands``), exactly, for the reason that makes ``_scan``
 exact.
@@ -207,9 +212,14 @@ def _close(binary, unary, closed: set[int], frontier, steps: list | None = None)
 def _generators(binary, unary, order: int, plan: list | None = None) -> list[int]:
     """Greedy generating set in index order, 0 taken as given.
 
-    When ``plan`` is a list, one (generator, steps) pair is appended
-    per generator, deriving every element it adds (see ``_close``).
+    Under one group table alone, and with no ``plan``, it is taken coset
+    by coset (``_coset_generators``); otherwise each generator's closure
+    is taken by ``_close``.  When ``plan`` is a list, one (generator,
+    steps) pair is appended per generator, deriving every element it
+    adds (see ``_close``).
     """
+    if plan is None and len(binary) == 1 and not unary:
+        return _coset_generators(binary[0])
     closed = _close(binary, unary, {0}, [0])
     gens: list[int] = []
     for x in range(order):
@@ -221,6 +231,59 @@ def _generators(binary, unary, order: int, plan: list | None = None) -> list[int
             if plan is not None:
                 plan.append((x, tuple(steps)))
     return gens
+
+
+def _coset_generators(op) -> list[int]:
+    """The greedy generating set of a group table, built coset by coset.
+
+    The closed set is kept as a subgroup H (Dimino's algorithm).  When
+    x is the least element outside H, the right coset H.x joins; each
+    new coset representative is then multiplied by every generator so
+    far, and each product outside joins with its whole coset.  The
+    union is closed under right products by the generators, so it is
+    the closure ``_close`` would take, and the list is the same.  Each
+    element is touched once per generator, where ``_close`` multiplies
+    each new element by every closed one.
+
+    On a table that is no group, every element that joins is still a
+    product of generators, and the greedy set of ``_close`` is a
+    subsequence of this one whose closures hold the extra elements; so
+    ``_check_associative``, which runs after the neutral check, names
+    the same first failure with either set.
+    """
+    inside = bytearray(len(op))
+    inside[0] = 1
+    H: list[int] = [0]
+    gens: list[int] = []
+    for x in range(len(op)):
+        if inside[x]:
+            continue
+        gens.append(x)
+        grown, reps = H + _new_in_coset(op, H, x, inside), [x]
+        for r in reps:  # grows while it is read
+            row = op[r]
+            for s in gens:
+                t = row[s]
+                if not inside[t]:
+                    grown += _new_in_coset(op, H, t, inside)
+                    reps.append(t)
+        H = grown
+    return gens
+
+
+def _new_in_coset(op, H, t, inside) -> list[int]:
+    """t and the elements of the right coset H.t not yet ``inside``, now marked.
+
+    t is marked first, so it is never found again on a table where
+    0.t is not t.
+    """
+    inside[t] = 1
+    new = [t]
+    for z in [op[h][t] for h in H]:
+        if not inside[z]:
+            inside[z] = 1
+            new.append(z)
+    return new
 
 
 def _check_associative(table, what: str, gens) -> None:
@@ -400,9 +463,9 @@ _CHECKED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 def _check_sort(V: Variety, binary, unary, what: str, derived: bool = False) -> tuple[int, ...]:
     """Every defining identity of V on a sort's shape-checked tables.
 
-    Returns the greedy generating set of the group table, which the
-    identity checks share and ``_scan`` tests homomorphisms on; a
-    ``derived`` sort gets the set alone.
+    Returns the greedy generating set of the group table, taken coset
+    by coset, which the identity checks share and ``_scan`` tests
+    homomorphisms on; a ``derived`` sort gets the set alone.
     """
     gens = tuple(_generators((binary[0],), (), len(binary[0])))
     if derived:
@@ -926,6 +989,14 @@ def element_order(A: Algebra, x: int) -> int:
 
 
 def generating_set(A: Algebra) -> list[int]:
-    """Greedy small generating set under all operations (first sort)."""
+    """Greedy small generating set under all operations (first sort).
+
+    In a group or Z/m-module sort of an algebra that ``_algebra`` built,
+    the inverse and the scalars add nothing to closure under the group
+    table (sx is a repeated sum, by the module checks), so the set is
+    taken under that table alone, coset by coset.
+    """
     S = A.sorts[0]
+    if _trusted(A) and S.variety.kind in (GROUP, ZMOD_MODULE):
+        return _generators(S.binary, (), S.order)
     return _generators(S.binary, S.unary, S.order)

@@ -11,8 +11,10 @@ of its parent's.  Quotient carriers are cosets indexed in
 first-appearance order, so the class of the constant is always index 0,
 and pair carriers (products, pullbacks, kernel pairs) are sorted
 lexicographically for the same reason.  A pair algebra looks pair
-(a, b) up as ``index[a][b]`` and builds each table row as one chain of
-``map``s, with no per-entry tuple or hash.
+(a, b) up as ``index[a][b]``, with no per-entry tuple or hash: a row
+whose pairs' runs are short is one chain of ``map``s, and one whose
+runs are long is a concatenation of blocks shared with the other rows
+of its second component (``_pair_table``).
 
 Each construction is written once and runs sort by sort (see the
 ``algebra`` docstring).
@@ -22,8 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby
-from operator import getitem, itemgetter
+from itertools import chain, groupby, repeat
+from operator import add, getitem, itemgetter
 
 from .algebra import (
     Algebra,
@@ -230,21 +232,79 @@ def power_subobject(A: Algebra, k: int) -> Subobject:
 # products, pullbacks, kernel pairs
 
 
+class _Blocks(dict):
+    """The blocks of one second component x2, each built when first asked for.
+
+    The block of key a' + width * c is ``index[a']`` read at ``moved[c]``,
+    the image under row x2 of tB of the c-th distinct run content.
+    """
+
+    __slots__ = ("index", "moved", "width")
+
+    def __init__(self, index, moved, width: int) -> None:
+        super().__init__()
+        self.index, self.moved, self.width = index, moved, width
+
+    def __missing__(self, key: int) -> list[int]:
+        c, a = divmod(key, self.width)
+        block = self[key] = list(map(self.index[a].__getitem__, self.moved[c]))
+        return block
+
+
 def _pair_table(index, firsts, seconds, tA, tB) -> list[tuple[int, ...]]:
     """The table on the pairs (firsts[k], seconds[k]) from the tables tA, tB.
 
-    Rows with one first component x1, consecutive in sorted pairs, share
-    the lookup of ``index`` at the entries of row x1 of tA.  Each row is
-    built as a list and copied once into a tuple of its exact size:
-    ``tuple(map(...))`` grows its result by reallocation, and the freed
-    blocks it leaves between the rows kept alive raised the sweep's peak
-    memory by about 1%.
+    The pairs are those of ``_fibre_pairs``, so they fall into runs of
+    columns, one per first component a, each holding the fibre of the
+    second leg that a lies over.  Entry (x1, x2) times (a, b) is
+    ``index[tA[x1][a]][tB[x2][b]]``, so a row's entries over one run
+    form a block that depends on x2, a' = tA[x1][a] and the run's
+    content, not on x1.  A block pays when it is long and shared:
+    blocks are used when the pairs number at least four times their
+    distinct first components (the average run length) and four times
+    their distinct second components (the rows that share one x2's
+    blocks); the kernel pair of the rank-2 cover in H2(m8-c2) has 32 of
+    each.  Then, one x2 at a time, each block is built once and each row
+    of that x2 is one concatenation of its blocks.  Otherwise, as in
+    most of the sweep's small tables, whose runs are singletons, each
+    row is built entry by entry, and rows with one x1 share the lookup
+    of ``index`` at row x1 of tA.  Either way every entry is read from
+    ``index``, so the table is the same.
+
+    Rows come in lexicographic order, each built as a list and copied
+    once into a tuple of its exact size: ``tuple(map(...))`` grows its
+    result by reallocation, and the freed blocks it leaves between the
+    rows kept alive raised the sweep's peak memory by about 1%.  The
+    blocks and run contents are lists and live only for this call:
+    freed short tuples stay on the interpreter's free lists, and as
+    tuples they kept 0.2 to 0.4 MB more alive through the homology
+    workload's queries.
     """
-    rows = []
-    for x1, run in groupby(zip(firsts, seconds), key=itemgetter(0)):
-        halves = list(map(index.__getitem__, map(tA[x1].__getitem__, firsts)))
-        rows.extend(tuple(list(map(getitem, halves, map(tB[x2].__getitem__, seconds))))
-                    for _, x2 in run)
+    heads = list(dict.fromkeys(firsts))
+    if len(firsts) < 4 * max(len(heads), len(set(seconds))):
+        rows = []
+        for x1, run in groupby(zip(firsts, seconds), key=itemgetter(0)):
+            halves = list(map(index.__getitem__, map(tA[x1].__getitem__, firsts)))
+            rows.extend(tuple(list(map(getitem, halves, map(tB[x2].__getitem__, seconds))))
+                        for _, x2 in run)
+        return rows
+    # the runs are fibres of the second leg, so a run's first element names it
+    width, ids, contents, offsets = len(tA), {}, [], []
+    for _, run in groupby(zip(firsts, seconds), key=itemgetter(0)):
+        b = next(run)[1]
+        if b not in ids:
+            ids[b] = len(contents)
+            contents.append([b, *map(itemgetter(1), run)])
+        offsets.append(width * ids[b])
+    rows = [None] * len(firsts)
+    for x2 in dict.fromkeys(seconds):
+        get = _Blocks(index, [list(map(tB[x2].__getitem__, b)) for b in contents],
+                      width).__getitem__
+        for x1 in heads:
+            k = index[x1][x2]
+            if k >= 0:
+                rows[k] = tuple(list(chain.from_iterable(
+                    map(get, map(add, map(tA[x1].__getitem__, heads), offsets)))))
     return rows
 
 
@@ -254,17 +314,39 @@ def _pair_map(index, firsts, seconds, uA, uB) -> tuple[int, ...]:
                           map(uB.__getitem__, seconds))))
 
 
-def _pairs_algebra(A: Algebra, B: Algebra, sort_pairs) -> tuple[Algebra, Morphism, Morphism]:
-    """The algebra on the given sorted pairs, sort by sort, with its projections."""
+def _fibre_pairs(fm, gm) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The pairs (a, b) with fm[a] == gm[b], in lexicographic order, as
+    the tuple of their first and the tuple of their second components.
+
+    The fibres of gm are indexed once, so the work is that of the
+    output, and no pair is built as a tuple: a list of them stayed
+    alive while the tables were built, and raised the peak memory of
+    CLI H3(m4-c2xc2) by 0.3 MB.
+    """
+    fibres: dict[int, list[int]] = {}
+    for b, y in enumerate(gm):
+        fibres.setdefault(y, []).append(b)
+    firsts: list[int] = []
+    seconds: list[int] = []
+    for a, y in enumerate(fm):
+        bs = fibres.get(y, ())
+        firsts += repeat(a, len(bs))
+        seconds += bs
+    return tuple(firsts), tuple(seconds)
+
+
+def _pairs_algebra(A: Algebra, B: Algebra, sort_maps) -> tuple[Algebra, Morphism, Morphism]:
+    """The algebra on the pairs that arrays fm, gm identify, one (fm, gm)
+    per sort in ``sort_maps``, with its projections."""
     sorts, legs, backs = [], [], []
-    for SA, SB, pairs in zip(A.sorts, B.sorts, sort_pairs):
-        firsts, seconds = tuple(a for a, _ in pairs), tuple(b for _, b in pairs)
+    for SA, SB, (fm, gm) in zip(A.sorts, B.sorts, sort_maps):
+        firsts, seconds = _fibre_pairs(fm, gm)
         index = [[-1] * SB.order for _ in range(SA.order)]
-        for k, (a, b) in enumerate(pairs):
+        for k, (a, b) in enumerate(zip(firsts, seconds)):
             index[a][b] = k
         # a product is generated by the (g, 0) and (0, h) of its factors' gens
         gens = (tuple(index[g][0] for g in SA.gens) + tuple(index[0][h] for h in SB.gens)
-                if len(pairs) == SA.order * SB.order else None)
+                if len(firsts) == SA.order * SB.order else None)
         sorts.append(_rebuild((SA, SB), partial(_pair_table, index, firsts, seconds),
                               partial(_pair_map, index, firsts, seconds), gens))
         legs.append((firsts, seconds))
@@ -283,9 +365,7 @@ def pullback(f: Morphism, g: Morphism) -> tuple[Algebra, Morphism, Morphism]:
     if f.cod != g.cod:
         raise AlgebraError("pullback needs a shared codomain")
     A, B = f.dom, g.dom
-    return _pairs_algebra(A, B, [
-        [(a, b) for a in range(SA.order) for b in range(SB.order) if fm[a] == gm[b]]
-        for SA, SB, fm, gm in zip(A.sorts, B.sorts, f.mapping, g.mapping)])
+    return _pairs_algebra(A, B, zip(f.mapping, g.mapping))
 
 
 def kernel_pair(f: Morphism) -> tuple[Algebra, Morphism, Morphism]:
@@ -312,7 +392,8 @@ def _mediate(p1m, p2m, um, vm) -> tuple[int, ...]:
 def direct_product(A: Algebra, B: Algebra) -> tuple[Algebra, Morphism, Morphism]:
     if A.variety != B.variety:
         raise AlgebraError(f"cannot multiply a {A.variety} by a {B.variety}")
-    return _pairs_algebra(A, B, [[(a, b) for a in range(SA.order) for b in range(SB.order)]
+    # the pullback over the terminal algebra
+    return _pairs_algebra(A, B, [((0,) * SA.order, (0,) * SB.order)
                                  for SA, SB in zip(A.sorts, B.sorts)])
 
 
