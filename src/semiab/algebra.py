@@ -38,11 +38,15 @@ images of the parent's for a quotient, and the greedy set, taken by
 ``_check_sort`` coset by coset, for a pullback or a sub-algebra.  Under
 the same rule, projections, inclusions, quotient maps and composites,
 which are morphisms by construction, skip ``validate_morphism``
-(``_derived_morphism``).  A hand-built ``Algebra`` carries no mark, so
-what is derived from it is checked in full, and its normality and the
-maps out of it are tested over the whole carrier (``_test_rows``),
-since nothing checks the ``gens`` of a hand-built ``Sort``.  The tests
-run every skipped check directly on derived algebras and maps.
+(``_derived_morphism``), and the whole carrier and the kernels,
+preimages, images, meets and normal closures of ``ops`` skip the
+closure tests of a subobject, and its normality test where they
+guarantee normality (``_derived_subobject``).  A hand-built
+``Algebra`` carries no mark, so what is derived from it is checked in
+full, and its normality and the maps out of it are tested over the
+whole carrier (``_test_rows``), since nothing checks the ``gens`` of a
+hand-built ``Sort``.  The tests run every skipped check directly on
+derived algebras, maps and subobjects.
 
 ``_scan``, the homomorphism test, tests each binary table only at the
 rows of ``gens`` and each unary map at every element.  This is exact
@@ -460,6 +464,29 @@ class Algebra(_Structural):
 _CHECKED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
+class _Key:
+    """A ``_CHECKED`` key that hashes its tuple of items once.
+
+    ``_sort`` looks a key up and may then store it, and the weak
+    dictionary looks it up again to drop it when its sort dies; each
+    hash of a plain tuple reads every entry of its tables.  The key
+    hashes and compares as its plain tuple, whose hash is also the
+    sort's (``Sort._key``).  Slots, not a tuple subclass: that would
+    give each key a dict of its own, about 0.1 MB over a sweep.
+    """
+
+    __slots__ = ("items", "hash")
+
+    def __init__(self, items: tuple) -> None:
+        self.items, self.hash = items, hash(items)
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __eq__(self, other) -> bool:
+        return self.items == (other.items if type(other) is _Key else other)
+
+
 def _check_sort(V: Variety, binary, unary, what: str, derived: bool = False) -> tuple[int, ...]:
     """Every defining identity of V on a sort's shape-checked tables.
 
@@ -502,16 +529,22 @@ def _sort(V: Variety, binary, unary, name: str | None, gens=None,
                       for u, w in zip(unary, (inv_name, *["act"] * (len(unary) - 1))))
         if unary[0] is None:
             unary = (tuple(row.index(0) if 0 in row else 0 for row in binary[0]), *unary[1:])
-    key = (V, n, binary, unary)
+    key = _Key((V, n, binary, unary))
     live = _CHECKED.get(key)
     if live is None:
         if gens is None or not derived:
             gens = _check_sort(V, binary, unary, name or str(V), derived)
         live = _CHECKED[key] = Sort(V, n, binary, unary, gens, name)
-    if live.name == name:
-        return live
-    renamed = Sort(V, n, live.binary, live.unary, live.gens, name)
-    object.__setattr__(renamed, "_passed", _passed(live))
+        object.__setattr__(live, "_hash", key.hash)
+    return live if live.name == name else _renamed_sort(live, name)
+
+
+def _renamed_sort(S: Sort, name: str | None) -> Sort:
+    """S under another name, sharing its tables, ``gens``, hash and
+    record of passing arrays (``_passed``)."""
+    renamed = Sort(S.variety, S.order, S.binary, S.unary, S.gens, name)
+    object.__setattr__(renamed, "_hash", hash(S))
+    object.__setattr__(renamed, "_passed", _passed(S))
     return renamed
 
 
@@ -573,9 +606,11 @@ def _trusted(*algebras) -> bool:
     return True
 
 
-def _renamed(A: Algebra, name: str) -> Algebra:
-    """A under another name, still ``_trusted`` if A was."""
-    B = replace(A, name=name)  # a new instance, without the mark
+def _renamed(A: Algebra, name: str, *sort_names: str) -> Algebra:
+    """A under another name, and its sorts under ``sort_names`` if given,
+    still ``_trusted`` if A was."""
+    sorts = tuple(map(_renamed_sort, A.sorts, sort_names)) if sort_names else A.sorts
+    B = replace(A, sorts=sorts, name=name)  # a new instance, without the mark
     if _trusted(A):
         object.__setattr__(B, "_built", True)
     return B
@@ -779,9 +814,31 @@ def _derived_morphism(dom: Algebra, cod: Algebra, arrays, *via: Algebra) -> Morp
     return _unchecked(Morphism, dom, cod, arrays)
 
 
+def _derived_subobject(parent: Algebra, sets, normal: bool | None = None,
+                       *via: Algebra) -> Subobject:
+    """A subobject that a construction made, with one element set per sort
+    that the construction guarantees closed under the operations and
+    the structure maps, and ``normal`` if it guarantees that too.
+
+    When ``parent`` and the algebras ``via`` which the construction
+    passes through are ``_trusted``, the sets are only made frozensets
+    and ``normal`` is taken as given, or tested by ``is_normal_subset``
+    when it is None.  Otherwise the checked ``Subobject`` runs every
+    check, so what is built from a hand-built algebra is checked in
+    full, as with ``_derived_morphism``.
+    """
+    if not _trusted(parent, *via):
+        return Subobject(parent, tuple(sets))
+    sets = tuple(map(frozenset, sets))
+    if normal is None:
+        normal = is_normal_subset(parent, *sets)
+    return _unchecked(Subobject, parent, sets, normal)
+
+
 def _unchecked(cls, *values):
     """The frozen dataclass ``cls`` with these field values as given,
-    without its checks (a map's ``validate_morphism``)."""
+    without its checks (a map's ``validate_morphism``, a subobject's
+    closure and normality tests)."""
     # field by field in order, as the dataclass does: a __dict__ update
     # would give each object its own key table instead of the class's
     obj = object.__new__(cls)
@@ -871,6 +928,13 @@ class Subobject:
         return all(a <= b for a, b in zip(self.elements, other.elements))
 
 
+def _check_parent(A: Algebra, *subs: Subobject) -> None:
+    """AlgebraError unless each subobject is one of A, or of an algebra equal to A."""
+    for sub in subs:
+        if sub.parent is not A and sub.parent != A:
+            raise AlgebraError("subobject of a different parent")
+
+
 def _closed_subset(S: Sort, X) -> bool:
     for t in S.binary:
         for x in X:
@@ -943,7 +1007,8 @@ def zero_subobject(A: Algebra) -> Subobject:
 
 
 def full_subobject(A: Algebra) -> Subobject:
-    return subobject(A, *(range(S.order) for S in A.sorts))
+    """The whole carrier, closed and normal in any algebra."""
+    return _derived_subobject(A, (range(S.order) for S in A.sorts), True)
 
 
 def sub_algebra(A: Algebra, sub: Subobject) -> tuple[Algebra, Morphism]:
@@ -951,8 +1016,7 @@ def sub_algebra(A: Algebra, sub: Subobject) -> tuple[Algebra, Morphism]:
 
     Each sort's carrier is the sorted element set.
     """
-    if sub.parent != A:
-        raise AlgebraError("subobject of a different parent")
+    _check_parent(A, sub)
     sorts, incls, backs = [], [], []
     for S, X in zip(A.sorts, sub.elements):
         elems = tuple(sorted(X))

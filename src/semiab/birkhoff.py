@@ -18,7 +18,7 @@ from .algebra import (
     AlgebraError,
     Morphism,
     Subobject,
-    _unchecked,
+    _derived_subobject,
     compose,
     generating_set,
     sub_algebra,
@@ -199,7 +199,7 @@ def radical_n(ctx: BirkhoffContext, c: NCube) -> Subobject:
         if rad is not None:
             if rad.parent is not c.top_vertex:
                 # made on an arrow equal by content: the same sets, moved
-                rad = _unchecked(Subobject, c.top_vertex, rad.elements, rad.normal)
+                rad = _derived_subobject(c.top_vertex, rad.elements, rad.normal)
             return rad
         R, p1, p2 = kernel_pair(c.arrow)
         inner = radical(ctx.B, R)

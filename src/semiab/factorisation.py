@@ -17,11 +17,11 @@ from .algebra import (
     AlgebraError,
     Morphism,
     Subobject,
+    _derived_subobject,
     compose,
     identity_morphism,
     is_surjective,
     sub_algebra,
-    subobject,
 )
 from .cubes import (
     NCube,
@@ -46,9 +46,10 @@ from .reflectors import Reflector, map_reflect, radical, reflect
 
 
 def _radical_within(R: Reflector, A: Algebra, S: Subobject) -> Subobject:
-    """The radical of the sub-algebra S, pushed forward into A."""
+    """The radical of the sub-algebra S, pushed forward into A: closed,
+    as the image of a subobject under a morphism; normality is tested."""
     sub, incl = sub_algebra(A, S)
-    return subobject(A, *image_elements(incl, radical(R, sub)))
+    return _derived_subobject(A, image_elements(incl, radical(R, sub)), None, sub)
 
 
 def torsion_of_kernel(R: Reflector, f: Morphism) -> Subobject:

@@ -17,6 +17,7 @@ from .algebra import (
     COMM_RING,
     NONASSOC_RING,
     RING_KINDS,
+    _renamed,
     group_algebra,
     gpd_algebra,
     module_algebra,
@@ -153,8 +154,8 @@ def zmod_free(m: int, rank: int, name: str | None = None) -> Algebra:
     free, factor = module_algebra(m, [[0]], [[0]] * m), zmod_cyclic(m, m)
     for _ in range(rank):
         free = direct_product(free, factor)[0]
-    (add,), (_, *act) = free.sorts[0].binary, free.sorts[0].unary
-    return module_algebra(m, add, act, name=name or f"zmod{m}^({rank})")
+    name = name or f"zmod{m}^({rank})"
+    return _renamed(free, name, name)
 
 
 def zmod_cyclic(m: int, d: int, name: str | None = None) -> Algebra:

@@ -16,6 +16,15 @@ whose pairs' runs are short is one chain of ``map``s, and one whose
 runs are long is a concatenation of blocks shared with the other rows
 of its second component (``_pair_table``).
 
+Kernels, preimages, images, meets and normal closures are closed by
+construction, and each says why in its docstring; in an algebra that
+the ``algebra`` constructor built they go through
+``algebra._derived_subobject``, which skips the closure tests of a
+``Subobject`` and, where the construction guarantees it (kernels,
+normal closures, and preimages and meets of normal subobjects), the
+normality test too.  In a hand-built algebra every check runs.  They
+reject a subobject of another algebra.
+
 Each construction is written once and runs sort by sort (see the
 ``algebra`` docstring).
 """
@@ -24,8 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, groupby, repeat
-from operator import add, getitem, itemgetter
+from itertools import chain, compress, groupby, repeat
+from operator import add, getitem, itemgetter, not_
 
 from .algebra import (
     Algebra,
@@ -35,8 +44,10 @@ from .algebra import (
     Sort,
     Subobject,
     _assemble,
+    _check_parent,
     _close,
     _derived_morphism,
+    _derived_subobject,
     _normal_demands,
     _one_per_sort,
     _rebuild,
@@ -63,20 +74,31 @@ def image_elements(f: Morphism, S: Subobject) -> tuple[frozenset[int], ...]:
 
 
 def preimage_subobject(f: Morphism, S: Subobject) -> Subobject:
-    return subobject(f.dom, *(frozenset(x for x in range(len(m)) if m[x] in X)
-                              for m, X in zip(f.mapping, S.elements)))
+    """The elements that f sends into S.
+
+    They are closed, since f is a morphism: f(x*y) = f(x)*f(y) lies in
+    S when f(x) and f(y) do, and likewise for the unary and structure
+    maps.  They are normal when S is, since f(g x g^-1) = f(g) f(x)
+    f(g)^-1 and f(ax) = f(a)f(x) lie in S; otherwise normality is tested.
+    """
+    _check_parent(f.cod, S)
+    return _derived_subobject(
+        f.dom, (frozenset(compress(range(len(m)), map(X.__contains__, m)))
+                for m, X in zip(f.mapping, S.elements)),
+        S.normal or None, f.cod)
 
 
 def kernel(f: Morphism) -> Subobject:
-    """The fibre of the constant, certified normal."""
-    K = preimage_subobject(f, zero_subobject(f.cod))
-    if not K.normal:
-        raise AlgebraError("kernel failed its normality certificate")
-    return K
+    """The fibre of the constant: the preimage of the zero subobject, so
+    closed, and normal, as the kernel of f, by definition."""
+    return _derived_subobject(f.dom, (frozenset(compress(range(len(m)), map(not_, m)))
+                                      for m in f.mapping), True, f.cod)
 
 
 def image(f: Morphism) -> Subobject:
-    return subobject(f.cod, *f.mapping)
+    """The elements that f reaches: closed, since f(x)*f(y) = f(x*y) and
+    likewise for the unary and structure maps; normality is tested."""
+    return _derived_subobject(f.cod, f.mapping, None, f.dom)
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +121,7 @@ def _cosets(S: Sort, elems) -> tuple[list[int], list[int]]:
 
 def quotient(A: Algebra, N: Subobject) -> tuple[Algebra, Morphism]:
     """The quotient by a normal subobject plus its projection."""
-    if N.parent != A:
-        raise AlgebraError("subobject of a different parent")
+    _check_parent(A, N)
     if not N.normal:
         raise AlgebraError("can only quotient by a normal subobject")
     sorts, qmaps, legs = [], [], []
@@ -131,7 +152,10 @@ def normal_closure(A: Algebra, *seeds) -> Subobject:
 
     Alternates closure under the operations with closure under the
     normality condition of the variety and under the structure maps
-    until stable.
+    until stable.  At the fixed point the sets are closed under the
+    operations, and neither the normality demands (``_normal_demands``,
+    at the rows ``is_normal_subset`` tests) nor the structure maps add
+    an element, so they are closed and normal.
     """
     sets = [set(X) | {0} for X in _one_per_sort(A, seeds, "seed set")]
     tests = _test_rows(A)
@@ -140,22 +164,25 @@ def normal_closure(A: Algebra, *seeds) -> Subobject:
         bigger = [X.union(_normal_demands(S, X, by)) for S, X, by in zip(A.sorts, sets, tests)]
         bigger = [X | img for X, img in zip(bigger, _structure_images(A, bigger))]
         if bigger == sets:
-            sub = subobject(A, *sets)
-            if not sub.normal:
-                raise AlgebraError("normal closure failed its certificate")
-            return sub
+            return _derived_subobject(A, sets, True)
         sets = bigger
 
 
 def join_normal(A: Algebra, M: Subobject, N: Subobject) -> Subobject:
     """Join in the normal subobject lattice (kernel of the pushout diagonal)."""
+    _check_parent(A, M, N)
     if not (M.normal and N.normal):
         raise AlgebraError("join is defined for normal subobjects")
     return normal_closure(A, *(a | b for a, b in zip(M.elements, N.elements)))
 
 
 def meet_subobjects(A: Algebra, M: Subobject, N: Subobject) -> Subobject:
-    return subobject(A, *(a & b for a, b in zip(M.elements, N.elements)))
+    """The intersection: closed, as both sets are, and normal when both
+    are, since a conjugate or product that lies in each lies in both;
+    otherwise normality is tested."""
+    _check_parent(A, M, N)
+    return _derived_subobject(A, (a & b for a, b in zip(M.elements, N.elements)),
+                              (M.normal and N.normal) or None)
 
 
 def _sub_key(sub: Subobject):

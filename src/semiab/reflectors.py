@@ -20,6 +20,7 @@ from .algebra import (
     Morphism,
     Subobject,
     Variety,
+    _derived_subobject,
     _unchecked,
     compose,
     full_subobject,
@@ -145,7 +146,7 @@ def reflect(R: Reflector, A: Algebra) -> TorsionDecomposition:
     dec = _reflect(R, A)
     if dec.algebra is A:
         return dec
-    T = _unchecked(Subobject, A, dec.radical_part.elements, dec.radical_part.normal)
+    T = _derived_subobject(A, dec.radical_part.elements, dec.radical_part.normal)
     return _unchecked(TorsionDecomposition, A, T, dec.reflection,
                       _unchecked(Morphism, A, dec.reflection, dec.unit.mapping))
 

@@ -29,15 +29,22 @@ from semiab import (
     cyclic_group,
     direct_product,
     enumerate_homs,
+    full_subobject,
     gpd_indiscrete,
     group_algebra,
+    identity_morphism,
+    image,
     is_normal_subset,
+    join_normal,
+    kernel,
     kernel_pair,
+    meet_subobjects,
     module_algebra,
     morphism,
     named_algebra,
     normal_closure,
     normal_subobjects,
+    preimage_subobject,
     pullback,
     quotient,
     sub_algebra,
@@ -45,6 +52,7 @@ from semiab import (
     symmetric_3,
     zero_subobject,
     zmod_cyclic,
+    zmod_free,
     zring,
 )
 from semiab import algebra, homs
@@ -54,6 +62,7 @@ from semiab.algebra import (
     _check_sort,
     _check_structure,
     _close,
+    _closed_subset,
     _full_scan,
     _respects_structure,
     _scan,
@@ -152,6 +161,16 @@ def test_a_renamed_sort_shares_the_tables_and_keeps_its_name():
     assert (Sa.name, Sb.name, b.name) == ("a", "b", "b")
     # equal content, so the passing arrays of one hold for the other
     assert algebra._passed(Sb) is algebra._passed(Sa)
+
+
+def test_a_sort_hashes_as_its_content():
+    """``_sort`` and ``_renamed_sort`` give a sort the hash its intern key
+    computed once; it must be the hash of the sort's content."""
+    a = group_algebra(_cyclic_table(41), name="a")
+    b = group_algebra(_cyclic_table(41), name="b")
+    derived = direct_product(a, cyclic_group(2))[0]
+    for S in (a.sorts[0], b.sorts[0], derived.sorts[0], zmod_free(2, 3).sorts[0]):
+        assert hash(S) == hash((S.variety, S.order, S.binary, S.unary))
 
 
 def test_the_intern_holds_a_sort_only_while_it_is_alive():
@@ -259,6 +278,55 @@ def test_derived_constructions_pass_the_direct_checks(pair, data):
         _assert_checked_morphism(v)
 
 
+def _assert_checked_subobject(sub) -> None:
+    """Every check that ``_derived_subobject`` skips, normality over the
+    whole carrier rather than ``gens``."""
+    A, sets = sub.parent, sub.elements
+    assert len(sets) == len(A.sorts)
+    for S, X in zip(A.sorts, sets):
+        assert type(X) is frozenset and 0 in X and X <= set(range(S.order))
+        assert _closed_subset(S, X)
+    assert all(img <= X for img, X in zip(_structure_images(A, sets), sets))
+    assert sub.normal == all(X.issuperset(_carrier_demands(S, X))
+                             for S, X in zip(A.sorts, sets))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_corpus_pairs(), st.data())
+def test_derived_subobjects_pass_the_direct_checks(pair, data):
+    """Whole carriers, kernels, images, preimages, meets, joins and
+    normal closures in checked algebras and their quotients, products
+    and kernel pairs skip their checks; each passes them called directly
+    and holds exactly the elements its definition names."""
+    A, B = pair
+    Q, q = quotient(A, data.draw(st.sampled_from(normal_subobjects(A))))
+    P, p1, p2 = direct_product(A, B)
+    f = data.draw(st.sampled_from(enumerate_homs(A, Q)))
+    R, r1, r2 = kernel_pair(f)
+    for g in (q, f, p1, p2, r1, r2):
+        X, Y = g.dom, g.cod
+        # images of maps into Y include subobjects that are not normal
+        T = data.draw(st.sampled_from([image(h) for h in enumerate_homs(A, Y)]
+                                      + normal_subobjects(Y)))
+        seeds = [data.draw(st.sets(st.integers(0, S.order - 1), max_size=2)) for S in X.sorts]
+        K, pre, closed = kernel(g), preimage_subobject(g, T), normal_closure(X, *seeds)
+        expected = [
+            (full_subobject(X), [set(range(S.order)) for S in X.sorts]),
+            (K, [{x for x, y in enumerate(m) if y == 0} for m in g.mapping]),
+            (image(g), [set(m) for m in g.mapping]),
+            (pre, [{x for x, y in enumerate(m) if y in Z} for m, Z in zip(g.mapping, T.elements)]),
+            (meet_subobjects(X, K, pre), [a & b for a, b in zip(K.elements, pre.elements)]),
+            (meet_subobjects(X, K, closed), [a & b for a, b in zip(K.elements, closed.elements)]),
+            (closed, _carrier_normal_closure(X, *seeds)),
+            (join_normal(X, K, closed),
+             _carrier_normal_closure(X, *(a | b for a, b in zip(K.elements, closed.elements)))),
+        ]
+        assert K.normal and closed.normal
+        for sub, sets in expected:
+            assert list(sub.elements) == list(sets), (g, sub)
+            _assert_checked_subobject(sub)
+
+
 # ---------------------------------------------------------------------------
 # the shortcut, and the algebras it does not apply to
 
@@ -280,8 +348,10 @@ def test_a_hand_built_algebra_is_still_checked():
         sub_algebra(bad, subobject(bad, range(5)))
 
 
-def test_normality_in_a_hand_built_algebra_is_tested_over_the_carrier():
-    """A hand-built sort's ``gens`` are not checked, so they are not used."""
+def test_normality_in_a_hand_built_algebra_is_tested_over_the_carrier(monkeypatch):
+    """A hand-built sort's ``gens`` are not checked, so they are not used,
+    and the subobject constructions in a hand-built algebra take the
+    checked path, which tests closure, where a checked one skips it."""
     s3 = symmetric_3()
     (S,) = s3.sorts
     bare = Algebra(S.variety, (Sort(S.variety, S.order, S.binary, S.unary, ()),))
@@ -290,6 +360,21 @@ def test_normality_in_a_hand_built_algebra_is_tested_over_the_carrier():
     assert subobject(bare, {0, flip}).normal is False
     assert normal_closure(bare, {flip}).elements == normal_closure(s3, {flip}).elements
     assert normal_closure(bare, {flip}).size == 6
+    tested = []
+    closed_subset = algebra._closed_subset
+    monkeypatch.setattr(algebra, "_closed_subset",
+                        lambda S, X: tested.append(X) or closed_subset(S, X))
+    built = {}
+    for A in (s3, bare):
+        ident, flips = identity_morphism(A), subobject(A, {0, flip})
+        tested.clear()
+        K, closed = kernel(ident), normal_closure(A, {flip})
+        subs = [K, closed, image(ident), preimage_subobject(ident, flips),
+                meet_subobjects(A, K, flips), join_normal(A, K, closed)]
+        built[A is bare] = [(sub.elements, sub.normal) for sub in subs]
+        assert len(tested) == (len(subs) if A is bare else 0)
+    assert built[True] == built[False]
+    assert [normal for _, normal in built[True]] == [True, True, True, False, True, True]
 
 
 def test_maps_out_of_a_hand_built_algebra_are_tested_over_the_carrier():

@@ -1,8 +1,8 @@
 """Static hygiene of the package: no unused imports, no dead definitions
 or unread module-level names, no imports inside functions, no groupoid
 branches outside the modules that define the kinds, no use of the
-internal constructor outside `algebra`, and no unbounded cache beyond
-the known ones.
+internal constructor outside `algebra`, no unchecked subobject built
+outside it, and no unbounded cache beyond the known ones.
 
 The tests read the source with ``ast`` and import nothing.  A name
 counts as used when it appears as a name or an attribute anywhere
@@ -210,6 +210,23 @@ def test_only_algebra_names_the_internal_constructor():
             if (isinstance(n, ast.Name) and n.id == "_algebra"
                     or isinstance(n, ast.alias) and n.name == "_algebra"
                     or isinstance(n, ast.Attribute) and n.attr == "_algebra"):
+                found.append(f"{path.name}:{n.lineno}")
+    assert found == []
+
+
+def test_only_algebra_builds_a_subobject_unchecked():
+    """``algebra._derived_subobject`` is the one path that skips a
+    subobject's checks, and only for ``_trusted`` parents; other modules
+    never call ``_unchecked(Subobject, ...)`` themselves."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        for n in ast.walk(_parse(path)):
+            if (isinstance(n, ast.Call) and n.args
+                    and (n.func.id if isinstance(n.func, ast.Name)
+                         else getattr(n.func, "attr", None)) == "_unchecked"
+                    and isinstance(n.args[0], ast.Name) and n.args[0].id == "Subobject"):
                 found.append(f"{path.name}:{n.lineno}")
     assert found == []
 

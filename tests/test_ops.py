@@ -229,6 +229,30 @@ def test_preimage_subobject():
     assert back.elements == (frozenset({0, 2, 4, 6}),)
 
 
+# a subobject of C4 handed to an operation on V4, whose carrier it fits
+def _v4_and_a_c4_subobject():
+    c2 = cyclic_group(2)
+    return direct_product(c2, c2)[0], subobject(cyclic_group(4), {0, 2})
+
+
+def test_meet_rejects_a_subobject_of_another_algebra():
+    v4, foreign = _v4_and_a_c4_subobject()
+    with pytest.raises(AlgebraError, match="subobject of a different parent"):
+        meet_subobjects(v4, foreign, subobject(v4, {0, 1}))
+
+
+def test_join_rejects_a_subobject_of_another_algebra():
+    v4, foreign = _v4_and_a_c4_subobject()
+    with pytest.raises(AlgebraError, match="subobject of a different parent"):
+        join_normal(v4, subobject(v4, {0, 1}), foreign)
+
+
+def test_preimage_rejects_a_subobject_of_another_algebra():
+    v4, foreign = _v4_and_a_c4_subobject()
+    with pytest.raises(AlgebraError, match="subobject of a different parent"):
+        preimage_subobject(identity_morphism(v4), foreign)
+
+
 def test_classify_sequence_split_and_nonsplit():
     s3, c2 = symmetric_3(), cyclic_group(2)
     (f,) = surjections(s3, c2)
