@@ -49,7 +49,7 @@ def _radical_within(R: Reflector, A: Algebra, S: Subobject) -> Subobject:
     """The radical of the sub-algebra S, pushed forward into A: closed,
     as the image of a subobject under a morphism; normality is tested."""
     sub, incl = sub_algebra(A, S)
-    return _derived_subobject(A, image_elements(incl, radical(R, sub)), None, sub)
+    return _derived_subobject(A, image_elements(incl, radical(R, sub)))
 
 
 def torsion_of_kernel(R: Reflector, f: Morphism) -> Subobject:

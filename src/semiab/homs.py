@@ -27,7 +27,6 @@ from .algebra import (
     _element_order,
     _generators,
     _respects_structure,
-    _test_rows,
     _unchecked,
     _violation,
     compose,
@@ -55,13 +54,13 @@ def _element_orders(S: Sort) -> tuple[int, ...]:
     return tuple(_element_order(S, x) for x in range(S.order))
 
 
-def _sort_homs(S: Sort, T: Sort, exact: bool, rows):
+def _sort_homs(S: Sort, T: Sort, exact: bool):
     """Homomorphism arrays from sort S to sort T, lazily, in product order.
 
     Each generator's image ranges over the elements whose order
     divides its own, or equals it when ``exact``, which also keeps
-    only injective arrays.  Each candidate is tested at the ``rows``
-    that ``_test_rows`` gives S.
+    only injective arrays.  Each candidate is tested by ``_violation``,
+    at the rows of ``S.gens``.
     """
     plan = _generation_plan(S)
     orders, source = _element_orders(T), _element_orders(S)
@@ -79,7 +78,7 @@ def _sort_homs(S: Sort, T: Sort, exact: bool, rows):
         if exact and len(set(m)) != S.order:
             continue
         m = tuple(m)
-        if _violation(S, T, m, rows) is None:
+        if _violation(S, T, m) is None:
             yield m
 
 
@@ -92,10 +91,8 @@ def _iter_homs(A: Algebra, B: Algebra, isos: bool):
     # with matching order profiles the sorts have equal sizes, so the
     # injective candidates that ``isos`` keeps are bijective; the product
     # over the sorts is lazy in the first so that a search can stop early
-    rows = _test_rows(A)
-    rest = [tuple(_sort_homs(S, T, isos, r))
-            for S, T, r in zip(A.sorts[1:], B.sorts[1:], rows[1:])]
-    for first in _sort_homs(A.sorts[0], B.sorts[0], isos, rows[0]):
+    rest = [tuple(_sort_homs(S, T, isos)) for S, T in zip(A.sorts[1:], B.sorts[1:])]
+    for first in _sort_homs(A.sorts[0], B.sorts[0], isos):
         for others in itertools.product(*rest):
             mapping = (first, *others)
             if _respects_structure(A, B, mapping):
@@ -158,7 +155,3 @@ def sections(f: Morphism) -> tuple[Morphism, ...]:
     ident = identity_morphism(f.cod)
     return tuple(s for s in enumerate_homs(f.cod, f.dom)
                  if compose(f, s) == ident)
-
-
-def is_split_epi(f: Morphism) -> bool:
-    return is_surjective(f) and bool(sections(f))

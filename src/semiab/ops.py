@@ -1,13 +1,12 @@
 """Kernels, quotients, limits and subobject arithmetic.
 
-Quotients and pair algebras go through ``algebra._assemble``.  Built
-from algebras that the ``algebra`` constructor built, they satisfy every
-identity of their kind by construction and skip its checks, as do their
-projections and quotient maps; from anything else they pass every
-check of that constructor, each distinct content checked once while an
-equal sort is alive (see the ``algebra`` docstring).  A product's sort is generated by the
-(g, 0) and (0, h) of its factors' ``gens``, a quotient's by the images
-of its parent's.  Quotient carriers are cosets indexed in
+Quotients and pair algebras go through ``algebra._assemble``.  Every
+algebra has passed its checks or was derived from algebras that did,
+so they satisfy every identity of their kind by construction and skip
+its checks, as do their projections and quotient maps (see the
+``algebra`` docstring).  A product's sort is generated by the (g, 0)
+and (0, h) of its factors' ``gens``, a quotient's by the images of its
+parent's.  Quotient carriers are cosets indexed in
 first-appearance order, so the class of the constant is always index 0,
 and pair carriers (products, pullbacks, kernel pairs) are sorted
 lexicographically for the same reason.  A pair algebra looks pair
@@ -17,13 +16,11 @@ runs are long is a concatenation of blocks shared with the other rows
 of its second component (``_pair_table``).
 
 Kernels, preimages, images, meets and normal closures are closed by
-construction, and each says why in its docstring; in an algebra that
-the ``algebra`` constructor built they go through
+construction, and each says why in its docstring; they go through
 ``algebra._derived_subobject``, which skips the closure tests of a
 ``Subobject`` and, where the construction guarantees it (kernels,
 normal closures, and preimages and meets of normal subobjects), the
-normality test too.  In a hand-built algebra every check runs.  They
-reject a subobject of another algebra.
+normality test too.  They reject a subobject of another algebra.
 
 Each construction is written once and runs sort by sort (see the
 ``algebra`` docstring).
@@ -52,7 +49,6 @@ from .algebra import (
     _one_per_sort,
     _rebuild,
     _structure_images,
-    _test_rows,
     closure_under_ops,
     compose,
     full_subobject,
@@ -85,20 +81,20 @@ def preimage_subobject(f: Morphism, S: Subobject) -> Subobject:
     return _derived_subobject(
         f.dom, (frozenset(compress(range(len(m)), map(X.__contains__, m)))
                 for m, X in zip(f.mapping, S.elements)),
-        S.normal or None, f.cod)
+        S.normal or None)
 
 
 def kernel(f: Morphism) -> Subobject:
     """The fibre of the constant: the preimage of the zero subobject, so
     closed, and normal, as the kernel of f, by definition."""
     return _derived_subobject(f.dom, (frozenset(compress(range(len(m)), map(not_, m)))
-                                      for m in f.mapping), True, f.cod)
+                                      for m in f.mapping), True)
 
 
 def image(f: Morphism) -> Subobject:
     """The elements that f reaches: closed, since f(x)*f(y) = f(x*y) and
     likewise for the unary and structure maps; normality is tested."""
-    return _derived_subobject(f.cod, f.mapping, None, f.dom)
+    return _derived_subobject(f.cod, f.mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +149,14 @@ def normal_closure(A: Algebra, *seeds) -> Subobject:
     Alternates closure under the operations with closure under the
     normality condition of the variety and under the structure maps
     until stable.  At the fixed point the sets are closed under the
-    operations, and neither the normality demands (``_normal_demands``,
-    at the rows ``is_normal_subset`` tests) nor the structure maps add
-    an element, so they are closed and normal.
+    operations, and neither the normality demands (``_normal_demands``)
+    nor the structure maps add an element, so they are closed and
+    normal.
     """
     sets = [set(X) | {0} for X in _one_per_sort(A, seeds, "seed set")]
-    tests = _test_rows(A)
     while True:
         sets = [_close(S.binary, S.unary, X, list(X)) for S, X in zip(A.sorts, sets)]
-        bigger = [X.union(_normal_demands(S, X, by)) for S, X, by in zip(A.sorts, sets, tests)]
+        bigger = [X.union(_normal_demands(S, X)) for S, X in zip(A.sorts, sets)]
         bigger = [X | img for X, img in zip(bigger, _structure_images(A, bigger))]
         if bigger == sets:
             return _derived_subobject(A, sets, True)

@@ -9,12 +9,14 @@ records, that they really skip it, that the homomorphism test on
 generator rows (``_scan``) agrees with the test at every pair
 (``_full_scan``), which the direct checks use, that normality
 tested on generators agrees with the test over the carrier, and that a
-hand-built algebra is tested over its carrier.
+``Sort`` or an ``Algebra`` made directly is checked when it is made.
 """
 
+import copy
 import gc
 import random
 import weakref
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -30,6 +32,7 @@ from semiab import (
     direct_product,
     enumerate_homs,
     full_subobject,
+    gpd_algebra,
     gpd_indiscrete,
     group_algebra,
     identity_morphism,
@@ -328,72 +331,124 @@ def test_derived_subobjects_pass_the_direct_checks(pair, data):
 
 
 # ---------------------------------------------------------------------------
-# the shortcut, and the algebras it does not apply to
+# a Sort or an Algebra made directly is checked when it is made
 
 
-def _loop_algebra() -> Algebra:
-    """A hand-built algebra whose table is a loop of order 5, not a group."""
-    op = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
-    V = Variety("group")
-    return Algebra(V, (Sort(V, 5, (op,), ((0, 1, 2, 3, 4),), (1, 2)),))
+_LOOP = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+
+
+def _error(build) -> str:
+    with pytest.raises(AlgebraError) as err:
+        build()
+    return str(err.value)
 
 
 def test_a_hand_built_algebra_is_still_checked():
-    bad = _loop_algebra()
-    with pytest.raises(AlgebraError, match="not associative"):
-        direct_product(bad, cyclic_group(2))
-    with pytest.raises(AlgebraError, match="not associative"):
-        quotient(bad, zero_subobject(bad))
-    with pytest.raises(AlgebraError, match="not associative"):
-        sub_algebra(bad, subobject(bad, range(5)))
+    """A loop of order 5, not a group, is rejected when its sort is made,
+    with the message that ``group_algebra`` gives on the same table."""
+    V = Variety("group")
+    expected = _error(lambda: group_algebra(_LOOP))
+    assert "not associative" in expected
+    assert _error(lambda: Algebra(V, (Sort(V, 5, (_LOOP,), ((0, 1, 2, 3, 4),), (1, 2)),))) == expected
 
 
-def test_normality_in_a_hand_built_algebra_is_tested_over_the_carrier(monkeypatch):
-    """A hand-built sort's ``gens`` are not checked, so they are not used,
-    and the subobject constructions in a hand-built algebra take the
-    checked path, which tests closure, where a checked one skips it."""
+def test_a_sort_whose_gens_do_not_generate_is_rejected():
+    """``_scan`` tests maps, and ``_normal_demands`` normality, at the rows
+    of ``gens`` alone, so ``gens`` must generate the carrier: with none,
+    or with the two 3-cycles of S3 alone, they do not."""
+    (S,) = symmetric_3().sorts
+    for gens in ((), (0,), (3, 4)):
+        assert _error(lambda: Sort(S.variety, 6, S.binary, S.unary, gens, "s3")) == (
+            "s3: gens do not generate the carrier")
+    with pytest.raises(AlgebraError, match="gens entries must be indices below 6"):
+        Sort(S.variety, 6, S.binary, S.unary, (1, 6))
+
+
+def test_a_hand_built_s3_decides_maps_and_normality_as_symmetric_3_does():
+    """With ``gens`` of its own that generate, a hand-built S3 equals
+    ``symmetric_3()``; swapping its two 3-cycles is no homomorphism,
+    it has the same endomorphisms, and a reflection's normal closure is
+    the whole group."""
     s3 = symmetric_3()
     (S,) = s3.sorts
-    bare = Algebra(S.variety, (Sort(S.variety, S.order, S.binary, S.unary, ()),))
-    flip = next(x for x in range(1, 6) if S.binary[0][x][x] == 0)
-    assert subobject(s3, {0, flip}).normal is False
-    assert subobject(bare, {0, flip}).normal is False
-    assert normal_closure(bare, {flip}).elements == normal_closure(s3, {flip}).elements
-    assert normal_closure(bare, {flip}).size == 6
-    tested = []
-    closed_subset = algebra._closed_subset
-    monkeypatch.setattr(algebra, "_closed_subset",
-                        lambda S, X: tested.append(X) or closed_subset(S, X))
-    built = {}
-    for A in (s3, bare):
-        ident, flips = identity_morphism(A), subobject(A, {0, flip})
-        tested.clear()
-        K, closed = kernel(ident), normal_closure(A, {flip})
-        subs = [K, closed, image(ident), preimage_subobject(ident, flips),
-                meet_subobjects(A, K, flips), join_normal(A, K, closed)]
-        built[A is bare] = [(sub.elements, sub.normal) for sub in subs]
-        assert len(tested) == (len(subs) if A is bare else 0)
-    assert built[True] == built[False]
-    assert [normal for _, normal in built[True]] == [True, True, True, False, True, True]
-
-
-def test_maps_out_of_a_hand_built_algebra_are_tested_over_the_carrier():
-    """A hand-built sort's ``gens`` do not pick the rows a map is tested
-    at either: ``gens=()`` would test none, and swapping the two 3-cycles
-    of S3 is no homomorphism."""
-    s3 = symmetric_3()
-    (S,) = s3.sorts
-    bare = Algebra(S.variety, (Sort(S.variety, S.order, S.binary, S.unary, ()),))
-    messages = []
-    for A in (s3, bare):
-        with pytest.raises(AlgebraError) as err:
-            morphism(A, A, (0, 1, 2, 4, 3, 5))
-        messages.append(str(err.value))
-    assert messages == ["map does not preserve an operation at (1,2)"] * 2
-    # uncached, unlike enumerate_homs, which takes bare for s3
-    assert ([f.mapping for f in homs._iter_homs(bare, bare, False)]
+    hand = Algebra(S.variety, (Sort(S.variety, 6, S.binary, S.unary, [5, 4]),))
+    assert hand == s3 and hand.sorts[0].gens == (5, 4) != S.gens
+    for A in (s3, hand):
+        assert _error(lambda: morphism(A, A, (0, 1, 2, 4, 3, 5))) == (
+            "map does not preserve an operation at (1,2)")
+        assert subobject(A, {0, 1}).normal is False
+        assert normal_closure(A, {1}).size == 6
+    # uncached, unlike enumerate_homs, which takes hand for s3
+    assert ([f.mapping for f in homs._iter_homs(hand, hand, False)]
             == [f.mapping for f in homs._iter_homs(s3, s3, False)])
     assert len(enumerate_homs(s3, s3)) == 10
+
+
+def test_a_sort_of_the_wrong_shape_is_rejected():
+    (S,) = cyclic_group(4).sorts
+    V = S.variety
+    assert _error(lambda: Sort(V, 5, S.binary, S.unary, S.gens)) == (
+        "group: order must be 4, the size of its tables")
+    assert _error(lambda: Sort(Variety("gpd-in-group"), 4, S.binary, S.unary, S.gens)) == (
+        "groupoid sorts must be groups")
+    assert _error(lambda: Sort(V, 4, S.binary * 2, S.unary, S.gens)) == (
+        "a sort of group has 1 binary table(s) and 1 unary map(s)")
+    assert _error(lambda: Sort(Variety("zmod-module", 2), 4, S.binary, S.unary, S.gens)) == (
+        "a sort of zmod-module(2) has 1 binary table(s) and 3 unary map(s)")
+
+
+def test_a_group_over_a_ring_sort_is_rejected():
+    """Accepted, it would count 4 maps from c4 into itself but 2 from
+    itself into itself: hom search zips the ring sort's two tables
+    against a group sort's one."""
+    assert _error(lambda: Algebra(Variety("group"), zring(4).sorts)) == (
+        "an algebra of group has one sort of its variety and no maps")
+
+
+def test_a_groupoid_with_one_sort_and_no_maps_is_rejected():
+    assert _error(lambda: Algebra(Variety("gpd-in-group"), cyclic_group(4).sorts)) == (
+        "an algebra of gpd-in-group has two group sorts and three maps")
+    G = gpd_indiscrete(cyclic_group(3))
+    assert Algebra(G.variety, G.sorts, G.maps, G.name) == G
+
+
+def test_an_algebra_without_sorts_is_rejected():
+    assert _error(lambda: Algebra(Variety("group"), ())) == (
+        "an algebra of group has one sort of its variety and no maps")
+
+
+def test_replace_with_a_corrupted_table_or_map_is_rejected():
+    """``dataclasses.replace`` creates the dataclass, so its checks run:
+    the messages are those of the public constructors on the same
+    tables and maps."""
+    A = cyclic_group(4)
+    (S,) = A.sorts
+    bad = tuple(row if x != 1 else (1, 2, 2, 0) for x, row in enumerate(S.binary[0]))
+    expected = _error(lambda: group_algebra(bad, name="c4"))
+    assert "not associative" in expected
+    assert _error(lambda: replace(A, sorts=(replace(S, binary=(bad,)),))) == expected
+    assert "one sort of its variety" in _error(lambda: replace(A, sorts=(S.binary,)))
+    G = gpd_indiscrete(cyclic_group(3))
+    d, c, _ = G.maps
+    g1, g0 = (Algebra(Variety("group"), (T,)) for T in G.sorts)
+    expected = _error(lambda: gpd_algebra(g1, g0, d, c, (0, 4, 7), name=G.name))
+    assert _error(lambda: replace(G, maps=(d, c, (0, 4, 7)))) == expected
+
+
+@pytest.mark.parametrize("make", [lambda A: replace(A, name="other"), copy.copy],
+                         ids=["replace", "copy"])
+@pytest.mark.parametrize("original", [symmetric_3, lambda: zring(4),
+                                      lambda: gpd_indiscrete(cyclic_group(3))],
+                         ids=["group", "ring", "groupoid"])
+def test_a_renamed_or_copied_algebra_builds_what_the_original_does(make, original):
+    A = original()
+    B = make(A)
+    assert B is not A and B == A and hash(B) == hash(A)
+    assert [f.mapping for f in enumerate_homs(B, B)] == [f.mapping for f in enumerate_homs(A, A)]
+    for fA, fB in zip(enumerate_homs(A, A), enumerate_homs(B, B)):
+        assert fB.dom is B and fB.cod is B
+        assert kernel_pair(fB) == kernel_pair(fA)
+        assert quotient(B, kernel(fB)) == quotient(A, kernel(fA))
 
 
 def _kernel_sets(f):

@@ -28,7 +28,6 @@ from semiab import (
 )
 from semiab import algebra, homs
 from semiab.algebra import _renamed, validate_morphism
-from semiab.homs import is_split_epi
 from semiab.serialize import morphism_to_doc
 
 
@@ -91,7 +90,6 @@ def test_nonsplit_surjection_has_no_sections():
     c4, c2 = cyclic_group(4), cyclic_group(2)
     (f,) = surjections(c4, c2)
     assert sections(f) == ()
-    assert not is_split_epi(f)
 
 
 def test_isomorphism_search():

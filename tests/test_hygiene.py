@@ -215,9 +215,13 @@ def test_only_algebra_names_the_internal_constructor():
 
 
 def test_only_algebra_builds_a_subobject_unchecked():
-    """``algebra._derived_subobject`` is the one path that skips a
-    subobject's checks, and only for ``_trusted`` parents; other modules
-    never call ``_unchecked(Subobject, ...)`` themselves."""
+    """Only ``algebra.py`` skips the checks of a sort, an algebra or a
+    subobject: ``_sort``, ``_renamed_sort``, ``_renamed`` and the derived
+    branch of ``_algebra`` for what was checked or derived from checked
+    algebras, and ``_derived_subobject`` for what a construction made.
+    Other modules never call ``_unchecked(Sort | Algebra | Subobject,
+    ...)`` themselves; ``_unchecked(Morphism, ...)`` binds known arrays
+    to equal algebras in ``homs`` and ``reflectors``."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "algebra.py":
@@ -226,7 +230,8 @@ def test_only_algebra_builds_a_subobject_unchecked():
             if (isinstance(n, ast.Call) and n.args
                     and (n.func.id if isinstance(n.func, ast.Name)
                          else getattr(n.func, "attr", None)) == "_unchecked"
-                    and isinstance(n.args[0], ast.Name) and n.args[0].id == "Subobject"):
+                    and isinstance(n.args[0], ast.Name)
+                    and n.args[0].id in ("Sort", "Algebra", "Subobject")):
                 found.append(f"{path.name}:{n.lineno}")
     assert found == []
 

@@ -2,7 +2,7 @@
 
 ``_check_sort`` takes the greedy generating set of a group table coset
 by coset (``algebra._coset_generators``), ``generating_set`` does the
-same for the group and module sorts of built algebras, and
+same for group and module sorts, and
 ``ops._pair_table`` builds a table from blocks shared by the rows with
 one second component when the pairs' runs are long.  The loops they
 replaced are kept here as oracles: the greedy loop over ``_close``,
@@ -131,13 +131,16 @@ def _every_algebra():
 
 
 def test_generating_set_matches_the_closure_under_every_operation():
-    """Group and module sorts of built algebras go by cosets; rings, and
-    algebras that ``_algebra`` did not build, close under everything."""
+    """Group and module sorts go by cosets, rings close under everything.
+    A hand-built module sort is rejected unless its ``gens`` generate;
+    with the whole carrier as ``gens``, it gets the same set."""
     for A in _every_algebra():
         S = A.sorts[0]
         assert generating_set(A) == _greedy_by_close(S.binary, S.unary, S.order), A.name
     S = named_algebra("m4-c2xc4").sorts[0]
-    hand = Algebra(S.variety, (Sort(S.variety, S.order, S.binary, S.unary, ()),))
+    with pytest.raises(AlgebraError, match="gens do not generate the carrier"):
+        Sort(S.variety, S.order, S.binary, S.unary, ())
+    hand = Algebra(S.variety, (Sort(S.variety, S.order, S.binary, S.unary, range(S.order)),))
     assert generating_set(hand) == _greedy_by_close(S.binary, S.unary, S.order)
 
 
@@ -306,9 +309,13 @@ def test_the_largest_kernel_pair_of_a_homology_query_matches_the_row_oracle(bloc
 
 
 def test_a_hand_built_kernel_pair_matches_the_row_oracle():
-    """Pairs from a hand-built algebra are checked in full either way."""
+    """A hand-built Z/8 is rejected when its ``gens`` (the even elements)
+    do not generate; with ``gens`` of its own that do, its kernel pair
+    onto Z/2 is the one the row oracle builds."""
     V = Variety("group")
     S = cyclic_group(8).sorts[0]
-    A = Algebra(V, (Sort(V, 8, S.binary, S.unary, ()),))
+    with pytest.raises(AlgebraError, match="gens do not generate the carrier"):
+        Sort(V, 8, S.binary, S.unary, (2, 4, 6))
+    A = Algebra(V, (Sort(V, 8, S.binary, S.unary, (3,)),))
     f = morphism(A, cyclic_group(2), [x % 2 for x in range(8)])
     assert _check_pullback(f, f)
