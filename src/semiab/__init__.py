@@ -15,7 +15,6 @@ from .algebra import (
     Variety,
     closure_under_ops,
     compose,
-    element_order,
     full_subobject,
     generating_set,
     group_algebra,
@@ -78,7 +77,6 @@ from .families import (
     gpd_indiscrete,
     gpd_one_object,
     quaternion_8,
-    semidirect_product,
     split_witness_ring,
     symmetric_3,
     trivial_of_variety,
@@ -90,11 +88,7 @@ from .families import (
 from .homs import enumerate_homs, find_isomorphism, is_isomorphic, sections, surjections
 from .ops import (
     ExactSequence,
-    SequenceClassification,
-    classify_sequence,
-    cokernel,
     direct_product,
-    epi_kernel_factorisation,
     huq_commutator,
     image,
     induced_on_quotient,
@@ -104,7 +98,6 @@ from .ops import (
     kernel_pair,
     meet_subobjects,
     normal_closure,
-    normal_subobjects,
     power_subobject,
     preimage_subobject,
     pullback,
@@ -144,7 +137,6 @@ from .verification import (
     SuiteError,
     protoadditive_by_definition,
     replay_witness,
-    suite_ids,
     verify_all,
     verify_suite,
 )

@@ -1038,11 +1038,6 @@ def _element_order(S: Sort, x: int) -> int:
     return k
 
 
-def element_order(A: Algebra, x: int) -> int:
-    """Order of x under the group operation (additive for rings/modules)."""
-    return _element_order(A.sorts[0], x)
-
-
 def generating_set(A: Algebra) -> list[int]:
     """Greedy small generating set under all operations (first sort).
 

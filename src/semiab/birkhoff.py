@@ -288,15 +288,12 @@ def _is_free_module(V: Algebra) -> bool:
 class Presentation:
     """An n-fold extension with free modules everywhere above the base."""
 
-    n: int
     cube: NCube
 
     def __post_init__(self) -> None:
-        if self.cube.dim != self.n:
-            raise AlgebraError("presentation dimension mismatch")
         if not is_nfold_extension(self.cube):
             raise AlgebraError("presentation is not an n-fold extension")
-        bottom = (1 << self.n) - 1
+        bottom = (1 << self.cube.dim) - 1
         for mask, V in self.cube.vertices.items():
             if mask != bottom and not _is_free_module(V):
                 raise AlgebraError("presentation has a non-free upper vertex")
@@ -328,14 +325,14 @@ def build_presentation(A: Algebra, n: int, variant: int = 0) -> Presentation:
         raise AlgebraError("presentation dimension must be 1 or 2")
     p = _presentation_map(A, variant)
     if n == 1:
-        return Presentation(1, cube_of_morphism(p))
+        return Presentation(cube_of_morphism(p))
     # the variant already changed the legs, hence P; a minimal cover of
     # P keeps the top vertex small
     P, pi1, pi2 = pullback(p, p)
     cover = _presentation_map(P, 0)
     a1 = compose(pi1, cover)
     a2 = compose(pi2, cover)
-    return Presentation(2, square(a1, a2, p, p))
+    return Presentation(square(a1, a2, p, p))
 
 
 def _quotient_of_sub(parent: Algebra, num: Subobject, den: Subobject) -> Algebra:

@@ -74,10 +74,6 @@ class NCube:
     def top_vertex(self) -> Algebra:
         return self.vertices[0]
 
-    @property
-    def bottom_vertex(self) -> Algebra:
-        return self.vertices[(1 << self.dim) - 1]
-
     def vertex(self, mask: int) -> Algebra:
         return self.vertices[mask]
 

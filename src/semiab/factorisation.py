@@ -73,7 +73,6 @@ class EMFactorisation:
     input: Morphism
     e: Morphism
     m: Morphism
-    middle: Algebra
 
     def __post_init__(self) -> None:
         if compose(self.m, self.e) != self.input:
@@ -84,11 +83,11 @@ def em_factorize(R: Reflector, f: Morphism) -> EMFactorisation:
     T = torsion_of_kernel(R, f)
     if not T.normal:
         raise AlgebraError("torsion part of the kernel is not normal in the domain")
-    middle, e = quotient(f.dom, T)
+    _, e = quotient(f.dom, T)
     m = induced_on_quotient(e, f)
     if not torsion_of_kernel(R, m).is_zero():
         raise AlgebraError("induced map kept a torsion kernel")
-    return EMFactorisation(f, e, m, middle)
+    return EMFactorisation(f, e, m)
 
 
 def classify_em(R: Reflector, f: Morphism) -> str:

@@ -78,39 +78,6 @@ def quaternion_8(name: str | None = None) -> Algebra:
     return group_algebra(op, name=name or "q8")
 
 
-def semidirect_product(A: Algebra, B: Algebra, action, name: str | None = None) -> Algebra:
-    """A acted on by B; carrier index is b * |A| + a.
-
-    ``action`` maps each element of B to a permutation of A's indices
-    and must be a homomorphism from B into the automorphisms of A.
-    """
-    if A.kind != "group" or B.kind != "group":
-        raise AlgebraError("semidirect products need two groups")
-    a_op, b_op = A.sorts[0].binary[0], B.sorts[0].binary[0]
-    act = tuple(tuple(row) for row in action)
-    if len(act) != B.order or any(sorted(row) != list(range(A.order)) for row in act):
-        raise AlgebraError("action must give one permutation of A per element of B")
-    for b in range(B.order):
-        for x in range(A.order):
-            for y in range(A.order):
-                if act[b][a_op[x][y]] != a_op[act[b][x]][act[b][y]]:
-                    raise AlgebraError(f"action of {b} is not an automorphism")
-    for b1 in range(B.order):
-        for b2 in range(B.order):
-            composed = tuple(act[b1][act[b2][x]] for x in range(A.order))
-            if composed != act[b_op[b1][b2]]:
-                raise AlgebraError("action is not a homomorphism into automorphisms")
-
-    def mult(x: int, y: int) -> int:
-        bx, ax = divmod(x, A.order)
-        by, ay = divmod(y, A.order)
-        return b_op[bx][by] * A.order + a_op[ax][act[bx][ay]]
-
-    size = A.order * B.order
-    op = [[mult(x, y) for y in range(size)] for x in range(size)]
-    return group_algebra(op, name=name)
-
-
 def zring(n: int, name: str | None = None) -> Algebra:
     if n < 1:
         raise AlgebraError("zring order must be >= 1")

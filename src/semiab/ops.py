@@ -58,7 +58,6 @@ from .algebra import (
     subobject,
     zero_subobject,
 )
-from .homs import sections
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +133,6 @@ def quotient(A: Algebra, N: Subobject) -> tuple[Algebra, Morphism]:
     return Q, _derived_morphism(A, Q, tuple(map(tuple, qmaps)))
 
 
-def cokernel(f: Morphism) -> tuple[Algebra, Morphism]:
-    closed = normal_closure(f.cod, *image_elements(f, full_subobject(f.dom)))
-    return quotient(f.cod, closed)
-
-
 # ---------------------------------------------------------------------------
 # normal closure and the subobject lattice
 
@@ -180,34 +174,6 @@ def meet_subobjects(A: Algebra, M: Subobject, N: Subobject) -> Subobject:
                               (M.normal and N.normal) or None)
 
 
-def _sub_key(sub: Subobject):
-    return tuple(tuple(sorted(X)) for X in sub.elements)
-
-
-def normal_subobjects(A: Algebra) -> list[Subobject]:
-    """Every kernel of a quotient of A, smallest first.
-
-    A normal subobject is the join of the normal closures of its own
-    elements, so breadth-first joins of single-element closures reach
-    all of them.
-    """
-    atoms = [normal_closure(A, *({x} if j == k else () for j in range(len(A.sorts))))
-             for k, S in enumerate(A.sorts) for x in range(S.order)]
-    found = {_sub_key(atom): atom for atom in atoms}
-    frontier = list(found.values())
-    while frontier:
-        nxt = []
-        for sub in frontier:
-            for atom in atoms:
-                joined = join_normal(A, sub, atom)
-                key = _sub_key(joined)
-                if key not in found:
-                    found[key] = joined
-                    nxt.append(joined)
-        frontier = nxt
-    return sorted(found.values(), key=lambda s: (s.size, _sub_key(s)))
-
-
 def huq_commutator(A: Algebra, H: Subobject, K: Subobject) -> Subobject:
     """The commutator of two subobjects.
 
@@ -234,7 +200,9 @@ def power_subobject(A: Algebra, k: int) -> Subobject:
     """k-th powers: the subobject generated by x^k (written kx additively).
 
     For commutative rings and modules the multiples kx already form a
-    subobject, since k(xy) = (kx)y and s(kx) = k(sx).
+    subobject, since k(xy) = (kx)y and s(kx) = k(sx).  By Lagrange,
+    x^|A| = 0, so x^k = x^(k mod |A|), and the work is bounded by the
+    table, not by k.
     """
     if k < 1:
         raise AlgebraError("power must be >= 1")
@@ -244,7 +212,7 @@ def power_subobject(A: Algebra, k: int) -> Subobject:
     powers = set()
     for x in range(A.order):
         v = 0
-        for _ in range(k):
+        for _ in range(k % A.order):
             v = op[v][x]
         powers.add(v)
     return subobject(A, closure_under_ops(A, powers))
@@ -424,34 +392,6 @@ def direct_product(A: Algebra, B: Algebra) -> tuple[Algebra, Morphism, Morphism]
 
 
 @dataclass(frozen=True)
-class SequenceClassification:
-    kind: str  # "not-exact" | "exact" | "split-exact"
-    splitting: Morphism | None = None
-
-
-def _is_exact(k: Morphism, f: Morphism) -> bool:
-    """k embeds exactly onto the kernel of the surjection f."""
-    return (is_injective(k) and is_surjective(f)
-            and image_elements(k, full_subobject(k.dom)) == kernel(f).elements)
-
-
-def classify_sequence(k: Morphism, f: Morphism) -> SequenceClassification:
-    """Classify the composable pair k, f as a short exact sequence.
-
-    Exact means k embeds exactly onto the kernel of f and f is a
-    quotient map; split-exact additionally returns a section witness.
-    """
-    if k.cod != f.dom:
-        raise AlgebraError("sequence maps do not compose")
-    if not _is_exact(k, f):
-        return SequenceClassification("not-exact")
-    secs = sections(f)
-    if secs:
-        return SequenceClassification("split-exact", secs[0])
-    return SequenceClassification("exact")
-
-
-@dataclass(frozen=True)
 class ExactSequence:
     """A short exact sequence with an optional splitting."""
 
@@ -460,10 +400,12 @@ class ExactSequence:
     splitting: Morphism | None = None
 
     def __post_init__(self) -> None:
-        # classify_sequence would also hunt for a section; skip that here
         if self.k.cod != self.f.dom:
             raise AlgebraError("sequence maps do not compose")
-        if not _is_exact(self.k, self.f):
+        # k embeds exactly onto the kernel of the surjection f
+        if not (is_injective(self.k) and is_surjective(self.f)
+                and image_elements(self.k, full_subobject(self.k.dom))
+                == kernel(self.f).elements):
             raise AlgebraError("not a short exact sequence")
         if self.splitting is not None:
             if compose(self.f, self.splitting) != identity_morphism(self.f.cod):
@@ -489,13 +431,3 @@ def _induced_array(qm, fm, size: int) -> tuple[int, ...]:
         raise AlgebraError("quotient map is not surjective")
     return tuple(out)
 
-
-def epi_kernel_factorisation(f: Morphism) -> tuple[Morphism, Morphism]:
-    """Factor a surjection as its kernel quotient followed by an iso."""
-    if not is_surjective(f):
-        raise AlgebraError("not a surjection")
-    Q, proj = quotient(f.dom, kernel(f))
-    iso = induced_on_quotient(proj, f)
-    if not is_injective(iso):
-        raise AlgebraError("induced comparison is not an isomorphism")
-    return proj, iso

@@ -654,10 +654,6 @@ SUITES: dict[str, Suite] = {s.name: s for s in [
 _ALIASES = {"prop-2.5": "prop-2.5/2.7", "prop-2.7": "prop-2.5/2.7"}
 
 
-def suite_ids() -> tuple[str, ...]:
-    return tuple(SUITES)
-
-
 def _resolve_reflector(reflector) -> Reflector | None:
     if reflector is None or isinstance(reflector, Reflector):
         return reflector

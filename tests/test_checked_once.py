@@ -46,7 +46,6 @@ from semiab import (
     morphism,
     named_algebra,
     normal_closure,
-    normal_subobjects,
     preimage_subobject,
     pullback,
     quotient,
@@ -72,6 +71,8 @@ from semiab.algebra import (
     _structure_images,
 )
 from semiab.corpus import corpus_ids
+
+from normal_lattice import normal_subobjects
 
 
 def _cyclic_table(n: int):

@@ -122,7 +122,7 @@ def test_square_edges_layout():
     assert sq.edge(0, 0) == f  # top vertex is mask 0
     assert sq.edge(0, 1) == g
     assert sq.top_vertex == f.dom
-    assert sq.bottom_vertex.order == 2  # C8/(K[f] v K[g]) = C8/K[g]
+    assert sq.vertex(3).order == 2  # C8/(K[f] v K[g]) = C8/K[g]
 
 
 def test_cube_of_morphism_is_one_dim():

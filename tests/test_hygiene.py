@@ -8,7 +8,8 @@ The tests read the source with ``ast`` and import nothing.  A name
 counts as used when it appears as a name or an attribute anywhere
 else (string annotations included), so the check is coarse: it
 catches definitions that nothing mentions at all.  Being re-exported
-from ``__init__.py`` does not count as a use.
+from ``__init__.py`` does not count as a use, and neither does a
+mention in a test, except for a short list of entry points.
 """
 
 from __future__ import annotations
@@ -90,20 +91,34 @@ def test_every_import_in_the_package_is_used():
     assert unused == []
 
 
+# Definitions that nothing in the package calls and that stay: the only
+# ones a reference from the tests keeps alive.
+ENTRY_POINTS = (
+    ("replay_witness", "public replay of a witness file"),
+    ("corpus_to_doc", "writes the semiab-corpus format"),
+    ("centralize", "the paper's centralisation, kept as a construction"),
+    ("nfold_factorize", "the paper's derived torsion theory on n-fold extensions"),
+    ("error", "_Parser.error: argparse calls it on a usage error"),
+)
+
+
 def test_every_definition_in_the_package_is_referenced():
+    """Another part of the package mentions every definition; a test
+    mentioning it counts only for the entry points above."""
     trees = {path: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
-    tests = [_parse(path) for path in sorted((ROOT / "tests").glob("*.py"))]
     reexports = trees[PACKAGE / "__init__.py"]
-    referenced: set[str] = set()
-    for tree in [*trees.values(), *tests]:
+    referenced = {name for name, _ in ENTRY_POINTS}
+    for tree in trees.values():
         referenced |= _used_names(tree) | _annotation_names(tree)
         if tree is not reexports:  # a re-export alone is not a use
             referenced |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
                            for a in n.names}
     dead = []
+    defined = set()
     for path, tree in trees.items():
         for node in _definitions(tree):
             name = node.name
+            defined.add(name)
             if name.startswith("__") and name.endswith("__"):
                 continue
             if isinstance(node, ast.FunctionDef) and _has_decorator(node, "check"):
@@ -111,6 +126,7 @@ def test_every_definition_in_the_package_is_referenced():
             if name not in referenced:
                 dead.append(f"{path.name}: {name}")
     assert dead == []
+    assert {name for name, _ in ENTRY_POINTS} <= defined
 
 
 def _loaded_names(tree: ast.AST) -> set[str]:

@@ -8,13 +8,11 @@ from hypothesis import given, settings, strategies as st
 from semiab import (
     AlgebraError,
     ExactSequence,
-    classify_sequence,
     compose,
     corpus_by_id,
     cyclic_group,
     dihedral_group,
     direct_product,
-    epi_kernel_factorisation,
     full_subobject,
     gpd_discrete,
     group_algebra,
@@ -23,29 +21,32 @@ from semiab import (
     image,
     induced_on_quotient,
     into_pullback,
-    is_injective,
     is_isomorphism_map,
     is_surjective,
     join_normal,
     kernel,
     meet_subobjects,
     morphism,
+    named_algebra,
     normal_closure,
-    normal_subobjects,
     power_subobject,
     pullback,
     quaternion_8,
     quotient,
+    sections,
     sub_algebra,
     subobject,
     surjections,
     symmetric_3,
+    zero_morphism,
     zero_subobject,
     zmod_cyclic,
     zring,
 )
 from semiab.algebra import closure_under_ops
 from semiab.ops import kernel_pair, preimage_subobject
+
+from normal_lattice import normal_subobjects
 
 
 def _mod_map(m, n):
@@ -108,16 +109,6 @@ def test_kernel_pair_order():
     assert compose(f, q1) == compose(f, q2)
 
 
-def test_cokernel_via_image():
-    from semiab import cokernel
-
-    c2, c4 = cyclic_group(2), cyclic_group(4)
-    j = morphism(c2, c4, [0, 2])
-    C, p = cokernel(j)
-    assert C.order == 2
-    assert compose(p, j).mapping == ((0, 0),)
-
-
 def test_normal_closure_is_idempotent_and_monotone():
     s3 = symmetric_3()
     refl = closure_under_ops(s3, {1})
@@ -144,14 +135,6 @@ def test_every_surjection_is_a_normal_epi():
         # f factors through its kernel quotient via an isomorphism
         iso = induced_on_quotient(q, f)
         assert is_isomorphism_map(iso)
-
-
-def test_epi_kernel_factorisation_composes_back():
-    q8, c2 = quaternion_8(), cyclic_group(2)
-    for f in surjections(q8, c2):
-        e, m = epi_kernel_factorisation(f)
-        assert is_surjective(e) and is_injective(m)
-        assert compose(m, e) == f
 
 
 def test_image_of_nonsurjective_map():
@@ -222,6 +205,14 @@ def test_power_subobject_on_modules():
     assert power_subobject(m4, 4).elements == (frozenset({0}),)
 
 
+@pytest.mark.parametrize("name", ["c4", "s3", "m8-c8xc8"])
+def test_power_subobject_reads_the_exponent_modulo_the_order(name):
+    # x^|A| = 0 by Lagrange, and the added exponent is a multiple of 4, 6 and 64
+    A = named_algebra(name)
+    for k in range(1, 9):
+        assert power_subobject(A, k + 10**18 * 720720) == power_subobject(A, k)
+
+
 def test_preimage_subobject():
     f = _mod_map(8, 4)
     c4 = cyclic_group(4)
@@ -253,42 +244,26 @@ def test_preimage_rejects_a_subobject_of_another_algebra():
         preimage_subobject(identity_morphism(v4), foreign)
 
 
-def test_classify_sequence_split_and_nonsplit():
-    s3, c2 = symmetric_3(), cyclic_group(2)
-    (f,) = surjections(s3, c2)
-    k_sub, incl = sub_algebra(s3, kernel(f))
-    cls = classify_sequence(incl, f)
-    assert cls.kind == "split-exact"
-    assert cls.splitting is not None
-    assert compose(f, cls.splitting) == identity_morphism(c2)
-
-    c4 = cyclic_group(4)
-    (g,) = surjections(c4, c2)
-    k2, incl2 = sub_algebra(c4, kernel(g))
-    cls2 = classify_sequence(incl2, g)
-    assert cls2.kind == "exact"
-    assert cls2.splitting is None
-
-
-def test_classify_sequence_rejects_non_exact():
-    c4, c2 = cyclic_group(4), cyclic_group(2)
-    (g,) = surjections(c4, c2)
-    wrong = morphism(c2, c4, [0, 2])
-    # embeds exactly onto K[g], so still a short exact sequence
-    assert classify_sequence(wrong, g).kind == "exact"
-    assert classify_sequence(identity_morphism(c4), g).kind == "not-exact"
-    with pytest.raises(AlgebraError):
-        classify_sequence(g, g)  # endpoints do not compose
-
-
 def test_exact_sequence_validation():
     c4, c2 = cyclic_group(4), cyclic_group(2)
     (g,) = surjections(c4, c2)
     _, incl = sub_algebra(c4, kernel(g))
     seq = ExactSequence(incl, g)
     assert seq.splitting is None
-    with pytest.raises(AlgebraError):
+    with pytest.raises(AlgebraError, match="sequence maps do not compose"):
         ExactSequence(g, g)
+    # another embedding onto K[g] is still a short exact sequence
+    assert ExactSequence(morphism(c2, c4, [0, 2]), g).k.mapping == ((0, 2),)
+    with pytest.raises(AlgebraError, match="not a short exact sequence"):
+        ExactSequence(identity_morphism(c4), g)
+
+    s3 = symmetric_3()
+    (f,) = surjections(s3, c2)
+    _, incl3 = sub_algebra(s3, kernel(f))
+    section = sections(f)[0]
+    assert ExactSequence(incl3, f, section).splitting == section
+    with pytest.raises(AlgebraError, match="splitting is not a section"):
+        ExactSequence(incl3, f, zero_morphism(c2, s3))
 
 
 @settings(max_examples=25, deadline=None)

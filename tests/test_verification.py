@@ -34,7 +34,6 @@ from semiab.verification import (
     SuiteError,
     protoadditive_by_definition,
     replay_witness,
-    suite_ids,
     verify_all,
     verify_suite,
 )
@@ -42,7 +41,6 @@ from semiab.verification import (
 
 def test_suite_registry():
     assert len(SUITES) == 15
-    assert set(suite_ids()) == set(SUITES)
     for s in SUITES.values():
         assert s.result  # every suite states the claim it checks
 
@@ -370,6 +368,23 @@ def test_witness_label_must_be_a_known_class():
     with pytest.raises(FormatError) as info:
         replay_witness(doc)
     assert info.value.path == "$.class"
+
+
+def _zeroed(doc: dict, key: str) -> dict:
+    doc[key]["map"] = [0] * len(doc[key]["map"])
+    return doc
+
+
+def test_a_witness_sequence_that_is_not_exact_or_split_is_a_clean_error():
+    s3, c2 = named_algebra("s3"), named_algebra("c2")
+    split = next(seq for seq in split_exact_sequences([s3, c2]) if seq.f.cod == c2 != seq.f.dom)
+    doc = json.loads(json.dumps(CHECKS["split-preservation"].witness(reflector_by_id("ab"), split)))
+    assert replay_witness(doc)
+    with pytest.raises(FormatError, match=r"^\$: splitting is not a section$"):
+        replay_witness(_zeroed(json.loads(json.dumps(doc)), "section"))
+    del doc["section"]
+    with pytest.raises(FormatError, match=r"^\$: not a short exact sequence$"):
+        replay_witness(_zeroed(doc, "kernel"))
 
 
 def _check_instances():
