@@ -252,18 +252,32 @@ def test_exact_sequence_validation():
     assert seq.splitting is None
     with pytest.raises(AlgebraError, match="sequence maps do not compose"):
         ExactSequence(g, g)
+
+
+def test_classify_sequence_split_and_nonsplit():
+    s3, c2 = symmetric_3(), cyclic_group(2)
+    (f,) = surjections(s3, c2)
+    _, incl = sub_algebra(s3, kernel(f))
+    section = sections(f)[0]
+    assert compose(f, section) == identity_morphism(c2)
+    assert ExactSequence(incl, f, section).splitting == section
+    with pytest.raises(AlgebraError, match="splitting is not a section"):
+        ExactSequence(incl, f, zero_morphism(c2, s3))
+
+    c4 = cyclic_group(4)
+    (g,) = surjections(c4, c2)
+    _, incl2 = sub_algebra(c4, kernel(g))
+    assert sections(g) == ()
+    assert ExactSequence(incl2, g).splitting is None
+
+
+def test_classify_sequence_rejects_non_exact():
+    c4, c2 = cyclic_group(4), cyclic_group(2)
+    (g,) = surjections(c4, c2)
     # another embedding onto K[g] is still a short exact sequence
     assert ExactSequence(morphism(c2, c4, [0, 2]), g).k.mapping == ((0, 2),)
     with pytest.raises(AlgebraError, match="not a short exact sequence"):
         ExactSequence(identity_morphism(c4), g)
-
-    s3 = symmetric_3()
-    (f,) = surjections(s3, c2)
-    _, incl3 = sub_algebra(s3, kernel(f))
-    section = sections(f)[0]
-    assert ExactSequence(incl3, f, section).splitting == section
-    with pytest.raises(AlgebraError, match="splitting is not a section"):
-        ExactSequence(incl3, f, zero_morphism(c2, s3))
 
 
 @settings(max_examples=25, deadline=None)
