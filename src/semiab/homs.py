@@ -9,9 +9,11 @@ profile, keeps only injective arrays whose images have the source
 orders, and reports the first hit in enumeration order.
 
 Each array is checked once while its domain sort is alive: the tuple
-that passed is the one the ``Morphism`` stores, and the morphism's own
-validation finds it in the sort's record of passing arrays (see the
-``algebra`` docstring).
+that passed ``_violation``, which records it in the sort's record of
+passing arrays (see the ``algebra`` docstring), is the one the
+``Morphism`` stores, and a map whose arrays passed and that commutes
+with the structure maps is built without ``validate_morphism``, which
+would test the same things again.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def _iter_homs(A: Algebra, B: Algebra, isos: bool):
         for others in itertools.product(*rest):
             mapping = (first, *others)
             if _respects_structure(A, B, mapping):
-                yield Morphism(A, B, mapping)
+                yield _unchecked(Morphism, A, B, mapping)
 
 
 def enumerate_homs(A: Algebra, B: Algebra) -> tuple[Morphism, ...]:

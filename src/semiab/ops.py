@@ -175,16 +175,23 @@ def meet_subobjects(A: Algebra, M: Subobject, N: Subobject) -> Subobject:
 
 
 def huq_commutator(A: Algebra, H: Subobject, K: Subobject) -> Subobject:
-    """The commutator of two subobjects.
+    """The commutator of two normal subobjects.
 
-    Groups: the subgroup generated by commutators.  Commutative rings
-    and xyxy=xy rings: sums of pairwise products.  Modules: zero.
+    Groups: the subgroup generated by commutators, which is the normal
+    closure N of the commutators of generators of H and of K: it is
+    normal, so it holds N, and modulo N the generators commute, so H
+    and K do.  A side that is the whole sort is generated by the
+    sort's ``gens``, any other by its elements.  Commutative rings and
+    xyxy=xy rings: sums of pairwise products.  Modules: zero.
     """
+    _check_parent(A, H, K)
+    if not (H.normal and K.normal):
+        raise AlgebraError("commutator is defined for normal subobjects")
     S, hs, ks = A.sorts[0], H.elements[0], K.elements[0]
     op, inv = S.binary[0], S.unary[0]
     if A.kind == GROUP:
-        gens = {op[op[inv[x]][inv[y]]][op[x][y]] for x in hs for y in ks}
-        return subobject(A, closure_under_ops(A, gens))
+        hs, ks = (S.gens if len(X) == S.order else X for X in (hs, ks))
+        return normal_closure(A, {op[op[inv[x]][inv[y]]][op[x][y]] for x in hs for y in ks})
     if A.kind in ("comm-ring", "rng-star"):
         mul = S.binary[1]
         prods = {mul[h][k] for h in hs for k in ks}
@@ -413,10 +420,17 @@ class ExactSequence:
 
 
 def induced_on_quotient(q: Morphism, f: Morphism) -> Morphism:
-    """The unique map through a quotient: q surjective, ker q <= ker f."""
+    """The unique map through a quotient: q surjective, ker q <= ker f.
+
+    ``_induced_array`` proves the map g with g(q(x)) = f(x) well defined
+    and q onto on every sort, so g is a morphism by construction:
+    g(q(x)*q(y)) = g(q(x*y)) = f(x*y) = g(q(x))*g(q(y)), likewise for
+    the unary and structure maps, and every element of the quotient is
+    some q(x).  It skips ``validate_morphism``.
+    """
     if q.dom != f.dom:
         raise AlgebraError("maps must share a domain")
-    return Morphism(q.cod, f.cod, tuple(
+    return _derived_morphism(q.cod, f.cod, tuple(
         _induced_array(qm, fm, S.order) for qm, fm, S in zip(q.mapping, f.mapping, q.cod.sorts)))
 
 

@@ -6,18 +6,23 @@ array) pairs that passed the homomorphism scan.  These tests pin down
 that neither record changes a verdict, that the derived constructions
 pass every check they skip when it is called directly, past both
 records, that they really skip it, that the homomorphism test on
-generator rows (``_scan``) agrees with the test at every pair
-(``_full_scan``), which the direct checks use, that normality
-tested on generators agrees with the test over the carrier, and that a
-``Sort`` or an ``Algebra`` made directly is checked when it is made.
+generator rows (``_scan``), which reads no unary map, agrees with the
+test at every pair and every unary map (``_full_scan``), which the
+direct checks use, that the maps hom enumeration finds and the maps
+induced through quotients, built without ``validate_morphism``, pass
+the direct checks, that normality tested on generators agrees with the
+test over the carrier, and that a ``Sort`` or an ``Algebra`` made
+directly is checked when it is made.
 """
 
 import copy
 import gc
+import importlib.util
 import random
 import weakref
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +32,8 @@ from semiab import (
     AlgebraError,
     Morphism,
     Variety,
+    algebra_from_doc,
+    compose,
     corpus_by_id,
     cyclic_group,
     direct_product,
@@ -37,10 +44,13 @@ from semiab import (
     group_algebra,
     identity_morphism,
     image,
+    induced_on_quotient,
+    is_isomorphism_map,
     is_normal_subset,
     join_normal,
     kernel,
     kernel_pair,
+    map_reflect,
     meet_subobjects,
     module_algebra,
     morphism,
@@ -49,6 +59,8 @@ from semiab import (
     preimage_subobject,
     pullback,
     quotient,
+    reflect,
+    reflector_by_id,
     sub_algebra,
     subobject,
     symmetric_3,
@@ -71,6 +83,7 @@ from semiab.algebra import (
     _structure_images,
 )
 from semiab.corpus import corpus_ids
+from semiab.homs import _corpus_surjections, find_isomorphism
 
 from normal_lattice import normal_subobjects
 
@@ -217,6 +230,117 @@ def test_the_generator_test_agrees_with_the_pairwise_scan():
                         assert bad == _full_scan(D, C, a), (A, B, a)
                         verdicts["pass" if bad is None else "fail"] += 1
     assert verdicts["pass"] > 5000 and verdicts["fail"] > 5000, verdicts
+
+
+def _binary_preserved(D, C, m) -> bool:
+    """m preserves every binary table at every pair; no unary map is read."""
+    n = range(D.order)
+    return all(m[dt[x][y]] == ct[m[x]][m[y]]
+               for dt, ct in zip(D.binary, C.binary) for x in n for y in n)
+
+
+@pytest.mark.parametrize("dom, cod, k", [
+    ("c4", "c4", 0), ("s3", "s3", 0), ("m4-c2xc2", "m4-c4", 0), ("m8-c2xc2", "m8-c4", 0),
+    ("z4", "z4", 0), ("ind-c2", "ind-c2", 0), ("ind-c2", "ind-c2", 1)])
+def test_an_array_that_preserves_the_binary_tables_preserves_every_unary_map(dom, cod, k):
+    """``_scan`` reads no unary map.  Over every array between these
+    sorts (6^6 for s3), one that preserves the binary tables at every
+    pair also preserves the inverse, the negation and every scalar, and
+    ``_scan`` passes exactly those arrays."""
+    D, C = named_algebra(dom).sorts[k], named_algebra(cod).sorts[k]
+    passed = 0
+    for m in product(range(C.order), repeat=D.order):
+        preserved = _binary_preserved(D, C, m)
+        assert (_full_scan(D, C, m) is None) == preserved, m
+        assert (_scan(D, C, m) is None) == preserved, m
+        passed += preserved
+    assert 0 < passed < C.order ** D.order
+
+
+def test_a_module_action_that_is_not_a_repeated_sum_is_rejected():
+    """The unary maps follow from additivity because ``module_algebra``
+    makes sx the s-fold sum of x: a Z/4 action whose row 2 is not
+    x + x is rejected, though it is an automorphism of the group."""
+    add = _cyclic_table(4)
+    act = [[(s * x) % 4 for x in range(4)] for s in range(4)]
+    act[2] = [(-x) % 4 for x in range(4)]
+    with pytest.raises(AlgebraError, match=r"\(s\+t\)x != sx\+tx at \(1,1,1\)"):
+        module_algebra(4, add, act)
+
+
+def _perfbench_gen():
+    """perfbench's input generator, which imports nothing of the package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def _assert_enumerated(f, A, B) -> None:
+    assert f.dom is A and f.cod is B
+    assert type(f.mapping) is tuple and all(type(m) is tuple for m in f.mapping)
+    _assert_checked_morphism(f)
+
+
+def test_every_enumerated_map_passes_the_direct_checks():
+    """``_iter_homs`` builds its maps without ``validate_morphism``: each
+    map that ``enumerate_homs`` or ``find_isomorphism`` returns, on
+    corpus pairs with |A|.|B| <= 600, passes the check at every pair
+    and commutes with the structure maps."""
+    algebras = _corpus_algebras()
+    found = 0
+    for A in algebras:
+        for B in algebras:
+            if A.variety != B.variety or A.order * B.order > 600:
+                continue
+            for f in enumerate_homs(A, B):
+                _assert_enumerated(f, A, B)
+                found += 1
+            iso = find_isomorphism(A, B)
+            if iso is not None:
+                _assert_enumerated(iso, A, B)
+                assert is_isomorphism_map(iso)
+    assert found > 5000, found
+
+
+def test_maps_enumerated_between_relabelled_modules_pass_the_direct_checks():
+    """As perfbench's context workload builds them: Z/8-modules under a
+    seeded relabelling that keeps a random basis at labels 1, 2, so
+    their generating sets are not those of the bundled labelling."""
+    gen = _perfbench_gen()
+    rng = gen.rng_for(7, "context:0")
+    modules = []
+    for summands in ((2, 4), (4, 8)):
+        doc, _ = gen.relabel_algebra(gen.zmod_module(8, summands), rng,
+                                     first=gen.module_basis(summands, rng))
+        modules.append(algebra_from_doc(doc))
+    counts = {}
+    for A in modules:
+        for B in modules:
+            homs_AB = enumerate_homs(A, B)
+            for f in homs_AB:
+                _assert_enumerated(f, A, B)
+            counts[A.order, B.order] = len(homs_AB)
+    # |Hom(Z/d1 x Z/d2, Z/e1 x Z/e2)| is the product of the gcd(di, ej)
+    assert counts == {(8, 8): 32, (8, 32): 64, (32, 8): 64, (32, 32): 512}
+
+
+@pytest.mark.parametrize("rid, cid", [("reduced", "rings"), ("ab", "groups"),
+                                      ("burnside:2", "zmod4-modules"), ("pi0", "groupoids")])
+def test_maps_induced_on_reflections_pass_the_direct_checks(rid, cid):
+    """``induced_on_quotient`` skips ``validate_morphism``; on the
+    sweep's own inputs, the reflection of every corpus surjection
+    passes the check at every pair and is the map through the units."""
+    R = reflector_by_id(rid)
+    surjections = list(_corpus_surjections(corpus_by_id(cid)))
+    for f in surjections:
+        g = map_reflect(R, f)
+        eta_dom, eta_cod = reflect(R, f.dom).unit, reflect(R, f.cod).unit
+        assert g.dom == eta_dom.cod and g.cod == eta_cod.cod
+        _assert_checked_morphism(g)
+        assert compose(g, eta_dom).mapping == compose(eta_cod, f).mapping
+    assert len(surjections) > 10
 
 
 def test_the_stored_generating_set_generates_the_carrier():
@@ -488,6 +612,19 @@ def test_constructions_from_checked_algebras_run_no_check(monkeypatch, factors):
         _assert_checked_algebra(X)
     for f in (p1, p2, q, incl):
         _assert_checked_morphism(f)
+
+
+def test_enumerated_and_induced_maps_run_no_morphism_check(monkeypatch):
+    """Hom enumeration and ``induced_on_quotient`` build their maps
+    without ``validate_morphism``; the tests above run its checks."""
+    A, B = named_algebra("m8-c2xc4"), named_algebra("m8-c4")
+    calls = []
+    monkeypatch.setattr(algebra, "validate_morphism", lambda f: calls.append(f))
+    maps = list(homs._iter_homs(A, B, False))
+    iso = homs.find_isomorphism(A, A)
+    induced = [induced_on_quotient(quotient(A, kernel(f))[1], f) for f in maps]
+    assert calls == []
+    assert len(maps) == 8 and iso is not None and len(induced) == 8
 
 
 def test_the_product_generators_come_from_the_factors():

@@ -6,8 +6,9 @@ outside it, and no unbounded cache beyond the known ones.
 
 The tests read the source with ``ast`` and import nothing.  A name
 counts as used when it appears as a name or an attribute anywhere
-else (string annotations included), so the check is coarse: it
-catches definitions that nothing mentions at all.  Being re-exported
+else (string annotations included), and a top-level function or class
+only as a name or an import, so the check is coarse: it catches
+definitions that nothing mentions at all.  Being re-exported
 from ``__init__.py`` does not count as a use, and neither does a
 mention in a test, except for a short list of entry points.
 """
@@ -42,12 +43,13 @@ def _annotation_names(node: ast.AST) -> set[str]:
     return out
 
 
-def _used_names(tree: ast.AST) -> set[str]:
+def _used_names(tree: ast.AST, attributes: bool = True) -> set[str]:
+    """Every name, and every attribute name unless ``attributes`` is false."""
     names = set()
     for n in ast.walk(tree):
         if isinstance(n, ast.Name):
             names.add(n.id)
-        elif isinstance(n, ast.Attribute):
+        elif attributes and isinstance(n, ast.Attribute):
             names.add(n.attr)
     return names
 
@@ -72,12 +74,13 @@ def _has_decorator(node, name: str) -> bool:
 
 
 def _definitions(tree: ast.Module):
-    """Top-level functions and classes, and the methods and properties of classes."""
+    """Top-level functions and classes, and the methods and properties of
+    classes, each with whether it is top-level."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node, True
         if isinstance(node, ast.ClassDef):
-            yield from (m for m in node.body if isinstance(m, ast.FunctionDef))
+            yield from ((m, False) for m in node.body if isinstance(m, ast.FunctionDef))
 
 
 def test_every_import_in_the_package_is_used():
@@ -99,31 +102,37 @@ ENTRY_POINTS = (
     ("centralize", "the paper's centralisation, kept as a construction"),
     ("nfold_factorize", "the paper's derived torsion theory on n-fold extensions"),
     ("error", "_Parser.error: argparse calls it on a usage error"),
+    ("morphism", "public constructor of a checked map from per-sort arrays"),
 )
 
 
 def test_every_definition_in_the_package_is_referenced():
     """Another part of the package mentions every definition; a test
-    mentioning it counts only for the entry points above."""
+    mentioning it counts only for the entry points above.  A top-level
+    function or class is used only through its name or an import, so
+    that ``args.morphism`` is no use of ``morphism``; a method or a
+    property is used through an attribute too."""
     trees = {path: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
     reexports = trees[PACKAGE / "__init__.py"]
-    referenced = {name for name, _ in ENTRY_POINTS}
+    named = {name for name, _ in ENTRY_POINTS}
+    attributes = set()
     for tree in trees.values():
-        referenced |= _used_names(tree) | _annotation_names(tree)
+        named |= _used_names(tree, attributes=False) | _annotation_names(tree)
+        attributes |= _used_names(tree)
         if tree is not reexports:  # a re-export alone is not a use
-            referenced |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
-                           for a in n.names}
+            named |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                      for a in n.names}
     dead = []
     defined = set()
     for path, tree in trees.items():
-        for node in _definitions(tree):
+        for node, top_level in _definitions(tree):
             name = node.name
             defined.add(name)
             if name.startswith("__") and name.endswith("__"):
                 continue
             if isinstance(node, ast.FunctionDef) and _has_decorator(node, "check"):
                 continue
-            if name not in referenced:
+            if name not in (named if top_level else named | attributes):
                 dead.append(f"{path.name}: {name}")
     assert dead == []
     assert {name for name, _ in ENTRY_POINTS} <= defined

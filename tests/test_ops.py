@@ -175,11 +175,27 @@ def _commute_in_image(q, hs, ks):
 
 @pytest.mark.parametrize("maker", [symmetric_3, quaternion_8, lambda: dihedral_group(4)])
 def test_huq_commutator_matches_brute_force(maker):
+    """On (whole, whole), on (kernel, whole) either way round, and on
+    every pair of normal subobjects."""
     A = maker()
     whole = full_subobject(A)
-    got = huq_commutator(A, whole, whole)
-    want = _brute_commutator(A, whole, whole)
-    assert got.elements == want.elements
+    lattice = normal_subobjects(A)
+    kernels = [kernel(quotient(A, N)[1]) for N in lattice]
+    pairs = [(whole, whole), *((K, whole) for K in kernels), *((whole, K) for K in kernels),
+             *itertools.product(lattice, repeat=2)]
+    for H, K in pairs:
+        got = huq_commutator(A, H, K)
+        assert got.normal and got.elements == _brute_commutator(A, H, K).elements, (H, K)
+
+
+def test_huq_commutator_rejects_a_subgroup_that_is_not_normal():
+    s3 = symmetric_3()
+    op = s3.sorts[0].binary[0]
+    flip = subobject(s3, {0, next(x for x in range(1, 6) if op[x][x] == 0)})
+    assert not flip.normal
+    for H, K in ((flip, full_subobject(s3)), (full_subobject(s3), flip)):
+        with pytest.raises(AlgebraError, match="commutator is defined for normal subobjects"):
+            huq_commutator(s3, H, K)
 
 
 def test_derived_subgroup_oracles():
