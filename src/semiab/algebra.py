@@ -38,13 +38,14 @@ where they are cheapest: the (g, 0) and (0, h) of the factors' ``gens``
 for a product, the nonzero images of the parent's for a quotient, and
 the greedy set, taken by ``_check_sort`` coset by coset, for a pullback
 or a sub-algebra.  Under the same rule, projections, inclusions,
-quotient maps, composites and maps induced through quotients, which
-are morphisms by construction, skip ``validate_morphism``
-(``_derived_morphism``), and the whole carrier and the kernels,
-preimages, images, meets and normal closures of ``ops`` skip the
-closure tests of a subobject, and its normality test where they
-guarantee normality (``_derived_subobject``).  The tests run every
-skipped check directly on derived algebras, maps and subobjects.
+quotient maps, composites, maps induced through quotients, identity
+and zero maps, which are morphisms by construction, skip
+``validate_morphism`` (built by ``_unchecked``), and the whole carrier
+and the kernels, preimages, images, meets and normal closures of
+``ops`` skip the closure tests of a subobject, and its normality test
+where they guarantee normality (``_derived_subobject``).  The tests
+run every skipped check directly on derived algebras, maps and
+subobjects.
 
 ``_scan``, the homomorphism test, tests each binary table only at the
 rows of ``gens`` and no unary map.  This is exact when both sorts
@@ -71,10 +72,9 @@ Each distinct content is checked once while an equal sort is alive.
 Every table not derived as above is shape-checked on every build;
 ``_CHECKED`` then interns the sorts that passed the identity checks or
 were derived, weakly, so tables equal to a live sort's return that
-sort.  Each sort keeps, in its ``__dict__`` and per codomain sort, the
-arrays that passed the homomorphism scan, so an equal array is not
-scanned again.  Failing verdicts are never recorded, and both records
-go with their sorts.
+sort.  Homomorphism verdicts are not remembered per sort: ``_scan``
+reads only the rows of ``gens``, about what hashing the array would
+cost, and the hom sets of ``homs`` are cached by algebra.
 
 Morphisms and subobjects have one part per sort: ``Morphism.mapping``
 holds one image array and ``Subobject.elements`` one frozenset per
@@ -584,11 +584,9 @@ def _sort(V: Variety, binary, unary, name: str | None, gens=None,
 
 
 def _renamed_sort(S: Sort, name: str | None) -> Sort:
-    """S under another name, sharing its tables, ``gens``, hash and
-    record of passing arrays (``_passed``)."""
+    """S under another name, sharing its tables, ``gens`` and hash."""
     renamed = _unchecked(Sort, S.variety, S.order, S.binary, S.unary, S.gens, name)
     object.__setattr__(renamed, "_hash", hash(S))
-    object.__setattr__(renamed, "_passed", _passed(S))
     return renamed
 
 
@@ -611,7 +609,7 @@ def _algebra(variety: Variety, sorts, maps=(), name: str | None = None,
 def _check_structure(built, maps, what: str) -> None:
     """The groupoid conditions on shape-checked structure maps."""
     for m, (s, t), label in zip(maps, _MAP_ENDS, "dci"):
-        bad = _violation(built[s], built[t], m)
+        bad = _scan(built[s], built[t], m)
         if bad is not None:
             raise AlgebraError(f"{what}: {label} {bad}")
     if maps:
@@ -715,26 +713,6 @@ def _full_scan(dom: Sort, cod: Sort, m) -> str | None:
     return None
 
 
-def _passed(dom: Sort) -> dict:
-    """Per codomain sort, the arrays from ``dom`` that passed ``_scan``."""
-    passed = getattr(dom, "_passed", None)
-    if passed is None:
-        passed = {}
-        object.__setattr__(dom, "_passed", passed)
-    return passed
-
-
-def _violation(dom: Sort, cod: Sort, m: tuple[int, ...]) -> str | None:
-    """``_scan``, remembering the arrays that pass (see ``_passed``)."""
-    arrays = _passed(dom).setdefault(cod, set())
-    if m in arrays:
-        return None
-    bad = _scan(dom, cod, m)
-    if bad is None:
-        arrays.add(m)
-    return bad
-
-
 def _one_per_sort(A: Algebra, parts, what: str) -> tuple:
     parts = tuple(parts)
     if len(parts) != len(A.sorts):
@@ -802,28 +780,13 @@ def validate_morphism(f: Morphism) -> tuple[tuple[int, ...], ...]:
     for k, (D, C, m) in enumerate(zip(dom.sorts, cod.sorts, parts)):
         what = "map" if len(parts) == 1 else f"map of sort {k}"
         m = _as_map(m, D.order, C.order, what)
-        bad = _violation(D, C, m)
+        bad = _scan(D, C, m)
         if bad is not None:
             raise AlgebraError(f"{what} {bad}")
         arrays.append(m)
     if not _respects_structure(dom, cod, arrays):
         raise AlgebraError("map does not commute with source, target and unit")
     return tuple(arrays)
-
-
-def _derived_morphism(dom: Algebra, cod: Algebra, arrays) -> Morphism:
-    """A map that a construction made: projection, inclusion, quotient map
-    or composite, with its arrays as tuples.
-
-    It is a morphism by construction and skips ``validate_morphism``.
-    Its arrays are still recorded as passing (see ``_passed``); that
-    record keeps each codomain sort alive, and so interned, while the
-    domain sort lives, and without it the sweep's peak memory was about
-    3% higher.
-    """
-    for D, C, m in zip(dom.sorts, cod.sorts, arrays):
-        _passed(D).setdefault(C, set()).add(m)
-    return _unchecked(Morphism, dom, cod, arrays)
 
 
 def _derived_subobject(parent: Algebra, sets, normal: bool | None = None) -> Subobject:
@@ -844,7 +807,13 @@ def _unchecked(cls, *values):
     """The frozen dataclass ``cls`` with these field values as given,
     without its checks (a sort's or an algebra's ``__post_init__``, a
     map's ``validate_morphism``, a subobject's closure and normality
-    tests)."""
+    tests).
+
+    Maps built this way are morphisms by construction or already
+    tested: projections, inclusions, quotient maps, composites, maps
+    induced through quotients, identity and zero maps, and the maps
+    that hom search found.
+    """
     # field by field in order, as the dataclass does: a __dict__ update
     # would give each object its own key table instead of the class's
     obj = object.__new__(cls)
@@ -859,18 +828,21 @@ def morphism(dom: Algebra, cod: Algebra, *arrays) -> Morphism:
 
 
 def identity_morphism(A: Algebra) -> Morphism:
-    return Morphism(A, A, tuple(tuple(range(S.order)) for S in A.sorts))
+    return _unchecked(Morphism, A, A, tuple(tuple(range(S.order)) for S in A.sorts))
 
 
 def zero_morphism(A: Algebra, B: Algebra) -> Morphism:
-    return Morphism(A, B, tuple((0,) * S.order for S in A.sorts))
+    """The map onto 0, a morphism whenever A and B share a variety."""
+    if A.variety != B.variety:
+        raise AlgebraError("morphism endpoints must share a variety")
+    return _unchecked(Morphism, A, B, tuple((0,) * S.order for S in A.sorts))
 
 
 def compose(outer: Morphism, inner: Morphism) -> Morphism:
     """outer after inner."""
     if inner.cod != outer.dom:
         raise AlgebraError("morphisms do not compose")
-    return _derived_morphism(inner.dom, outer.cod, tuple(
+    return _unchecked(Morphism, inner.dom, outer.cod, tuple(
         tuple(map(o.__getitem__, i)) for o, i in zip(outer.mapping, inner.mapping)))
 
 
@@ -1022,7 +994,7 @@ def sub_algebra(A: Algebra, sub: Subobject) -> tuple[Algebra, Morphism]:
         incls.append(elems)
         backs.append(back.__getitem__)
     B = _assemble((A,), sorts, [(m,) for m in incls], backs)
-    return B, _derived_morphism(B, A, tuple(incls))
+    return B, _unchecked(Morphism, B, A, tuple(incls))
 
 
 def closure_under_ops(A: Algebra, seed) -> frozenset[int]:

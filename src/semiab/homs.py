@@ -8,12 +8,11 @@ structure maps.  Isomorphism search additionally prunes on the order
 profile, keeps only injective arrays whose images have the source
 orders, and reports the first hit in enumeration order.
 
-Each array is checked once while its domain sort is alive: the tuple
-that passed ``_violation``, which records it in the sort's record of
-passing arrays (see the ``algebra`` docstring), is the one the
-``Morphism`` stores, and a map whose arrays passed and that commutes
-with the structure maps is built without ``validate_morphism``, which
-would test the same things again.
+Each candidate array is tested once, by ``_scan``, and the tuple that
+passed is the one the ``Morphism`` stores: a map whose arrays passed
+and that commutes with the structure maps is built without
+``validate_morphism``, which would test the same things again.  The
+hom sets are cached by algebra, not per array.
 """
 
 from __future__ import annotations
@@ -29,8 +28,8 @@ from .algebra import (
     _element_order,
     _generators,
     _respects_structure,
+    _scan,
     _unchecked,
-    _violation,
     compose,
     identity_morphism,
     is_surjective,
@@ -61,7 +60,7 @@ def _sort_homs(S: Sort, T: Sort, exact: bool):
 
     Each generator's image ranges over the elements whose order
     divides its own, or equals it when ``exact``, which also keeps
-    only injective arrays.  Each candidate is tested by ``_violation``,
+    only injective arrays.  Each candidate is tested by ``_scan``,
     at the rows of ``S.gens``.
     """
     plan = _generation_plan(S)
@@ -80,7 +79,7 @@ def _sort_homs(S: Sort, T: Sort, exact: bool):
         if exact and len(set(m)) != S.order:
             continue
         m = tuple(m)
-        if _violation(S, T, m) is None:
+        if _scan(S, T, m) is None:
             yield m
 
 

@@ -43,12 +43,12 @@ from .algebra import (
     _assemble,
     _check_parent,
     _close,
-    _derived_morphism,
     _derived_subobject,
     _normal_demands,
     _one_per_sort,
     _rebuild,
     _structure_images,
+    _unchecked,
     closure_under_ops,
     compose,
     full_subobject,
@@ -130,7 +130,7 @@ def quotient(A: Algebra, N: Subobject) -> tuple[Algebra, Morphism]:
         qmaps.append(qmap)
         legs.append((reps,))
     Q = _assemble((A,), sorts, legs, [q.__getitem__ for q in qmaps])
-    return Q, _derived_morphism(A, Q, tuple(map(tuple, qmaps)))
+    return Q, _unchecked(Morphism, A, Q, tuple(map(tuple, qmaps)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +349,8 @@ def _pairs_algebra(A: Algebra, B: Algebra, sort_maps) -> tuple[Algebra, Morphism
         legs.append((firsts, seconds))
         backs.append(lambda a, b, index=index: index[a][b])
     P = _assemble((A, B), sorts, legs, backs)
-    return (P, _derived_morphism(P, A, tuple(leg[0] for leg in legs)),
-            _derived_morphism(P, B, tuple(leg[1] for leg in legs)))
+    return (P, _unchecked(Morphism, P, A, tuple(leg[0] for leg in legs)),
+            _unchecked(Morphism, P, B, tuple(leg[1] for leg in legs)))
 
 
 def pullback(f: Morphism, g: Morphism) -> tuple[Algebra, Morphism, Morphism]:
@@ -430,7 +430,7 @@ def induced_on_quotient(q: Morphism, f: Morphism) -> Morphism:
     """
     if q.dom != f.dom:
         raise AlgebraError("maps must share a domain")
-    return _derived_morphism(q.cod, f.cod, tuple(
+    return _unchecked(Morphism, q.cod, f.cod, tuple(
         _induced_array(qm, fm, S.order) for qm, fm, S in zip(q.mapping, f.mapping, q.cod.sorts)))
 
 

@@ -1,11 +1,12 @@
-"""Each distinct table and map is checked once, and derived ones not at all.
+"""Each distinct table is checked once, and derived tables and maps not at all.
 
 ``algebra._CHECKED`` interns the sorts that passed every identity check
-or were derived from such sorts, and each sort remembers the (codomain,
-array) pairs that passed the homomorphism scan.  These tests pin down
-that neither record changes a verdict, that the derived constructions
-pass every check they skip when it is called directly, past both
-records, that they really skip it, that the homomorphism test on
+or were derived from such sorts; homomorphism verdicts are not
+remembered per sort, so every array is scanned each time it is tested.
+These tests pin down that the intern changes no verdict and that no
+sort grows a record of its own, that the derived constructions and the
+identity and zero maps pass every check they skip when it is called
+directly, past the intern, that they really skip it, that the homomorphism test on
 generator rows (``_scan``), which reads no unary map, agrees with the
 test at every pair and every unary map (``_full_scan``), which the
 direct checks use, that the maps hom enumeration finds and the maps
@@ -63,7 +64,10 @@ from semiab import (
     reflector_by_id,
     sub_algebra,
     subobject,
+    surjections,
     symmetric_3,
+    trivial_of_variety,
+    zero_morphism,
     zero_subobject,
     zmod_cyclic,
     zmod_free,
@@ -126,13 +130,11 @@ def test_a_bad_table_fails_the_same_way_every_time():
     assert errors[0] == errors[1]
 
 
-def test_a_non_hom_array_fails_every_time_and_is_not_recorded():
+def test_a_non_hom_array_fails_every_time():
     c4, c2 = cyclic_group(4), cyclic_group(2)
     for _ in range(2):
         with pytest.raises(AlgebraError, match="does not preserve"):
             morphism(c4, c2, [0, 1, 1, 0])
-    assert (0, 1, 1, 0) not in algebra._passed(c4.sorts[0]).get(c2.sorts[0], ())
-    assert algebra._violation(c4.sorts[0], c2.sorts[0], (0, 1, 1, 0)) is not None
 
 
 def test_a_table_one_entry_off_a_live_group_is_checked_and_rejected():
@@ -176,8 +178,6 @@ def test_a_renamed_sort_shares_the_tables_and_keeps_its_name():
     assert Sa is not Sb and Sa == Sb
     assert Sb.binary is Sa.binary and Sb.unary is Sa.unary
     assert (Sa.name, Sb.name, b.name) == ("a", "b", "b")
-    # equal content, so the passing arrays of one hold for the other
-    assert algebra._passed(Sb) is algebra._passed(Sa)
 
 
 def test_a_sort_hashes_as_its_content():
@@ -198,6 +198,22 @@ def test_the_intern_holds_a_sort_only_while_it_is_alive():
     del A, S
     gc.collect()
     assert key not in algebra._CHECKED
+
+
+def test_hom_search_leaves_no_record_on_a_sort():
+    """Hom verdicts are cached by algebra in ``homs`` and nowhere else:
+    after hom search, every live sort holds its dataclass fields and
+    its hash, and no per-sort record of passing arrays."""
+    for cid in ("groups", "groupoids", "zmod4-modules"):
+        algebras = list(corpus_by_id(cid))
+        for A in algebras:
+            for B in algebras:
+                enumerate_homs(A, B)
+                surjections(A, B)
+    allowed = {*Sort.__dataclass_fields__, "_hash"}
+    sorts = [o for o in gc.get_objects() if type(o) is Sort]
+    assert len(sorts) > 50
+    assert {k for S in sorts for k in vars(S)} - allowed == set()
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +641,36 @@ def test_enumerated_and_induced_maps_run_no_morphism_check(monkeypatch):
     induced = [induced_on_quotient(quotient(A, kernel(f))[1], f) for f in maps]
     assert calls == []
     assert len(maps) == 8 and iso is not None and len(induced) == 8
+
+
+def test_identity_and_zero_maps_pass_the_direct_checks():
+    """``identity_morphism`` and ``zero_morphism`` skip
+    ``validate_morphism``: the identity of every corpus algebra, the zero
+    map between every pair of a corpus and the zero map onto the trivial
+    algebra pass the check at every pair and the structure maps."""
+    checked = 0
+    for cid in corpus_ids():
+        algebras = list(corpus_by_id(cid))
+        for A in algebras:
+            _assert_checked_morphism(identity_morphism(A))
+            _assert_checked_morphism(zero_morphism(A, trivial_of_variety(A.variety)))
+            for B in algebras:
+                if A.variety == B.variety:
+                    _assert_checked_morphism(zero_morphism(A, B))
+                    checked += 1
+    assert checked > 1000, checked
+    with pytest.raises(AlgebraError, match="share a variety"):
+        zero_morphism(cyclic_group(2), zring(2))
+
+
+def test_identity_and_zero_maps_run_no_morphism_check(monkeypatch):
+    A, B = named_algebra("m8-c2xc4"), named_algebra("m8-c4")
+    G = corpus_by_id("groupoids")[0]
+    calls = []
+    monkeypatch.setattr(algebra, "validate_morphism", lambda f: calls.append(f))
+    maps = [identity_morphism(A), identity_morphism(G), zero_morphism(A, B), zero_morphism(G, G)]
+    assert calls == []
+    assert maps[0].mapping == (tuple(range(8)),) and maps[2].mapping == ((0,) * 8,)
 
 
 def test_the_product_generators_come_from_the_factors():

@@ -246,7 +246,8 @@ def test_only_algebra_builds_a_subobject_unchecked():
     algebras, and ``_derived_subobject`` for what a construction made.
     Other modules never call ``_unchecked(Sort | Algebra | Subobject,
     ...)`` themselves; ``_unchecked(Morphism, ...)`` binds known arrays
-    to equal algebras in ``homs`` and ``reflectors``."""
+    to equal algebras in ``homs`` and ``reflectors`` and builds the maps
+    that the constructions of ``ops`` make."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "algebra.py":
