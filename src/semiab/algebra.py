@@ -92,6 +92,8 @@ for the reason that makes ``_scan`` exact.
 from __future__ import annotations
 
 import weakref
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import eq, getitem
@@ -822,6 +824,39 @@ def _unchecked(cls, *values):
     return obj
 
 
+# the store of the running ``verify_all`` or ``verify_suite`` call, None outside one
+_STORE: ContextVar[dict | None] = ContextVar("semiab_store", default=None)
+
+
+@contextmanager
+def _store():
+    """Open a fresh store unless one is open; drop it on leaving.
+
+    It holds the Birkhoff contexts and the pair algebras and
+    sub-algebras of a sweep, each under the full content of its inputs,
+    so equal inputs under other names share one build.  It holds no
+    quotient, radical, reflection or verdict: each route of a
+    cross-route check still computes its own subobjects and maps.
+    """
+    store = _STORE.get()
+    token = _STORE.set({} if store is None else store)
+    try:
+        yield
+    finally:
+        _STORE.reset(token)
+
+
+def _stored(build, *key):
+    """build(*key), once per open store; outside one, every time."""
+    store = _STORE.get()
+    if store is None:
+        return build(*key)
+    value = store.get((build, *key))
+    if value is None:
+        value = store[(build, *key)] = build(*key)
+    return value
+
+
 def morphism(dom: Algebra, cod: Algebra, *arrays) -> Morphism:
     """The morphism with one image array per sort of ``dom``."""
     return Morphism(dom, cod, tuple(tuple(m) for m in arrays))
@@ -980,11 +1015,17 @@ def full_subobject(A: Algebra) -> Subobject:
 def sub_algebra(A: Algebra, sub: Subobject) -> tuple[Algebra, Morphism]:
     """The subobject as an algebra of its own, with its inclusion.
 
-    Each sort's carrier is the sorted element set.
+    Each sort's carrier is the sorted element set.  It is built once
+    per content in a store (``_store``); the inclusion is A's own.
     """
     _check_parent(A, sub)
+    B, incls = _stored(_sub_algebra, A, sub.elements)
+    return B, _unchecked(Morphism, B, A, incls)
+
+
+def _sub_algebra(A: Algebra, elements) -> tuple[Algebra, tuple]:
     sorts, incls, backs = [], [], []
-    for S, X in zip(A.sorts, sub.elements):
+    for S, X in zip(A.sorts, elements):
         elems = tuple(sorted(X))
         back = {e: k for k, e in enumerate(elems)}
         sorts.append(_rebuild(
@@ -993,8 +1034,7 @@ def sub_algebra(A: Algebra, sub: Subobject) -> tuple[Algebra, Morphism]:
             lambda u: tuple(back[u[x]] for x in elems)))
         incls.append(elems)
         backs.append(back.__getitem__)
-    B = _assemble((A,), sorts, [(m,) for m in incls], backs)
-    return B, _unchecked(Morphism, B, A, tuple(incls))
+    return _assemble((A,), sorts, [(m,) for m in incls], backs), tuple(incls)
 
 
 def closure_under_ops(A: Algebra, seed) -> frozenset[int]:

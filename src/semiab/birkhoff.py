@@ -19,6 +19,7 @@ from .algebra import (
     Morphism,
     Subobject,
     _derived_subobject,
+    _stored,
     compose,
     generating_set,
     sub_algebra,
@@ -68,9 +69,9 @@ class BirkhoffContext:
 
     A context remembers the radical of each 1-cube it is asked for,
     keyed by the arrow; a hit made on an arrow equal by content is
-    moved, unchecked, to the caller's top vertex.  The memo lives
-    exactly as long as the context.  Contexts that differ only in C
-    can share it, and the base certification (``_shared_context``).
+    moved, unchecked, to the caller's top vertex.  The memo lives as
+    long as the context.  In the store of a sweep, contexts that differ
+    only in C share it and the base certification (``_shared_context``).
     """
 
     B: Reflector
@@ -109,25 +110,21 @@ class BirkhoffContext:
         object.__setattr__(self, "comparison_sequences", compared)
 
 
-def _shared_context(store: dict, B: Reflector, corpus,
-                    C: Reflector | None = None) -> BirkhoffContext:
-    """The context in ``store``, a dict its caller owns and drops, for B
-    over the corpus members that B applies to and comparison C, built
-    on first use.  One with a comparison is a copy of the stored base
-    context, sharing its memo, that certifies only C.  A context whose
-    certification fails is not stored.
+def _shared_context(B: Reflector, corpus, C: Reflector | None = None) -> BirkhoffContext:
+    """The context for B over the corpus members that B applies to and
+    comparison C, once per store (``algebra._store``).  One with a
+    comparison is a copy of the stored base context, sharing its memo,
+    that certifies only C.  A failed certification is not stored.
     """
-    members = tuple(A for A in corpus if B.applies_to(A.variety))
-    key = (B, members, C)
-    ctx = store.get(key)
-    if ctx is None:
-        if C is None:
-            ctx = BirkhoffContext(B, members)
-        else:
-            ctx = copy.copy(_shared_context(store, B, members))
-            object.__setattr__(ctx, "C", C)
-            ctx._compare(members)
-        store[key] = ctx
+    return _stored(_certified, B, tuple(A for A in corpus if B.applies_to(A.variety)), C)
+
+
+def _certified(B: Reflector, members: tuple, C: Reflector | None) -> BirkhoffContext:
+    if C is None:
+        return BirkhoffContext(B, members)
+    ctx = copy.copy(_shared_context(B, members))
+    object.__setattr__(ctx, "C", C)
+    ctx._compare(members)
     return ctx
 
 

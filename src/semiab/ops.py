@@ -47,6 +47,7 @@ from .algebra import (
     _normal_demands,
     _one_per_sort,
     _rebuild,
+    _stored,
     _structure_images,
     _unchecked,
     closure_under_ops,
@@ -334,7 +335,13 @@ def _fibre_pairs(fm, gm) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def _pairs_algebra(A: Algebra, B: Algebra, sort_maps) -> tuple[Algebra, Morphism, Morphism]:
     """The algebra on the pairs that arrays fm, gm identify, one (fm, gm)
-    per sort in ``sort_maps``, with its projections."""
+    per sort in the tuple ``sort_maps``, with its projections to A and B
+    themselves; built once per content in a store (``algebra._store``)."""
+    P, firsts, seconds = _stored(_build_pairs, A, B, sort_maps)
+    return P, _unchecked(Morphism, P, A, firsts), _unchecked(Morphism, P, B, seconds)
+
+
+def _build_pairs(A: Algebra, B: Algebra, sort_maps) -> tuple[Algebra, tuple, tuple]:
     sorts, legs, backs = [], [], []
     for SA, SB, (fm, gm) in zip(A.sorts, B.sorts, sort_maps):
         firsts, seconds = _fibre_pairs(fm, gm)
@@ -348,9 +355,7 @@ def _pairs_algebra(A: Algebra, B: Algebra, sort_maps) -> tuple[Algebra, Morphism
                               partial(_pair_map, index, firsts, seconds), gens))
         legs.append((firsts, seconds))
         backs.append(lambda a, b, index=index: index[a][b])
-    P = _assemble((A, B), sorts, legs, backs)
-    return (P, _unchecked(Morphism, P, A, tuple(leg[0] for leg in legs)),
-            _unchecked(Morphism, P, B, tuple(leg[1] for leg in legs)))
+    return (_assemble((A, B), sorts, legs, backs), *zip(*legs))
 
 
 def pullback(f: Morphism, g: Morphism) -> tuple[Algebra, Morphism, Morphism]:
@@ -361,8 +366,7 @@ def pullback(f: Morphism, g: Morphism) -> tuple[Algebra, Morphism, Morphism]:
     """
     if f.cod != g.cod:
         raise AlgebraError("pullback needs a shared codomain")
-    A, B = f.dom, g.dom
-    return _pairs_algebra(A, B, zip(f.mapping, g.mapping))
+    return _pairs_algebra(f.dom, g.dom, tuple(zip(f.mapping, g.mapping)))
 
 
 def kernel_pair(f: Morphism) -> tuple[Algebra, Morphism, Morphism]:
@@ -390,8 +394,8 @@ def direct_product(A: Algebra, B: Algebra) -> tuple[Algebra, Morphism, Morphism]
     if A.variety != B.variety:
         raise AlgebraError(f"cannot multiply a {A.variety} by a {B.variety}")
     # the pullback over the terminal algebra
-    return _pairs_algebra(A, B, [((0,) * SA.order, (0,) * SB.order)
-                                 for SA, SB in zip(A.sorts, B.sorts)])
+    return _pairs_algebra(A, B, tuple(((0,) * SA.order, (0,) * SB.order)
+                                      for SA, SB in zip(A.sorts, B.sorts)))
 
 
 # ---------------------------------------------------------------------------

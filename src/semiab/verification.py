@@ -18,6 +18,7 @@ from .algebra import (
     Algebra,
     AlgebraError,
     Morphism,
+    _store,
     compose,
     full_subobject,
     identity_morphism,
@@ -309,7 +310,7 @@ def _composite_object_radical(ctx: BirkhoffContext, R: Reflector, A: Algebra) ->
 # suites
 
 
-def _suite_thm_1_6(R: Reflector, corpus, seed: int, contexts: dict) -> Report:
+def _suite_thm_1_6(R: Reflector, corpus, seed: int) -> Report:
     """Idempotency, hom-vanishing, closure under extensions, stable units."""
     algebras = _applicable(R, corpus)
     witnesses = []
@@ -358,7 +359,7 @@ def protoadditive_by_definition(R: Reflector, corpus) -> Report:
     return Report.scan("protoadditive-definition", witnesses, {"split-sequences": len(seqs)})
 
 
-def _suite_prop_2_2(R: Reflector, corpus, seed: int, contexts: dict) -> Report:
+def _suite_prop_2_2(R: Reflector, corpus, seed: int) -> Report:
     """Preservation of pullbacks along split epimorphisms."""
     algebras = _applicable(R, corpus)
     seqs = split_exact_sequences(algebras)
@@ -397,7 +398,7 @@ def _against_split_preservation(suite: str, R: Reflector, corpus, route: Check,
                   dict.fromkeys(keys, len(seqs)), notes)
 
 
-def _suite_prop_2_3(R: Reflector, corpus, seed: int, contexts: dict) -> Report:
+def _suite_prop_2_3(R: Reflector, corpus, seed: int) -> Report:
     return _against_split_preservation(
         "prop-2.3", R, corpus, _mono_image_not_normal, ("split-sequences", "protosplit-monos"),
         lambda agree: "equivalence agreement: split-sequence route "
@@ -405,7 +406,7 @@ def _suite_prop_2_3(R: Reflector, corpus, seed: int, contexts: dict) -> Report:
         "both routes fail together; witnesses replay the mono route")
 
 
-def _suite_thm_2_4(R: Reflector, corpus, seed: int, contexts: dict) -> Report:
+def _suite_thm_2_4(R: Reflector, corpus, seed: int) -> Report:
     return _against_split_preservation(
         "thm-2.4", R, corpus, _heredity_mismatch, ("protosplit-monos", "split-sequences"),
         lambda agree: "equivalence agreement: protoadditivity versus radical heredity"
@@ -413,7 +414,7 @@ def _suite_thm_2_4(R: Reflector, corpus, seed: int, contexts: dict) -> Report:
         "both sides fail together; witnesses replay the heredity route")
 
 
-def _suite_prop_2_5_2_7(R: Reflector, corpus, seed: int, contexts: dict) -> Report:
+def _suite_prop_2_5_2_7(R: Reflector, corpus, seed: int) -> Report:
     algebras = _applicable(R, corpus)
     classes = ("torsion", "free") if R.torsion_theory else ("subvariety",)
     witnesses = []
@@ -433,7 +434,7 @@ def _suite_prop_2_5_2_7(R: Reflector, corpus, seed: int, contexts: dict) -> Repo
                        {"split-sequences": split_n, "sequences": seq_n})
 
 
-def _suite_prop_3_1(R: Reflector, corpus, seed: int, contexts: dict) -> Report:
+def _suite_prop_3_1(R: Reflector, corpus, seed: int) -> Report:
     surjs = _surjections_in(_applicable(R, corpus))
     witnesses = _normal_vs_kernel_mismatch.violations((R, f) for f in surjs)
     return Report.scan("prop-3.1", witnesses, {"surjections": len(surjs)})
@@ -473,14 +474,14 @@ def _induced_on_cod(e: Morphism, through: Morphism) -> Morphism | None:
         return None
 
 
-def _suite_lemma_3_2(R: Reflector, corpus, seed: int, contexts: dict) -> Report:
+def _suite_lemma_3_2(R: Reflector, corpus, seed: int) -> Report:
     es, ms = _em_classes(R, corpus)
     witnesses, checked = _orthogonality_witnesses(R, es, ms, seed, 150)
     return Report.scan("lemma-3.2", witnesses,
                        {"e-maps": len(es), "m-maps": len(ms), "squares": checked})
 
 
-def _suite_prop_3_4(R: Reflector, corpus, seed: int, contexts: dict) -> Report:
+def _suite_prop_3_4(R: Reflector, corpus, seed: int) -> Report:
     algebras = _applicable(R, corpus)
     es, ms = _em_classes(R, corpus)
     surjs = _surjections_in(algebras)
@@ -513,7 +514,7 @@ def _factorisation_unique(R: Reflector, f: Morphism, alt_e: Morphism) -> bool:
     return status == "unique" and is_isomorphism_map(diagonals[0])
 
 
-def _suite_thm_3_5(R: Reflector, corpus, seed: int, contexts: dict) -> Report:
+def _suite_thm_3_5(R: Reflector, corpus, seed: int) -> Report:
     algebras = _applicable(R, corpus)
     witnesses = []
     count = 0
@@ -539,23 +540,23 @@ def _suite_thm_3_5(R: Reflector, corpus, seed: int, contexts: dict) -> Report:
                        {"factorisations": count, "alternatives": alternatives})
 
 
-def _suite_remark_4_3(R: Reflector | None, corpus, seed: int, contexts: dict) -> Report:
+def _suite_remark_4_3(R: Reflector | None, corpus, seed: int) -> Report:
     squares = _derived_squares(tuple(corpus), seed, 140)
     witnesses = _pushout_vs_double_extension.violations((sq,) for sq in squares)
     return Report.scan("remark-4.3", witnesses, {"squares": len(squares)})
 
 
-def _suite_thm_4_6(R: Reflector, corpus, seed: int, contexts: dict) -> Report:
+def _suite_thm_4_6(R: Reflector, corpus, seed: int) -> Report:
     squares = [sq for sq in _derived_squares(_applicable(R, corpus), seed, 120)
                if is_nfold_extension(sq)]
     witnesses = _criterion_vs_galois.violations((R, sq) for sq in squares)
     return Report.scan("thm-4.6", witnesses, {"double-extensions": len(squares)})
 
 
-def _suite_prop_5_5(R: Reflector, corpus, seed: int, contexts: dict) -> Report:
+def _suite_prop_5_5(R: Reflector, corpus, seed: int) -> Report:
     algebras = _applicable(R, corpus)
     try:
-        ctx = _shared_context(contexts, R, algebras)
+        ctx = _shared_context(R, algebras)
     except AlgebraError as exc:
         raise SuiteCompatibilityError(str(exc)) from None
     group_oracle = R.name == "ab"
@@ -574,29 +575,29 @@ def _suite_prop_5_5(R: Reflector, corpus, seed: int, contexts: dict) -> Report:
     return Report.scan("prop-5.5", witnesses, {"surjections": len(surjs)})
 
 
-def _suite_thm_6_2(R: Reflector, corpus, seed: int, contexts: dict) -> Report:
+def _suite_thm_6_2(R: Reflector, corpus, seed: int) -> Report:
     algebras = _applicable(R, corpus)
-    ctx = _shared_context(contexts, R.inner, algebras, R)
+    ctx = _shared_context(R.inner, algebras, R)
     surjs = _surjections_in(algebras)
     witnesses = _composite_normal_routes.violations(((R, f) for f in surjs), ctx=ctx)
     return Report.scan("thm-6.2", witnesses, {"surjections": len(surjs)})
 
 
-def _suite_thm_6_5(R: Reflector, corpus, seed: int, contexts: dict) -> Report:
+def _suite_thm_6_5(R: Reflector, corpus, seed: int) -> Report:
     algebras = _applicable(R, corpus)
-    ctxs = (_shared_context(contexts, R.inner, algebras, R),
-            _shared_context(contexts, R, algebras))
+    ctxs = (_shared_context(R.inner, algebras, R),
+            _shared_context(R, algebras))
     surjs = _surjections_in(algebras)
     witnesses = _join_vs_direct.violations(((R, f) for f in surjs), ctx=ctxs)
     return Report.scan("thm-6.5", witnesses, {"surjections": len(surjs)})
 
 
-def _suite_lemma_6_6(R: Reflector, corpus, seed: int, contexts: dict) -> Report:
+def _suite_lemma_6_6(R: Reflector, corpus, seed: int) -> Report:
     if R.inner.name != "ab" or R.outer.k is None:
         raise SuiteCompatibilityError(
             "the join identity is stated for burnside:k over abelianisation")
     algebras = _applicable(R, corpus)
-    ctx = _shared_context(contexts, R.inner, algebras, R.outer)
+    ctx = _shared_context(R.inner, algebras, R.outer)
     witnesses = _composite_object_radical.violations(((R, A) for A in algebras), ctx=ctx)
     return Report.scan("lemma-6.6", witnesses, {"objects": len(algebras)})
 
@@ -611,7 +612,7 @@ class Suite:
     result: str  # the claim this suite's verdicts instantiate
     needs: str  # "any" | "torsion-theory" | "composite" | "none"
     defaults: tuple[tuple[str | None, str], ...]
-    runner: Callable[[Reflector | None, tuple, int, dict], Report]
+    runner: Callable[[Reflector | None, tuple, int], Report]
 
 
 _TT_TRIO = (("reduced", "rings"), ("zerorng", "rng-star"), ("pi0", "groupoids"))
@@ -683,14 +684,12 @@ def _check_needs(suite: Suite, R: Reflector | None) -> None:
             f"suite {suite.name} needs a composite reflector, {R.name} is not one")
 
 
-def verify_suite(name: str, reflector=None, corpus=None, seed: int = 0,
-                 _contexts: dict | None = None) -> Report:
+@_store()
+def verify_suite(name: str, reflector=None, corpus=None, seed: int = 0) -> Report:
     """Run one suite; defaults cover its canonical configurations.
 
-    Its runs share the store of Birkhoff contexts ``_contexts``, or a
-    fresh one.
+    Its runs share one store (``algebra._store``), their ``verify_all``'s if any.
     """
-    contexts = {} if _contexts is None else _contexts
     key = _ALIASES.get(name, name)
     if key not in SUITES:
         raise SuiteError(f"unknown suite id {name!r}")
@@ -700,24 +699,24 @@ def verify_suite(name: str, reflector=None, corpus=None, seed: int = 0,
     if R is None and algebras is None:
         parts = []
         for rid, cid in suite.defaults:
-            part = _run(suite, _resolve_reflector(rid), corpus_by_id(cid), seed, contexts)
+            part = _run(suite, _resolve_reflector(rid), corpus_by_id(cid), seed)
             part.notes.append(f"configuration: {rid or '-'} on {cid}")
             parts.append(part)
         return merge_reports(suite.name, parts)
     if algebras is None:
         cid = next((c for _, c in suite.defaults if _default_fits(R, c)), suite.defaults[0][1])
         algebras = corpus_by_id(cid)
-    part = _run(suite, R, algebras, seed, contexts)
+    part = _run(suite, R, algebras, seed)
     if R is None:
         part.notes.append("configuration: - on given corpus")
         return merge_reports(suite.name, [part])
     return part
 
 
-def _run(suite: Suite, R: Reflector | None, corpus, seed: int, contexts: dict) -> Report:
+def _run(suite: Suite, R: Reflector | None, corpus, seed: int) -> Report:
     """One configuration, behind the one gate on what the suite needs."""
     _check_needs(suite, R)
-    return suite.runner(R, corpus, seed, contexts)
+    return suite.runner(R, corpus, seed)
 
 
 def _default_fits(R: Reflector, corpus_id: str) -> bool:
@@ -731,12 +730,12 @@ def _default_fits(R: Reflector, corpus_id: str) -> bool:
 def verify_all(seed: int = 0) -> list[Report]:
     """Every suite on its canonical default configurations.
 
-    The suites share one store of Birkhoff contexts, so each reflector
-    and corpus is certified and each radical of a map taken once; the
-    store goes when the call returns.
+    The suites share one store (``algebra._store``), so each reflector
+    and corpus is certified, each radical of a map taken and each pair
+    algebra and sub-algebra built once, until the call returns.
     """
-    contexts: dict = {}
-    return [verify_suite(name, seed=seed, _contexts=contexts) for name in SUITES]
+    with _store():
+        return [verify_suite(name, seed=seed) for name in SUITES]
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from semiab import (
     zmod_free,
 )
 from semiab import birkhoff
-from semiab.algebra import _renamed, subobject
+from semiab.algebra import _STORE, _renamed, _store, subobject
 from semiab.birkhoff import Presentation, _is_free_module, _shared_context, build_presentation
 from semiab.cubes import _kernel_pair_cube
 from semiab.ops import image_elements
@@ -163,15 +163,20 @@ def test_radical_memo_takes_each_kernel_pair_once(monkeypatch):
     assert subobject(other, *moved.elements).normal == moved.normal
 
 
+def _stored_contexts() -> list[tuple]:
+    """The (B, members, C) of each context in the open store."""
+    return [key[1:] for key in _STORE.get() if key[0] is birkhoff._certified]
+
+
 def test_comparison_contexts_share_the_base_certification_and_memo():
     ab, b2 = reflector_by_id("ab"), reflector_by_id("burnside:2")
     groups = corpus_by_id("groups")
-    store = {}
-    comp = _shared_context(store, ab, groups, b2)
-    base = _shared_context(store, ab, groups)
-    assert (comp.B, comp.C, base.C) == (ab, b2, None)
-    assert comp._radicals is base._radicals
-    assert _shared_context(store, ab, groups, b2) is comp and len(store) == 2
+    with _store():
+        comp = _shared_context(ab, groups, b2)
+        base = _shared_context(ab, groups)
+        assert (comp.B, comp.C, base.C) == (ab, b2, None)
+        assert comp._radicals is base._radicals
+        assert _shared_context(ab, groups, b2) is comp and len(_stored_contexts()) == 2
     direct = BirkhoffContext(ab, groups, b2)
     assert comp.checked_surjections == base.checked_surjections == direct.checked_surjections
     assert comp.comparison_sequences == direct.comparison_sequences > 0
@@ -179,11 +184,11 @@ def test_comparison_contexts_share_the_base_certification_and_memo():
 
 def test_failed_certification_is_not_stored():
     b2, ab = reflector_by_id("burnside:2"), reflector_by_id("ab")
-    store = {}
-    for _ in range(2):  # see test_context_certifies_containment
-        with pytest.raises(AlgebraError):
-            _shared_context(store, b2, corpus_by_id("groups"), ab)
-    assert [C for _, _, C in store] == [None]
+    with _store():
+        for _ in range(2):  # see test_context_certifies_containment
+            with pytest.raises(AlgebraError):
+                _shared_context(b2, corpus_by_id("groups"), ab)
+        assert [C for _, _, C in _stored_contexts()] == [None]
 
 
 def test_context_with_inapplicable_corpus_checks_nothing():

@@ -2,7 +2,8 @@
 or unread module-level names, no imports inside functions, no groupoid
 branches outside the modules that define the kinds, no use of the
 internal constructor outside `algebra`, no unchecked subobject built
-outside it, and no unbounded cache beyond the known ones.
+outside it, one store per sweep, and no unbounded cache beyond the
+known ones.
 
 The tests read the source with ``ast`` and import nothing.  A name
 counts as used when it appears as a name or an attribute anywhere
@@ -282,6 +283,37 @@ def test_one_group_generating_set_per_sort():
             if name == "_generators" and isinstance(first, ast.Tuple) and len(first.elts) == 1:
                 calls.append(f"{path.name}:{owner.get(n)}")
     assert calls == ["algebra.py:_check_sort"]
+
+
+def test_one_store_opened_by_the_sweep():
+    """``verify_all`` and ``verify_suite`` alone open the store of a call
+    (``algebra._store``), and only the constructions it holds read it
+    (``_stored``); ``_STORE`` is read by these two alone, so no second
+    store or module cache grows beside it."""
+    uses = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for n in ast.walk(fn):
+                    owner.setdefault(n, fn.name)
+        for n in ast.walk(tree):
+            name = n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
+            if name in ("_store", "_stored", "_STORE") and isinstance(n, (ast.Name, ast.Attribute)):
+                uses.append(f"{name} in {path.name}:{owner.get(n, '<module>')}")
+    assert sorted(uses) == [
+        "_STORE in algebra.py:<module>",
+        "_STORE in algebra.py:_store",
+        "_STORE in algebra.py:_store",
+        "_STORE in algebra.py:_store",
+        "_STORE in algebra.py:_stored",
+        "_store in verification.py:verify_all",
+        "_store in verification.py:verify_suite",
+        "_stored in algebra.py:sub_algebra",
+        "_stored in birkhoff.py:_shared_context",
+        "_stored in ops.py:_pairs_algebra",
+    ]
 
 
 def _unbounded_caches(tree: ast.Module) -> list[ast.AST]:

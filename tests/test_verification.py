@@ -3,6 +3,7 @@
 import gc
 import json
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -26,7 +27,9 @@ from semiab import (
     zero_morphism,
 )
 from semiab import birkhoff, verification
+from semiab.algebra import _STORE
 from semiab.homs import _corpus_surjections
+from semiab.ops import kernel_pair
 from semiab.report import CHECKS
 from semiab.verification import (
     SUITES,
@@ -146,11 +149,14 @@ def shared_sweep():
 
     Records the unit squares certified under ``ab`` on groups, the
     reflector and arrow of every kernel pair that ``radical_n`` takes,
-    and a weak reference to every context the suites were handed.
+    a weak reference to every context the suites were handed, and,
+    when the last suite returns, one to every pair algebra and
+    sub-algebra in the store, by the function that built it.
     """
     unit_square, kernel_pair = birkhoff.unit_square, birkhoff.kernel_pair
     radical_n, shared = birkhoff.radical_n, verification._shared_context
-    seen = {"ab-group-squares": 0, "pairs": [], "contexts": []}
+    suite = verification.verify_suite
+    seen = {"ab-group-squares": 0, "pairs": [], "contexts": [], "built": {}}
     reflectors = []
 
     def counted_square(R, f):
@@ -174,12 +180,23 @@ def shared_sweep():
         seen["contexts"].append(weakref.ref(ctx))
         return ctx
 
+    def recorded_suite(*args, **kwargs):
+        try:
+            return suite(*args, **kwargs)
+        finally:
+            seen["built"] = {}
+            for key, value in _STORE.get().items():
+                if isinstance(value, tuple):
+                    seen["built"].setdefault(key[0].__name__, []).append(weakref.ref(value[0]))
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(birkhoff, "unit_square", counted_square)
         mp.setattr(birkhoff, "radical_n", in_radical_n)
         mp.setattr(birkhoff, "kernel_pair", recorded_pair)
         mp.setattr(verification, "_shared_context", recorded_context)
+        mp.setattr(verification, "verify_suite", recorded_suite)
         reports = verify_all(seed=0)
+        seen["store-after"] = _STORE.get()
     gc.collect()
     return {r.suite: r.to_doc() for r in reports}, seen
 
@@ -204,6 +221,30 @@ def test_the_context_store_goes_with_the_sweep(shared_sweep):
     _, seen = shared_sweep
     assert len(seen["contexts"]) == 7  # one per context a suite asks for
     assert all(ref() is None for ref in seen["contexts"])
+    # the pair algebras and sub-algebras went with the contexts
+    assert seen["store-after"] is None
+    assert sorted(seen["built"]) == ["_build_pairs", "_sub_algebra"]
+    assert all(ref() is None for refs in seen["built"].values() for ref in refs)
+
+
+def test_a_failing_suite_still_closes_the_store(monkeypatch):
+    opened = []
+
+    def failing(*args):
+        opened.append(_STORE.get())
+        raise RuntimeError("runner failed")
+
+    first = next(iter(SUITES))
+    monkeypatch.setitem(SUITES, first, replace(SUITES[first], runner=failing))
+    for run in (verify_all, lambda: verify_suite(first)):
+        with pytest.raises(RuntimeError):
+            run()
+        assert isinstance(opened.pop(), dict) and _STORE.get() is None
+
+
+def test_outside_a_sweep_nothing_is_stored():
+    (f, *_) = surjections(named_algebra("s3"), named_algebra("c2"))
+    assert kernel_pair(f)[0] is not kernel_pair(f)[0]
 
 
 def test_seed_changes_sample_not_soundness():
