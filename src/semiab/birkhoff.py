@@ -133,46 +133,47 @@ def birkhoff_radical(ctx: BirkhoffContext, f: Morphism) -> Subobject:
     return radical_n(ctx, cube_of_morphism(f))
 
 
-def _square_radical_on_modules(B: Reflector, c: NCube) -> Subobject:
-    """Dimension-two radical of a module square, on raw element pairs.
+def _module_radical(B: Reflector, c: NCube) -> Subobject:
+    """The radical of a module 1-cube or square under a radical acting
+    by a scalar k, with no pair algebra built.
 
-    Same recursion as radical_n, but the kernel pair R of the second
-    rib stays a plain pair set instead of a materialised product
-    algebra; free covers in presentation squares are too large for the
-    latter.  Only radicals acting by a scalar k fit this shape, which
-    covers every module reflector shipped here.
+    One step of the kernel-pair recursion, on the points x of an arrow
+    g: the kernel pair R of g holds the pairs (x, y) with gx = gy; its
+    radical k.R cut by the first projection's kernel holds the (kx, ky)
+    with kx = 0, so pushed forward along the second projection it is
+    the set of ky with gy in g({x : kx = 0}).  A 1-cube takes this step
+    on its arrow.  A square takes it on the kernel pair of its second
+    rib a2, kept as a set of pairs, with a1 x a1 as the arrow: that is
+    the radical of the smaller cube above, and its pairs with first
+    component 0 give the square's radical.  Only the pairs (x, y) with
+    kx = 0 take part, since they hold every pair that k kills and every
+    pair whose multiple has first component 0.  Free covers in
+    presentations are too large for materialised kernel pairs.
 
-    The seed set needs no span: it is k times the pairs of R whose
-    componentwise a1 image is the image of a k-killed pair of R.  The
-    k-killed pairs form a submodule, and images, preimages and k-th
-    multiples of submodules are submodules, so the seeds and their cut
-    by the first projection's kernel are too; ``subobject`` checks it.
+    The result is k times a submodule (the x + z with kx = 0 and
+    gz = 0), hence a submodule with no span to take; ``subobject``
+    checks it.
     """
-    F0 = c.top_vertex
-    m = F0.variety.modulus
-    kmul = F0.sorts[0].unary[1 + (B.k or 0) % m]  # unary maps: neg, then scalars
-    (a1,), (a2,) = c.rib(0).mapping, c.rib(1).mapping
-    buckets: dict[int, list[int]] = {}
-    for x in range(F0.order):
-        buckets.setdefault(a2[x], []).append(x)
-    # pairs agreeing under a2 form R; a pair maps downstairs to its
-    # componentwise a1 image.  Cutting the seeds by the first
-    # projection's kernel leaves the second components over zero.
-    marked: set[tuple[int, int]] = set()
-    for bucket in buckets.values():
-        killed = [x for x in bucket if kmul[x] == 0]
-        for x in killed:
-            for y in killed:
-                marked.add((a1[x], a1[y]))
-    seeds: set[tuple[int, int]] = set()
-    for bucket in buckets.values():
-        for x in bucket:
-            ax = a1[x]
-            kx = kmul[x]
-            for y in bucket:
-                if (ax, a1[y]) in marked:
-                    seeds.add((kx, kmul[y]))
-    return subobject(F0, {y for x, y in seeds if x == 0})
+    F = c.top_vertex
+    k = F.sorts[0].unary[1 + (B.k or 0) % F.variety.modulus]  # unary maps: neg, then scalars
+    if c.dim == 1:
+        images, multiples = c.arrow.mapping[0], k
+    else:
+        (a1,), (a2,) = c.rib(0).mapping, c.rib(1).mapping
+        n1 = c.rib(0).cod.order
+        fibres: dict[int, list[int]] = {}
+        for x in range(F.order):
+            fibres.setdefault(a2[x], []).append(x)
+        # the pair (x, y) has image a1x*n1 + a1y and, as kx = 0, multiple ky
+        images, multiples = [], []
+        for fibre in fibres.values():
+            for x in fibre:
+                if k[x] == 0:
+                    ax = a1[x] * n1
+                    images.extend([ax + a1[y] for y in fibre])
+                    multiples.extend([k[y] for y in fibre])
+    marked = {g for g, kx in zip(images, multiples) if kx == 0}
+    return subobject(F, {ky for g, ky in zip(images, multiples) if g in marked})
 
 
 def radical_n(ctx: BirkhoffContext, c: NCube) -> Subobject:
@@ -183,14 +184,13 @@ def radical_n(ctx: BirkhoffContext, c: NCube) -> Subobject:
     radical (the reflector's object radical in dimension one, this
     radical of the smaller cube above) is cut by the first projection's
     kernel, pushed forward along the second and normally closed.
-    Module squares under a scalar-acting radical run the same recursion
-    on raw pair sets instead; their seed set is k times a submodule, so
-    a submodule with no span to take (see _square_radical_on_modules).
-    The radical of a 1-cube is taken once per context (its memo).
+    When the top vertex is a Z/m-module and the radical acts by a scalar
+    k (``burnside:k``, or ``id`` as k = 0), arrows and squares run this
+    recursion on the points and pairs of the top vertex and build no
+    kernel-pair algebra (``_module_radical``); every homology query
+    takes that route.  The radical of a 1-cube is taken once per
+    context (its memo), by either route.
     """
-    if (c.dim == 2 and c.top_vertex.kind == "zmod-module"
-            and (ctx.B.k is not None or ctx.B.name == "id")):
-        return _square_radical_on_modules(ctx.B, c)
     if c.dim == 1:
         rad = ctx._radicals.get(c.arrow)
         if rad is not None:
@@ -198,13 +198,18 @@ def radical_n(ctx: BirkhoffContext, c: NCube) -> Subobject:
                 # made on an arrow equal by content: the same sets, moved
                 rad = _derived_subobject(c.top_vertex, rad.elements, rad.normal)
             return rad
-        R, p1, p2 = kernel_pair(c.arrow)
-        inner = radical(ctx.B, R)
+    if (c.dim <= 2 and c.top_vertex.kind == "zmod-module"
+            and (ctx.B.k is not None or ctx.B.name == "id")):
+        rad = _module_radical(ctx.B, c)
     else:
-        rcube, p1, p2 = _kernel_pair_cube(c)
-        R, inner = rcube.top_vertex, radical_n(ctx, rcube)
-    cut = meet_subobjects(R, inner, kernel(p1))
-    rad = normal_closure(c.top_vertex, *image_elements(p2, cut))
+        if c.dim == 1:
+            R, p1, p2 = kernel_pair(c.arrow)
+            inner = radical(ctx.B, R)
+        else:
+            rcube, p1, p2 = _kernel_pair_cube(c)
+            R, inner = rcube.top_vertex, radical_n(ctx, rcube)
+        cut = meet_subobjects(R, inner, kernel(p1))
+        rad = normal_closure(c.top_vertex, *image_elements(p2, cut))
     if c.dim == 1:
         ctx._radicals[c.arrow] = rad
     return rad

@@ -1,5 +1,7 @@
 """Subvariety radicals of maps, composite radicals and low-degree homology."""
 
+from math import gcd
+
 import pytest
 
 from semiab import (
@@ -18,6 +20,7 @@ from semiab import (
     huq_commutator,
     is_birkhoff_normal,
     kernel,
+    kernel_pair,
     meet_subobjects,
     morphism,
     named_algebra,
@@ -29,14 +32,18 @@ from semiab import (
     identity_morphism,
     surjections,
     zmod_cyclic,
+    zero_morphism,
     zmod_free,
 )
 from semiab import birkhoff
-from semiab.algebra import _STORE, _renamed, _store, subobject
+from semiab.algebra import _STORE, _renamed, _store, sub_algebra, subobject
 from semiab.birkhoff import Presentation, _is_free_module, _shared_context, build_presentation
 from semiab.cubes import _kernel_pair_cube
-from semiab.ops import image_elements
+from semiab.homs import _corpus_surjections
+from semiab.ops import image_elements, power_subobject
+from semiab.reflectors import _base_radical
 from semiab.verification import _pushout_square
+from tor import module_invariant_factors, tor1
 
 
 def _ctx(rid, cid, inner=None):
@@ -229,17 +236,93 @@ def _module_squares():
     return out
 
 
-@pytest.mark.parametrize("rid", ["burnside:2", "id"])
-def test_module_square_radical_matches_the_materialised_recursion(rid):
-    ctx = _ctx(rid, "zmod4-modules")
-    nonzero = 0
-    for c in _module_squares():
+def _materialised(c, *reflectors):
+    """radical_n's kernel-pair recursion with every pair algebra built,
+    one radical per reflector: kernel pair, object radical, meet with
+    the first projection's kernel, image under the second, normal
+    closure.  The object radical is taken without the reflection, whose
+    cache would keep each pair algebra alive."""
+    if c.dim == 1:
+        R, p1, p2 = kernel_pair(c.arrow)
+        inners = [_base_radical(B, R) for B in reflectors]
+    else:
         rcube, p1, p2 = _kernel_pair_cube(c)
-        cut = meet_subobjects(rcube.top_vertex, radical_n(ctx, rcube), kernel(p1))
+        R, inners = rcube.top_vertex, _materialised(rcube, *reflectors)
+    K = kernel(p1)
+    return [normal_closure(c.top_vertex, *image_elements(p2, meet_subobjects(R, inner, K)))
+            for inner in inners]
+
+
+_MODULE_RIDS = ["burnside:2", "id", "burnside:4"]
+
+
+@pytest.fixture(scope="module")
+def module_arrows():
+    """Every zmod4-modules and zmod8-modules surjection, a zero map and an
+    inclusion, each with the materialised radical under every reflector
+    of _MODULE_RIDS.  The recursion reads an arrow only through its
+    kernel pair's element set, so it runs once per domain and kernel."""
+    C8xC8 = named_algebra("m8-c8xc8")
+    arrows = [*_corpus_surjections(corpus_by_id("zmod4-modules")),
+              *_corpus_surjections(corpus_by_id("zmod8-modules")),
+              zero_morphism(C8xC8, named_algebra("m8-c2")),
+              sub_algebra(C8xC8, power_subobject(C8xC8, 2))[1]]
+    keys = [(f.dom, kernel(f).elements) for f in arrows]
+    by_kernel = {}
+    for f, key in zip(arrows, keys):
+        if key not in by_kernel:
+            rads = _materialised(cube_of_morphism(f), *map(reflector_by_id, _MODULE_RIDS))
+            by_kernel[key] = {rid: rad.elements for rid, rad in zip(_MODULE_RIDS, rads)}
+    return [(f, by_kernel[key]) for f, key in zip(arrows, keys)]
+
+
+@pytest.mark.parametrize("rid", _MODULE_RIDS)
+def test_module_square_radical_matches_the_materialised_recursion(rid, module_arrows):
+    ctx = _ctx(rid, "zmod4-modules")
+    squares = arrows = 0
+    for c in _module_squares():
         rad = radical_n(ctx, c)
-        assert rad == normal_closure(c.top_vertex, *image_elements(p2, cut))
-        nonzero += not rad.is_zero()
-    assert nonzero == (3 if rid == "burnside:2" else 0)
+        assert [rad] == _materialised(c, ctx.B)
+        squares += not rad.is_zero()
+    for f, expected in module_arrows:
+        rad = radical_n(ctx, cube_of_morphism(f))
+        assert rad.elements == expected[rid], f
+        arrows += not rad.is_zero()
+    # non-zero radicals, squares and arrows
+    assert (squares, arrows) == {"burnside:2": (3, 299), "id": (0, 0), "burnside:4": (0, 80)}[rid]
+
+
+@pytest.mark.parametrize("rid, name", [("burnside:2", "m4-c2xc4"), ("burnside:2", "m8-c2"),
+                                       ("burnside:4", "m8-c4")])
+def test_degree_two_homology_builds_no_kernel_pair(monkeypatch, rid, name):
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return kernel_pair(f)
+
+    monkeypatch.setattr(birkhoff, "kernel_pair", counted)
+    hopf_homology(_ctx(rid, "zmod4-modules"), named_algebra(name), 2)
+    assert calls == []
+
+
+@pytest.mark.parametrize("cid", ["zmod4-modules", "zmod8-modules"])
+def test_degree_two_homology_is_tor_of_the_invariant_factors(cid):
+    """H2 under burnside:2 against Tor_1^{Z/m}(A, Z/gcd(2, m)), computed
+    from A's invariant factors alone (tests/tor.py)."""
+    ctx = _ctx("burnside:2", cid)
+    labels = {}
+    for A in corpus_by_id(cid):
+        m = A.variety.modulus
+        factors = module_invariant_factors(A)
+        # the bundled names spell the invariant factors out
+        body = A.name.split("-")[1]
+        assert factors == (() if body == "0" else tuple(int(c[1:]) for c in body.split("x"))), A.name
+        H = module_invariant_factors(hopf_homology(ctx, A, 2))
+        assert H == tor1(factors, m, gcd(2, m)), A.name
+        labels[A.name] = H
+    if cid == "zmod8-modules":
+        assert labels["m8-c4xc4"] == (2, 2) and labels["m8-c8xc8"] == ()
 
 
 def test_build_presentation_covers_with_free_module():

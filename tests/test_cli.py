@@ -258,6 +258,18 @@ def test_homology_json(capsys, degree, orders):
     assert [p["rank-order"] for p in doc["presentations"]] == orders
 
 
+def test_homology_of_a_module_whose_cover_kernel_pair_would_be_huge(capsys):
+    # the rank-augmented cover is (Z/8)^3; its kernel pair would have
+    # 65,536 elements, and H2 takes no kernel-pair algebra
+    assert run([
+        "homology", "--variety", "zmod:8", "--coeff", "burnside:2",
+        "--object", "m8-c2xc2", "--degree", "2", "--json",
+    ]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["label"] == "C2xC2"
+    assert [p["rank-order"] for p in doc["presentations"]] == [64, 512]
+
+
 def test_homology_builds_each_presentation_once(capsys, monkeypatch):
     calls = []
 
