@@ -832,11 +832,12 @@ _STORE: ContextVar[dict | None] = ContextVar("semiab_store", default=None)
 def _store():
     """Open a fresh store unless one is open; drop it on leaving.
 
-    It holds the Birkhoff contexts and the pair algebras and
-    sub-algebras of a sweep, each under the full content of its inputs,
-    so equal inputs under other names share one build.  It holds no
-    quotient, radical, reflection or verdict: each route of a
-    cross-route check still computes its own subobjects and maps.
+    It holds the Birkhoff certifications, the pair algebras and
+    sub-algebras and the kernel-pair route's 1-cube radicals of a sweep,
+    each under the full content of its inputs, so equal inputs under
+    other names share one build.  It holds no quotient, reflection,
+    verdict or other radical: the routes that a cross-route check
+    compares with those radicals compute their own.
     """
     store = _STORE.get()
     token = _STORE.set({} if store is None else store)

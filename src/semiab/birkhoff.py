@@ -6,11 +6,13 @@ projection's kernel, push forward along the second projection and
 take the normal closure.  Iterating this construction over cubes of
 kernel pairs gives the higher radicals, and quotients of free-module
 presentations by them give exact homology in degrees 2 and 3.
+
+The radicals take the reflector; a ``BirkhoffContext`` only certifies,
+over a corpus, what the theory promises of it.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 from .algebra import (
@@ -61,17 +63,10 @@ from .reflectors import (
 
 @dataclass(frozen=True)
 class BirkhoffContext:
-    """A reflector whose unit squares over the corpus are double extensions.
-
-    The optional comparison reflector C must cut out a subcategory of
-    B's and act protoadditively on it; both facts are certified over
-    the corpus at construction time.
-
-    A context remembers the radical of each 1-cube it is asked for,
-    keyed by the arrow; a hit made on an arrow equal by content is
-    moved, unchecked, to the caller's top vertex.  The memo lives as
-    long as the context.  In the store of a sweep, contexts that differ
-    only in C share it and the base certification (``_shared_context``).
+    """A certificate that B's unit squares over the corpus are double
+    extensions and, given a comparison reflector C, that C cuts out a
+    subcategory of B's and acts protoadditively on it.  Each is
+    certified once per store (``algebra._store``) and counted.
     """
 
     B: Reflector
@@ -79,72 +74,64 @@ class BirkhoffContext:
     C: Reflector | None = None
 
     def __post_init__(self) -> None:
-        members = [A for A in self.corpus if self.B.applies_to(A.variety)]
-        checked = 0
-        for f in _corpus_surjections(members):
-            checked += 1
-            if not is_nfold_extension(unit_square(self.B, f)):
-                raise AlgebraError(
-                    f"unit square of a corpus surjection is not a double extension under {self.B.name}")
-        object.__setattr__(self, "checked_surjections", checked)
-        object.__setattr__(self, "_radicals", {})
-        self._compare(members)
-
-    def _compare(self, members) -> None:
-        """Certify C over the members and count the sequences compared."""
-        compared = 0
-        if self.C is not None:
-            # C's subcategory must sit inside B's
-            for A in members:
-                if self.C.applies_to(A.variety) and is_free_member(self.C, A):
-                    if not is_free_member(self.B, A):
-                        raise AlgebraError("comparison subcategory is not contained in the base")
-            free_members = [A for A in members
-                            if self.C.applies_to(A.variety) and is_free_member(self.B, A)]
-            seqs = split_exact_sequences(free_members)
-            for seq in seqs:
-                compared += 1
-                if not preserves_split_sequence(self.C, seq):
-                    raise AlgebraError(
-                        f"comparison reflector {self.C.name} is not protoadditive on the subcategory")
-        object.__setattr__(self, "comparison_sequences", compared)
+        members = tuple(A for A in self.corpus if self.B.applies_to(A.variety))
+        object.__setattr__(self, "checked_surjections", _stored(_certify, self.B, members))
+        object.__setattr__(self, "comparison_sequences", 0 if self.C is None
+                           else _stored(_compare, self.B, self.C, members))
 
 
-def _shared_context(B: Reflector, corpus, C: Reflector | None = None) -> BirkhoffContext:
-    """The context for B over the corpus members that B applies to and
-    comparison C, once per store (``algebra._store``).  One with a
-    comparison is a copy of the stored base context, sharing its memo,
-    that certifies only C.  A failed certification is not stored.
-    """
-    return _stored(_certified, B, tuple(A for A in corpus if B.applies_to(A.variety)), C)
+def _certify(B: Reflector, members: tuple) -> int:
+    """Check B's unit square over each corpus surjection; count them."""
+    checked = 0
+    for f in _corpus_surjections(members):
+        checked += 1
+        if not is_nfold_extension(unit_square(B, f)):
+            raise AlgebraError(
+                f"unit square of a corpus surjection is not a double extension under {B.name}")
+    return checked
 
 
-def _certified(B: Reflector, members: tuple, C: Reflector | None) -> BirkhoffContext:
-    if C is None:
-        return BirkhoffContext(B, members)
-    ctx = copy.copy(_shared_context(B, members))
-    object.__setattr__(ctx, "C", C)
-    ctx._compare(members)
-    return ctx
+def _compare(B: Reflector, C: Reflector, members: tuple) -> int:
+    """Certify C against B over the members; count the sequences."""
+    # C's subcategory must sit inside B's
+    for A in members:
+        if C.applies_to(A.variety) and is_free_member(C, A) and not is_free_member(B, A):
+            raise AlgebraError("comparison subcategory is not contained in the base")
+    seqs = split_exact_sequences([A for A in members
+                                  if C.applies_to(A.variety) and is_free_member(B, A)])
+    for seq in seqs:
+        if not preserves_split_sequence(C, seq):
+            raise AlgebraError(
+                f"comparison reflector {C.name} is not protoadditive on the subcategory")
+    return len(seqs)
 
 
-def birkhoff_radical(ctx: BirkhoffContext, f: Morphism) -> Subobject:
+def birkhoff_radical(B: Reflector, f: Morphism) -> Subobject:
     """The kernel-pair radical of a surjection, in dom(f)."""
-    return radical_n(ctx, cube_of_morphism(f))
+    return radical_n(B, cube_of_morphism(f))
 
 
-def _module_radical(B: Reflector, c: NCube) -> Subobject:
-    """The radical of a module 1-cube or square under a radical acting
-    by a scalar k, with no pair algebra built.
+def _scalar(B: Reflector, F: Algebra) -> tuple | None:
+    """The map x -> kx when F is a Z/m-module and B's radical acts by
+    the scalar k (``burnside:k``, or ``id`` as k = 0), else None."""
+    if F.kind != "zmod-module" or (B.k is None and B.name != "id"):
+        return None
+    return F.sorts[0].unary[1 + (B.k or 0) % F.variety.modulus]  # unary maps: neg, then scalars
+
+
+def _module_radical(k: tuple, a1: Morphism, a2: Morphism | None = None) -> Subobject:
+    """The radical of the module arrow a1, or of the square with ribs
+    a1 and a2, under a radical acting by the scalar map k, with no pair
+    algebra built.
 
     One step of the kernel-pair recursion, on the points x of an arrow
     g: the kernel pair R of g holds the pairs (x, y) with gx = gy; its
     radical k.R cut by the first projection's kernel holds the (kx, ky)
     with kx = 0, so pushed forward along the second projection it is
-    the set of ky with gy in g({x : kx = 0}).  A 1-cube takes this step
-    on its arrow.  A square takes it on the kernel pair of its second
-    rib a2, kept as a set of pairs, with a1 x a1 as the arrow: that is
-    the radical of the smaller cube above, and its pairs with first
+    the set of ky with gy in g({x : kx = 0}).  An arrow takes this step
+    on itself.  A square takes it on the kernel pair of its second rib
+    a2, kept as a set of pairs, with a1 x a1 as the arrow: that is the
+    radical of the smaller cube above, and its pairs with first
     component 0 give the square's radical.  Only the pairs (x, y) with
     kx = 0 take part, since they hold every pair that k kills and every
     pair whose multiple has first component 0.  Free covers in
@@ -154,96 +141,101 @@ def _module_radical(B: Reflector, c: NCube) -> Subobject:
     gz = 0), hence a submodule with no span to take; ``subobject``
     checks it.
     """
-    F = c.top_vertex
-    k = F.sorts[0].unary[1 + (B.k or 0) % F.variety.modulus]  # unary maps: neg, then scalars
-    if c.dim == 1:
-        images, multiples = c.arrow.mapping[0], k
+    F = a1.dom
+    if a2 is None:
+        images, multiples = a1.mapping[0], k
     else:
-        (a1,), (a2,) = c.rib(0).mapping, c.rib(1).mapping
-        n1 = c.rib(0).cod.order
+        (m1,), (m2,) = a1.mapping, a2.mapping
+        n1 = a1.cod.order
         fibres: dict[int, list[int]] = {}
         for x in range(F.order):
-            fibres.setdefault(a2[x], []).append(x)
+            fibres.setdefault(m2[x], []).append(x)
         # the pair (x, y) has image a1x*n1 + a1y and, as kx = 0, multiple ky
         images, multiples = [], []
         for fibre in fibres.values():
             for x in fibre:
                 if k[x] == 0:
-                    ax = a1[x] * n1
-                    images.extend([ax + a1[y] for y in fibre])
+                    ax = m1[x] * n1
+                    images.extend([ax + m1[y] for y in fibre])
                     multiples.extend([k[y] for y in fibre])
     marked = {g for g, kx in zip(images, multiples) if kx == 0}
     return subobject(F, {ky for g, ky in zip(images, multiples) if g in marked})
 
 
-def radical_n(ctx: BirkhoffContext, c: NCube) -> Subobject:
-    """The n-th radical of an n-cube, in its top vertex.
+def _pushed_forward(top: Algebra, inner: Subobject, p1: Morphism, p2: Morphism) -> Subobject:
+    """``inner``, in the kernel pair (p1, p2), cut by the kernel of p1,
+    pushed forward along p2 and normally closed in top."""
+    cut = meet_subobjects(p1.dom, inner, kernel(p1))
+    return normal_closure(top, *image_elements(p2, cut))
+
+
+def _arrow_radical(B: Reflector, f: Morphism) -> Subobject:
+    """The radical of the 1-cube f, by the module route or the kernel pair."""
+    k = _scalar(B, f.dom)
+    if k is not None:
+        return _module_radical(k, f)
+    R, p1, p2 = kernel_pair(f)
+    return _pushed_forward(f.dom, radical(B, R), p1, p2)
+
+
+def radical_n(B: Reflector, c: NCube) -> Subobject:
+    """The n-th radical of an n-cube under B, in its top vertex.
 
     Take the kernel pair along the last axis: of the arrow in dimension
     one, levelwise as a cube one dimension down above that.  Its
-    radical (the reflector's object radical in dimension one, this
-    radical of the smaller cube above) is cut by the first projection's
-    kernel, pushed forward along the second and normally closed.
+    radical (B's object radical in dimension one, this radical of the
+    smaller cube above) is cut by the first projection's kernel,
+    pushed forward along the second and normally closed.
     When the top vertex is a Z/m-module and the radical acts by a scalar
     k (``burnside:k``, or ``id`` as k = 0), arrows and squares run this
     recursion on the points and pairs of the top vertex and build no
     kernel-pair algebra (``_module_radical``); every homology query
-    takes that route.  The radical of a 1-cube is taken once per
-    context (its memo), by either route.
+    takes that route.  A 1-cube's radical is taken once per arrow in a
+    store (``algebra._store``); a hit made on an arrow equal by content
+    is moved, unchecked, to the caller's top vertex.
     """
     if c.dim == 1:
-        rad = ctx._radicals.get(c.arrow)
-        if rad is not None:
-            if rad.parent is not c.top_vertex:
-                # made on an arrow equal by content: the same sets, moved
-                rad = _derived_subobject(c.top_vertex, rad.elements, rad.normal)
-            return rad
-    if (c.dim <= 2 and c.top_vertex.kind == "zmod-module"
-            and (ctx.B.k is not None or ctx.B.name == "id")):
-        rad = _module_radical(ctx.B, c)
-    else:
-        if c.dim == 1:
-            R, p1, p2 = kernel_pair(c.arrow)
-            inner = radical(ctx.B, R)
-        else:
-            rcube, p1, p2 = _kernel_pair_cube(c)
-            R, inner = rcube.top_vertex, radical_n(ctx, rcube)
-        cut = meet_subobjects(R, inner, kernel(p1))
-        rad = normal_closure(c.top_vertex, *image_elements(p2, cut))
-    if c.dim == 1:
-        ctx._radicals[c.arrow] = rad
-    return rad
+        rad = _stored(_arrow_radical, B, c.arrow)
+        if rad.parent is not c.top_vertex:
+            # made on an arrow equal by content: the same sets, moved
+            rad = _derived_subobject(c.top_vertex, rad.elements, rad.normal)
+        return rad
+    k = _scalar(B, c.top_vertex)
+    if c.dim == 2 and k is not None:
+        return _module_radical(k, c.rib(0), c.rib(1))
+    rcube, p1, p2 = _kernel_pair_cube(c)
+    return _pushed_forward(c.top_vertex, radical_n(B, rcube), p1, p2)
 
 
-def _checked_radical(ctx: BirkhoffContext, c: NCube) -> Subobject:
+def _checked_radical(B: Reflector, c: NCube) -> Subobject:
     """The cube's radical; when the reflector is protoadditive on the
     variety it is recomputed from the rib-kernel meet and the two must
     agree element by element."""
-    rad = radical_n(ctx, c)
-    if known_protoadditive_on(ctx.B, c.top_vertex.kind):
-        if cube_torsion_meet(ctx.B, c).elements != rad.elements:
+    rad = radical_n(B, c)
+    if known_protoadditive_on(B, c.top_vertex.kind):
+        if cube_torsion_meet(B, c).elements != rad.elements:
             raise AlgebraError("radical route and kernel-meet route disagree")
     return rad
 
 
-def is_birkhoff_normal(ctx: BirkhoffContext, c: NCube) -> bool:
+def is_birkhoff_normal(B: Reflector, c: NCube) -> bool:
     """Vanishing of the cube's radical, checked against the kernel meet."""
     if not is_nfold_extension(c):
         raise AlgebraError("normality test expects an n-fold extension")
-    return _checked_radical(ctx, c).is_zero()
+    return _checked_radical(B, c).is_zero()
 
 
-def centralize(ctx: BirkhoffContext, c: NCube) -> NCube:
+def centralize(B: Reflector, c: NCube) -> NCube:
     """Quotient the top vertex by the cube's radical."""
     if not is_nfold_extension(c):
         raise AlgebraError("centralisation expects an n-fold extension")
-    _, out = _quotient_top(c, radical_n(ctx, c))
-    if not is_birkhoff_normal(ctx, out):
+    _, out = _quotient_top(c, radical_n(B, c))
+    if not is_birkhoff_normal(B, out):
         raise AlgebraError("centralisation did not reach a normal cube")
     return out
 
 
-def composite_radical(ctx: BirkhoffContext, c: NCube) -> Subobject:
+def composite_radical(B: Reflector, C: Reflector, c: NCube) -> Subobject:
     """Radical for a sharpened subcategory, as a join in the top vertex.
 
     The comparison reflector C names the sharpened subcategory: C itself
@@ -252,12 +244,10 @@ def composite_radical(ctx: BirkhoffContext, c: NCube) -> Subobject:
     with the normal closure of C's radical of the rib-kernel meet; the
     ambient object is always the top vertex.
     """
-    if ctx.C is None:
-        raise AlgebraError("composite radicals need a comparison reflector")
     if not is_nfold_extension(c):
         raise AlgebraError("composite radical expects an n-fold extension")
-    base = radical_n(ctx, c)
-    extra = cube_torsion_meet(ctx.C, c)
+    base = radical_n(B, c)
+    extra = cube_torsion_meet(C, c)
     closed = normal_closure(c.top_vertex, *extra.elements)
     return join_normal(c.top_vertex, base, closed)
 
@@ -344,9 +334,9 @@ def _quotient_of_sub(parent: Algebra, num: Subobject, den: Subobject) -> Algebra
     return H
 
 
-def hopf_homology(ctx: BirkhoffContext, A: Algebra, degree: int,
+def hopf_homology(B: Reflector, A: Algebra, degree: int,
                   presentations: list | None = None) -> Algebra:
-    """Exact homology of A in degree 2 or 3.
+    """Exact homology of A in degree 2 or 3, with coefficients in B.
 
     Computes the kernel-intersection quotient over a free presentation
     and re-runs it on an independent, rank-augmented presentation; the
@@ -357,22 +347,22 @@ def hopf_homology(ctx: BirkhoffContext, A: Algebra, degree: int,
         raise AlgebraError("homology is computed in module varieties")
     if degree not in (2, 3):
         raise AlgebraError("degree must be 2 or 3")
-    first = _hopf_once(ctx, A, degree, 0, presentations)
-    second = _hopf_once(ctx, A, degree, 1, presentations)
+    first = _hopf_once(B, A, degree, 0, presentations)
+    second = _hopf_once(B, A, degree, 1, presentations)
     if not is_isomorphic(first, second):
         raise AlgebraError("presentation independence failed; this is a bug")
     return first
 
 
-def _hopf_once(ctx: BirkhoffContext, A: Algebra, degree: int, variant: int,
+def _hopf_once(B: Reflector, A: Algebra, degree: int, variant: int,
                presentations: list | None) -> Algebra:
     pres = build_presentation(A, degree - 1, variant)
     if presentations is not None:
         presentations.append(pres)
     c = pres.cube
     top = c.top_vertex
-    num = meet_subobjects(top, radical(ctx.B, top), rib_kernel_meet(c))
-    den = _checked_radical(ctx, c)
+    num = meet_subobjects(top, radical(B, top), rib_kernel_meet(c))
+    den = _checked_radical(B, c)
     if not den <= num:
         raise AlgebraError("radical escaped the Hopf numerator")
     return _quotient_of_sub(top, num, den)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .algebra import Algebra, AlgebraError
@@ -256,7 +257,7 @@ def _cmd_extension_check(args) -> int:
 
 def _cmd_homology(args) -> int:
     spec = args.variety.strip()
-    if not spec.startswith("zmod:") or not spec[5:].isdigit() or int(spec[5:]) < 2:
+    if not re.fullmatch("zmod:[0-9]+", spec) or int(spec[5:]) < 2:
         raise UsageError(f"--variety must look like zmod:4, got {spec!r}")
     modulus = int(spec[5:])
     R = reflector_by_id(args.coeff)
@@ -266,7 +267,8 @@ def _cmd_homology(args) -> int:
     if not R.applies_to(A.variety):
         raise UsageError(f"{R.name} does not apply to {A.variety}")
     pres = []
-    H = hopf_homology(BirkhoffContext(R, (A,)), A, args.degree, pres)
+    BirkhoffContext(R, (A,))
+    H = hopf_homology(R, A, args.degree, pres)
     tops = [p.cube.top_vertex for p in pres]
     if args.json:
         _emit({

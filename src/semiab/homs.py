@@ -2,11 +2,12 @@
 
 Candidates are generated sort by sort by images of a small generating
 set, pruned by element-order arithmetic (the image order must divide
-the source order), then verified against every operation table; with
-several sorts, the product of the per-sort arrays is filtered by the
-structure maps.  Isomorphism search additionally prunes on the order
-profile, keeps only injective arrays whose images have the source
-orders, and reports the first hit in enumeration order.
+the source order), then tested on the binary tables at the rows of
+the generating set (``algebra._scan``); with several sorts, the
+product of the per-sort arrays is filtered by the structure maps.
+Isomorphism search additionally prunes on the order profile, keeps
+only injective arrays whose images have the source orders, and
+reports the first hit in enumeration order.
 
 Each candidate array is tested once, by ``_scan``, and the tuple that
 passed is the one the ``Morphism`` stores: a map whose arrays passed

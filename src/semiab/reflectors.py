@@ -226,7 +226,7 @@ def reflector_by_id(rid: str) -> Reflector:
                          outer=outer, inner=inner)
     if rid.startswith("burnside:"):
         raw = rid[len("burnside:"):]
-        if not raw.isdigit() or int(raw) < 1:
+        if not (raw.isascii() and raw.isdigit()) or int(raw) < 1:
             raise ReflectorError(f"burnside exponent must be a positive integer, got {raw!r}")
         return Reflector(f"burnside:{int(raw)}", ("group", "zmod-module"), False, k=int(raw))
     if rid in _BASES:

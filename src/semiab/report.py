@@ -146,21 +146,18 @@ class Check:
     "algebra", "morphism", "cube", "sequence" (the keys ``kernel``,
     ``epi`` and an optional ``section``; its own key is None) or a tuple
     of allowed labels.  Calling the check runs ``predicate`` on values
-    in field order; True means the check is violated.  A check with a
-    ``context`` hands the predicate a context first: the one the caller
-    passes (a sweep builds one per reflector and corpus and shares it
-    across suites), else the one ``context`` builds from the values.
+    in field order; True means the check is violated.  A replay first
+    runs the ``certify`` hook, if any, on the values; it raises when
+    they are outside the theory (a sweep certifies its corpus instead).
     """
 
     name: str
     fields: tuple
     predicate: Callable[..., bool]
-    context: Callable[..., object] | None = None
+    certify: Callable[..., object] | None = None
 
-    def __call__(self, *values, ctx=None) -> bool:
-        if self.context is None:
-            return self.predicate(*values)
-        return self.predicate(ctx if ctx is not None else self.context(*values), *values)
+    def __call__(self, *values) -> bool:
+        return self.predicate(*values)
 
     def witness(self, *values, extra: dict | None = None) -> dict:
         """The witness document of a violated instance."""
@@ -170,21 +167,24 @@ class Check:
         doc.update(extra or {})
         return doc
 
-    def violations(self, instances, ctx=None) -> list[dict]:
+    def violations(self, instances) -> list[dict]:
         """The witnesses of the violated ones among ``instances`` (value tuples)."""
-        return [self.witness(*values) for values in instances if self(*values, ctx=ctx)]
+        return [self.witness(*values) for values in instances if self(*values)]
 
     def replay(self, doc: dict) -> bool:
-        """Parse the declared fields of ``doc`` and run the predicate."""
-        return self(*(_read_field(doc, key, kind) for key, kind in self.fields))
+        """Parse the declared fields of ``doc``, certify and run the predicate."""
+        values = [_read_field(doc, key, kind) for key, kind in self.fields]
+        if self.certify is not None:
+            self.certify(*values)
+        return self(*values)
 
 
 CHECKS: dict[str, Check] = {}
 
 
-def check(name: str, *fields, context=None):
+def check(name: str, *fields, certify=None):
     """Register the decorated predicate as the check ``name``."""
     def register(predicate) -> Check:
-        entry = CHECKS[name] = Check(name, fields, predicate, context)
+        entry = CHECKS[name] = Check(name, fields, predicate, certify)
         return entry
     return register

@@ -28,7 +28,6 @@ from .algebra import (
 )
 from .birkhoff import (
     BirkhoffContext,
-    _shared_context,
     birkhoff_radical,
     composite_radical,
     object_cube,
@@ -266,41 +265,40 @@ def _criterion_vs_galois(R: Reflector, sq: NCube) -> bool:
 
 
 @check("radical-vs-commutator", _REFLECTOR, _EPI,
-       context=lambda R, f: BirkhoffContext(R, (f.dom, f.cod)))
-def _radical_vs_commutator(ctx: BirkhoffContext, R: Reflector, f: Morphism) -> bool:
+       certify=lambda R, f: BirkhoffContext(R, (f.dom, f.cod)))
+def _radical_vs_commutator(R: Reflector, f: Morphism) -> bool:
     comm = huq_commutator(f.dom, kernel(f), full_subobject(f.dom))
-    return birkhoff_radical(ctx, f).elements != comm.elements
+    return birkhoff_radical(R, f).elements != comm.elements
 
 
 @check("normal-vs-kernel-membership", _REFLECTOR, _EPI,
-       context=lambda R, f: BirkhoffContext(R, (f.dom, f.cod)))
-def _normal_vs_kernel_membership(ctx: BirkhoffContext, R: Reflector, f: Morphism) -> bool:
-    return birkhoff_radical(ctx, f).is_zero() != torsion_of_kernel(R, f).is_zero()
+       certify=lambda R, f: BirkhoffContext(R, (f.dom, f.cod)))
+def _normal_vs_kernel_membership(R: Reflector, f: Morphism) -> bool:
+    return birkhoff_radical(R, f).is_zero() != torsion_of_kernel(R, f).is_zero()
 
 
 @check("composite-normal-routes", _REFLECTOR, _EPI,
-       context=lambda R, f: BirkhoffContext(R.inner, (f.dom, f.cod), C=R))
-def _composite_normal_routes(ctx: BirkhoffContext, R: Reflector, f: Morphism) -> bool:
-    via_join = composite_radical(ctx, cube_of_morphism(f)).is_zero()
-    b_normal = birkhoff_radical(ctx, f).is_zero()
+       certify=lambda R, f: BirkhoffContext(R.inner, (f.dom, f.cod), C=R))
+def _composite_normal_routes(R: Reflector, f: Morphism) -> bool:
+    via_join = composite_radical(R.inner, R, cube_of_morphism(f)).is_zero()
+    b_normal = birkhoff_radical(R.inner, f).is_zero()
     kernel_in_c = torsion_of_kernel(R, f).is_zero()
     return not (via_join == (b_normal and kernel_in_c) == is_normal_extension(R, f))
 
 
 @check("join-vs-direct", _REFLECTOR, _EPI,
-       context=lambda R, f: (BirkhoffContext(R.inner, (f.dom, f.cod), C=R),
+       certify=lambda R, f: (BirkhoffContext(R.inner, (f.dom, f.cod), C=R),
                              BirkhoffContext(R, (f.dom, f.cod))))
-def _join_vs_direct(ctxs: tuple, R: Reflector, f: Morphism) -> bool:
-    """``ctxs``: the inner context relative to R, then R's own context."""
-    joined = composite_radical(ctxs[0], cube_of_morphism(f))
-    direct = birkhoff_radical(ctxs[1], f)
+def _join_vs_direct(R: Reflector, f: Morphism) -> bool:
+    joined = composite_radical(R.inner, R, cube_of_morphism(f))
+    direct = birkhoff_radical(R, f)
     return joined.elements != direct.elements
 
 
 @check("composite-object-radical", _REFLECTOR, ("algebra", "algebra"),
-       context=lambda R, A: BirkhoffContext(R.inner, (A,), C=R.outer))
-def _composite_object_radical(ctx: BirkhoffContext, R: Reflector, A: Algebra) -> bool:
-    via_cube = composite_radical(ctx, object_cube(A))
+       certify=lambda R, A: BirkhoffContext(R.inner, (A,), C=R.outer))
+def _composite_object_radical(R: Reflector, A: Algebra) -> bool:
+    via_cube = composite_radical(R.inner, R.outer, object_cube(A))
     oracle = join_normal(A, radical(R.inner, A),
                          normal_closure(A, *power_subobject(A, R.outer.k).elements))
     return not (radical(R, A).elements == via_cube.elements == oracle.elements)
@@ -556,7 +554,7 @@ def _suite_thm_4_6(R: Reflector, corpus, seed: int) -> Report:
 def _suite_prop_5_5(R: Reflector, corpus, seed: int) -> Report:
     algebras = _applicable(R, corpus)
     try:
-        ctx = _shared_context(R, algebras)
+        BirkhoffContext(R, algebras)
     except AlgebraError as exc:
         raise SuiteCompatibilityError(str(exc)) from None
     group_oracle = R.name == "ab"
@@ -570,25 +568,25 @@ def _suite_prop_5_5(R: Reflector, corpus, seed: int) -> Report:
         [_normal_vs_kernel_membership] if proto else [])
     for f in surjs:
         for c in checks:
-            if c(R, f, ctx=ctx):
+            if c(R, f):
                 witnesses.append(c.witness(R, f))
     return Report.scan("prop-5.5", witnesses, {"surjections": len(surjs)})
 
 
 def _suite_thm_6_2(R: Reflector, corpus, seed: int) -> Report:
     algebras = _applicable(R, corpus)
-    ctx = _shared_context(R.inner, algebras, R)
+    BirkhoffContext(R.inner, algebras, R)
     surjs = _surjections_in(algebras)
-    witnesses = _composite_normal_routes.violations(((R, f) for f in surjs), ctx=ctx)
+    witnesses = _composite_normal_routes.violations((R, f) for f in surjs)
     return Report.scan("thm-6.2", witnesses, {"surjections": len(surjs)})
 
 
 def _suite_thm_6_5(R: Reflector, corpus, seed: int) -> Report:
     algebras = _applicable(R, corpus)
-    ctxs = (_shared_context(R.inner, algebras, R),
-            _shared_context(R, algebras))
+    BirkhoffContext(R.inner, algebras, R)
+    BirkhoffContext(R, algebras)
     surjs = _surjections_in(algebras)
-    witnesses = _join_vs_direct.violations(((R, f) for f in surjs), ctx=ctxs)
+    witnesses = _join_vs_direct.violations((R, f) for f in surjs)
     return Report.scan("thm-6.5", witnesses, {"surjections": len(surjs)})
 
 
@@ -597,8 +595,8 @@ def _suite_lemma_6_6(R: Reflector, corpus, seed: int) -> Report:
         raise SuiteCompatibilityError(
             "the join identity is stated for burnside:k over abelianisation")
     algebras = _applicable(R, corpus)
-    ctx = _shared_context(R.inner, algebras, R.outer)
-    witnesses = _composite_object_radical.violations(((R, A) for A in algebras), ctx=ctx)
+    BirkhoffContext(R.inner, algebras, R.outer)
+    witnesses = _composite_object_radical.violations((R, A) for A in algebras)
     return Report.scan("lemma-6.6", witnesses, {"objects": len(algebras)})
 
 

@@ -1,5 +1,7 @@
 """Subvariety radicals of maps, composite radicals and low-degree homology."""
 
+import gc
+import weakref
 from math import gcd
 
 import pytest
@@ -37,7 +39,7 @@ from semiab import (
 )
 from semiab import birkhoff
 from semiab.algebra import _STORE, _renamed, _store, sub_algebra, subobject
-from semiab.birkhoff import Presentation, _is_free_module, _shared_context, build_presentation
+from semiab.birkhoff import Presentation, _is_free_module, build_presentation
 from semiab.cubes import _kernel_pair_cube
 from semiab.homs import _corpus_surjections
 from semiab.ops import image_elements, power_subobject
@@ -46,97 +48,77 @@ from semiab.verification import _pushout_square
 from tor import module_invariant_factors, tor1
 
 
-def _ctx(rid, cid, inner=None):
-    return BirkhoffContext(
-        reflector_by_id(rid),
-        corpus_by_id(cid),
-        reflector_by_id(inner) if inner else None,
-    )
-
-
 def _mod_map(m, n):
     return morphism(cyclic_group(m), cyclic_group(n), [x % n for x in range(m)])
 
 
 def test_birkhoff_radical_of_ab_is_relative_commutator():
-    ctx = _ctx("ab", "groups")
     s3 = named_algebra("s3")
     c2 = cyclic_group(2)
     (f,) = surjections(s3, c2)
-    rad = birkhoff_radical(ctx, f)
+    rad = birkhoff_radical(reflector_by_id("ab"), f)
     # [K[f], X]: kernel A3 against the whole of S3
     want = huq_commutator(s3, kernel(f), full_subobject(s3))
     assert rad.elements == want.elements == (frozenset({0, 3, 4}),)
 
 
 def test_birkhoff_radical_of_identity_cod_is_object_radical():
-    ctx = _ctx("ab", "groups")
     d4 = named_algebra("d4")
     z = morphism(d4, cyclic_group(1), [0] * 8)
-    rad = birkhoff_radical(ctx, z)
+    rad = birkhoff_radical(reflector_by_id("ab"), z)
     from semiab import radical
 
     assert rad.elements == radical(reflector_by_id("ab"), d4).elements
 
 
 def test_burnside_radical_of_module_maps():
-    ctx = _ctx("burnside:2", "zmod4-modules")
+    b2 = reflector_by_id("burnside:2")
     m4 = named_algebra("m4-c4")
     m2 = named_algebra("m4-c2")
     f = morphism(m4, m2, [x % 2 for x in range(4)])
-    assert birkhoff_radical(ctx, f).elements == (frozenset({0}),)
+    assert birkhoff_radical(b2, f).elements == (frozenset({0}),)
     to_zero = morphism(m4, named_algebra("m4-0"), [0] * 4)
-    assert birkhoff_radical(ctx, to_zero).elements == (frozenset({0, 2}),)
+    assert birkhoff_radical(b2, to_zero).elements == (frozenset({0, 2}),)
     g = morphism(m2, named_algebra("m4-0"), [0, 0])
-    assert birkhoff_radical(ctx, g).elements == (frozenset({0}),)
+    assert birkhoff_radical(b2, g).elements == (frozenset({0}),)
 
 
 def test_radical_n_extends_radical_1():
-    ctx = _ctx("burnside:2", "zmod4-modules")
     m4 = named_algebra("m4-c4")
     to_zero = morphism(m4, named_algebra("m4-0"), [0] * 4)
-    assert radical_n(ctx, cube_of_morphism(to_zero)).elements == (frozenset({0, 2}),)
+    assert radical_n(reflector_by_id("burnside:2"), cube_of_morphism(to_zero)).elements == (frozenset({0, 2}),)
 
 
 def test_radical_n_on_doubled_square_matches_one_fold():
-    ctx = _ctx("ab", "groups")
+    ab = reflector_by_id("ab")
     s3, c2 = named_algebra("s3"), cyclic_group(2)
     (f,) = surjections(s3, c2)
     sq = square(f, f, identity_morphism(c2), identity_morphism(c2))
-    assert radical_n(ctx, sq).elements == birkhoff_radical(ctx, f).elements
+    assert radical_n(ab, sq).elements == birkhoff_radical(ab, f).elements
 
 
 def test_object_cube_radical():
-    ctx = _ctx("ab", "groups")
     q8 = named_algebra("q8")
-    rad = radical_n(ctx, object_cube(q8))
+    rad = radical_n(reflector_by_id("ab"), object_cube(q8))
     assert rad.size == 2  # derived subgroup of Q8
 
 
 def test_birkhoff_normal_cubes():
-    ctx = _ctx("ab", "abelian-groups")
+    ab = reflector_by_id("ab")
     f = _mod_map(8, 2)
-    assert is_birkhoff_normal(ctx, cube_of_morphism(f))
-    ctx2 = _ctx("ab", "groups")
+    assert is_birkhoff_normal(ab, cube_of_morphism(f))
     s3 = named_algebra("s3")
     (g,) = surjections(s3, cyclic_group(2))
-    assert not is_birkhoff_normal(ctx2, cube_of_morphism(g))
+    assert not is_birkhoff_normal(ab, cube_of_morphism(g))
 
 
 def test_composite_radical_modes_on_d4_quotients():
     # base subvariety from ab, comparison from the smaller burnside:2
-    ctx = _ctx("ab", "groups", inner="burnside:2")
+    ab, b2 = reflector_by_id("ab"), reflector_by_id("burnside:2")
     d4 = named_algebra("d4")
     c2 = cyclic_group(2)
     for f in surjections(d4, c2):
-        assert composite_radical(ctx, cube_of_morphism(f)).elements == (frozenset({0, 2}),)
-
-
-def test_composite_radical_requires_inner_reflector():
-    ctx = _ctx("ab", "groups")
-    f = _mod_map(4, 2)
-    with pytest.raises(AlgebraError):
-        composite_radical(ctx, cube_of_morphism(f))
+        assert composite_radical(ab, b2, cube_of_morphism(f)).elements == (frozenset({0, 2}),)
 
 
 def test_context_certifies_containment():
@@ -149,20 +131,27 @@ def test_context_certifies_containment():
         )
 
 
-def test_radical_memo_takes_each_kernel_pair_once(monkeypatch):
-    s3, c2 = named_algebra("s3"), cyclic_group(2)
-    other = _renamed(s3, "s3-renamed")
-    ctx = BirkhoffContext(reflector_by_id("ab"), (other, c2))
-    (f,) = surjections(s3, c2)
-    (g,) = surjections(other, c2)
+def _counted_kernel_pairs(monkeypatch) -> list:
+    """The arrows of the kernel pairs that birkhoff takes from now on."""
     pairs = []
     kernel_pair = birkhoff.kernel_pair
     monkeypatch.setattr(birkhoff, "kernel_pair", lambda h: pairs.append(h) or kernel_pair(h))
-    first = birkhoff_radical(ctx, f)
-    assert birkhoff_radical(ctx, f) is first
-    # the renamed member hits the entry of the first by content, and
-    # gets the same sets in its own algebra
-    moved = birkhoff_radical(ctx, g)
+    return pairs
+
+
+def test_radical_memo_takes_each_kernel_pair_once(monkeypatch):
+    ab = reflector_by_id("ab")
+    s3, c2 = named_algebra("s3"), cyclic_group(2)
+    other = _renamed(s3, "s3-renamed")
+    (f,) = surjections(s3, c2)
+    (g,) = surjections(other, c2)
+    pairs = _counted_kernel_pairs(monkeypatch)
+    with _store():
+        first = birkhoff_radical(ab, f)
+        assert birkhoff_radical(ab, f) is first
+        # the renamed copy hits the entry of the first by content, and
+        # gets the same sets in its own algebra
+        moved = birkhoff_radical(ab, g)
     assert pairs == [f]
     assert moved.parent is other and first.parent is s3
     assert moved.elements == first.elements == (frozenset({0, 3, 4}),)
@@ -170,23 +159,47 @@ def test_radical_memo_takes_each_kernel_pair_once(monkeypatch):
     assert subobject(other, *moved.elements).normal == moved.normal
 
 
-def _stored_contexts() -> list[tuple]:
-    """The (B, members, C) of each context in the open store."""
-    return [key[1:] for key in _STORE.get() if key[0] is birkhoff._certified]
+def test_outside_a_store_each_radical_takes_its_kernel_pair(monkeypatch):
+    ab = reflector_by_id("ab")
+    (f,) = surjections(named_algebra("s3"), cyclic_group(2))
+    pairs = _counted_kernel_pairs(monkeypatch)
+    assert birkhoff_radical(ab, f).elements == birkhoff_radical(ab, f).elements
+    assert pairs == [f, f]
 
 
-def test_comparison_contexts_share_the_base_certification_and_memo():
+def test_a_stored_radical_goes_with_the_store():
+    ab = reflector_by_id("ab")
+    (f,) = surjections(named_algebra("s3"), cyclic_group(2))
+    with _store():
+        stored = weakref.ref(birkhoff_radical(ab, f))
+        assert [v for k, v in _STORE.get().items() if k[0] is birkhoff._arrow_radical] == [stored()]
+    gc.collect()
+    assert stored() is None
+
+
+def _stored_certifications() -> list[tuple]:
+    """The name and reflectors of each certification in the open store."""
+    return [(key[0].__name__, *key[1:-1]) for key in _STORE.get()
+            if key[0] in (birkhoff._certify, birkhoff._compare)]
+
+
+def test_comparison_contexts_share_the_base_certification(monkeypatch):
     ab, b2 = reflector_by_id("ab"), reflector_by_id("burnside:2")
     groups = corpus_by_id("groups")
+    squares = []
+    unit_square = birkhoff.unit_square
+    monkeypatch.setattr(birkhoff, "unit_square", lambda R, f: squares.append(f) or unit_square(R, f))
     with _store():
-        comp = _shared_context(ab, groups, b2)
-        base = _shared_context(ab, groups)
+        comp = BirkhoffContext(ab, groups, b2)
+        base = BirkhoffContext(ab, groups)
         assert (comp.B, comp.C, base.C) == (ab, b2, None)
-        assert comp._radicals is base._radicals
-        assert _shared_context(ab, groups, b2) is comp and len(_stored_contexts()) == 2
+        BirkhoffContext(ab, groups, b2)
+        assert _stored_certifications() == [("_certify", ab), ("_compare", ab, b2)]
+    assert len(squares) == comp.checked_surjections == 398
     direct = BirkhoffContext(ab, groups, b2)
     assert comp.checked_surjections == base.checked_surjections == direct.checked_surjections
     assert comp.comparison_sequences == direct.comparison_sequences > 0
+    assert base.comparison_sequences == 0
 
 
 def test_failed_certification_is_not_stored():
@@ -194,8 +207,8 @@ def test_failed_certification_is_not_stored():
     with _store():
         for _ in range(2):  # see test_context_certifies_containment
             with pytest.raises(AlgebraError):
-                _shared_context(b2, corpus_by_id("groups"), ab)
-        assert [C for _, _, C in _stored_contexts()] == [None]
+                BirkhoffContext(b2, corpus_by_id("groups"), ab)
+        assert _stored_certifications() == [("_certify", b2)]
 
 
 def test_context_with_inapplicable_corpus_checks_nothing():
@@ -278,14 +291,14 @@ def module_arrows():
 
 @pytest.mark.parametrize("rid", _MODULE_RIDS)
 def test_module_square_radical_matches_the_materialised_recursion(rid, module_arrows):
-    ctx = _ctx(rid, "zmod4-modules")
+    B = reflector_by_id(rid)
     squares = arrows = 0
     for c in _module_squares():
-        rad = radical_n(ctx, c)
-        assert [rad] == _materialised(c, ctx.B)
+        rad = radical_n(B, c)
+        assert [rad] == _materialised(c, B)
         squares += not rad.is_zero()
     for f, expected in module_arrows:
-        rad = radical_n(ctx, cube_of_morphism(f))
+        rad = radical_n(B, cube_of_morphism(f))
         assert rad.elements == expected[rid], f
         arrows += not rad.is_zero()
     # non-zero radicals, squares and arrows
@@ -302,7 +315,7 @@ def test_degree_two_homology_builds_no_kernel_pair(monkeypatch, rid, name):
         return kernel_pair(f)
 
     monkeypatch.setattr(birkhoff, "kernel_pair", counted)
-    hopf_homology(_ctx(rid, "zmod4-modules"), named_algebra(name), 2)
+    hopf_homology(reflector_by_id(rid), named_algebra(name), 2)
     assert calls == []
 
 
@@ -310,7 +323,7 @@ def test_degree_two_homology_builds_no_kernel_pair(monkeypatch, rid, name):
 def test_degree_two_homology_is_tor_of_the_invariant_factors(cid):
     """H2 under burnside:2 against Tor_1^{Z/m}(A, Z/gcd(2, m)), computed
     from A's invariant factors alone (tests/tor.py)."""
-    ctx = _ctx("burnside:2", cid)
+    b2 = reflector_by_id("burnside:2")
     labels = {}
     for A in corpus_by_id(cid):
         m = A.variety.modulus
@@ -318,7 +331,7 @@ def test_degree_two_homology_is_tor_of_the_invariant_factors(cid):
         # the bundled names spell the invariant factors out
         body = A.name.split("-")[1]
         assert factors == (() if body == "0" else tuple(int(c[1:]) for c in body.split("x"))), A.name
-        H = module_invariant_factors(hopf_homology(ctx, A, 2))
+        H = module_invariant_factors(hopf_homology(b2, A, 2))
         assert H == tor1(factors, m, gcd(2, m)), A.name
         labels[A.name] = H
     if cid == "zmod8-modules":
@@ -334,43 +347,42 @@ def test_build_presentation_covers_with_free_module():
 
 
 def test_hopf_homology_of_c2_over_zmod4():
-    ctx = _ctx("burnside:2", "zmod4-modules")
+    b2 = reflector_by_id("burnside:2")
     m2 = named_algebra("m4-c2")
-    h2 = hopf_homology(ctx, m2, 2)
+    h2 = hopf_homology(b2, m2, 2)
     assert find_isomorphism(h2, named_algebra("m4-c2")) is not None
-    h3 = hopf_homology(ctx, m2, 3)
+    h3 = hopf_homology(b2, m2, 3)
     assert find_isomorphism(h3, named_algebra("m4-c2")) is not None
 
 
 def test_hopf_homology_vanishes_on_free_modules():
-    ctx = _ctx("burnside:2", "zmod4-modules")
+    b2 = reflector_by_id("burnside:2")
     free = named_algebra("m4-c4")
-    assert hopf_homology(ctx, free, 2).order == 1
-    assert hopf_homology(ctx, free, 3).order == 1
+    assert hopf_homology(b2, free, 2).order == 1
+    assert hopf_homology(b2, free, 3).order == 1
 
 
 def test_hopf_homology_zmod8_degree_two():
-    ctx = _ctx("burnside:2", "zmod8-modules")
     m2 = named_algebra("m8-c2")
-    h2 = hopf_homology(ctx, m2, 2)
+    h2 = hopf_homology(reflector_by_id("burnside:2"), m2, 2)
     assert h2.order == 2
 
 
 def test_hopf_degree_validation():
-    ctx = _ctx("burnside:2", "zmod4-modules")
+    b2 = reflector_by_id("burnside:2")
     with pytest.raises(AlgebraError):
-        hopf_homology(ctx, named_algebra("m4-c2"), 1)
+        hopf_homology(b2, named_algebra("m4-c2"), 1)
     with pytest.raises(AlgebraError):
-        hopf_homology(ctx, named_algebra("m4-c2"), 4)
+        hopf_homology(b2, named_algebra("m4-c2"), 4)
 
 
 def test_centralize_yields_birkhoff_normal_cube():
-    ctx = _ctx("ab", "groups")
+    ab = reflector_by_id("ab")
     s3 = named_algebra("s3")
     (f,) = surjections(s3, cyclic_group(2))
     c = cube_of_morphism(f)
-    assert not is_birkhoff_normal(ctx, c)
-    central = centralize(ctx, c)
-    assert is_birkhoff_normal(ctx, central)
+    assert not is_birkhoff_normal(ab, c)
+    central = centralize(ab, c)
+    assert is_birkhoff_normal(ab, central)
     # top vertex is the quotient by the radical
     assert central.top_vertex.order == s3.order // 3

@@ -83,6 +83,18 @@ def test_radical_unknown_name_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("argv", [
+    ["radical", "--reflector", "burnside:²", "--algebra", "c4"],
+    ["homology", "--variety", "zmod:²", "--coeff", "burnside:2", "--object", "m4-c2",
+     "--degree", "2"],
+])
+def test_a_unicode_digit_in_an_id_is_a_usage_error(capsys, argv):
+    # "²" passes str.isdigit but not int()
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_radical_wrong_kind_is_usage_error(capsys):
     assert run(["radical", "--reflector", "reduced", "--algebra", "s3"]) == 1
 

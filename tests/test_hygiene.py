@@ -311,7 +311,9 @@ def test_one_store_opened_by_the_sweep():
         "_store in verification.py:verify_all",
         "_store in verification.py:verify_suite",
         "_stored in algebra.py:sub_algebra",
-        "_stored in birkhoff.py:_shared_context",
+        "_stored in birkhoff.py:__post_init__",
+        "_stored in birkhoff.py:__post_init__",
+        "_stored in birkhoff.py:radical_n",
         "_stored in ops.py:_pairs_algebra",
     ]
 

@@ -8,8 +8,11 @@ from dataclasses import replace
 import pytest
 
 from semiab import (
+    AlgebraError,
     FormatError,
+    algebra_to_doc,
     corpus_by_id,
+    cyclic_group,
     enumerate_homs,
     identity_morphism,
     induced_on_quotient,
@@ -145,18 +148,20 @@ _CONTEXT_SUITES = ("prop-5.5", "thm-6.2", "thm-6.5", "lemma-6.6")
 
 @pytest.fixture(scope="module")
 def shared_sweep():
-    """One ``verify_all(seed=0)``, with what its Birkhoff contexts did.
+    """One ``verify_all(seed=0)``, with what its Birkhoff certifications
+    and radicals did.
 
     Records the unit squares certified under ``ab`` on groups, the
     reflector and arrow of every kernel pair that ``radical_n`` takes,
-    a weak reference to every context the suites were handed, and,
-    when the last suite returns, one to every pair algebra and
-    sub-algebra in the store, by the function that built it.
+    and, when the last suite returns, the certifications in the store
+    (the name and reflectors of each) and a weak reference to every
+    pair algebra, sub-algebra and 1-cube radical in it, by the
+    function that built it.
     """
     unit_square, kernel_pair = birkhoff.unit_square, birkhoff.kernel_pair
-    radical_n, shared = birkhoff.radical_n, verification._shared_context
+    radical_n = birkhoff.radical_n
     suite = verification.verify_suite
-    seen = {"ab-group-squares": 0, "pairs": [], "contexts": [], "built": {}}
+    seen = {"ab-group-squares": 0, "pairs": [], "certified": [], "built": {}}
     reflectors = []
 
     def counted_square(R, f):
@@ -164,10 +169,10 @@ def shared_sweep():
             seen["ab-group-squares"] += 1
         return unit_square(R, f)
 
-    def in_radical_n(ctx, c):
-        reflectors.append(ctx.B)
+    def in_radical_n(B, c):
+        reflectors.append(B)
         try:
-            return radical_n(ctx, c)
+            return radical_n(B, c)
         finally:
             reflectors.pop()
 
@@ -175,25 +180,23 @@ def shared_sweep():
         seen["pairs"].append((reflectors[-1], f))
         return kernel_pair(f)
 
-    def recorded_context(*args):
-        ctx = shared(*args)
-        seen["contexts"].append(weakref.ref(ctx))
-        return ctx
-
     def recorded_suite(*args, **kwargs):
         try:
             return suite(*args, **kwargs)
         finally:
-            seen["built"] = {}
+            seen["certified"], seen["built"] = [], {}
             for key, value in _STORE.get().items():
-                if isinstance(value, tuple):
-                    seen["built"].setdefault(key[0].__name__, []).append(weakref.ref(value[0]))
+                name = key[0].__name__
+                if name in ("_certify", "_compare"):
+                    seen["certified"].append((name, *(R.name for R in key[1:-1])))
+                else:
+                    built = value[0] if isinstance(value, tuple) else value
+                    seen["built"].setdefault(name, []).append(weakref.ref(built))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(birkhoff, "unit_square", counted_square)
         mp.setattr(birkhoff, "radical_n", in_radical_n)
         mp.setattr(birkhoff, "kernel_pair", recorded_pair)
-        mp.setattr(verification, "_shared_context", recorded_context)
         mp.setattr(verification, "verify_suite", recorded_suite)
         reports = verify_all(seed=0)
         seen["store-after"] = _STORE.get()
@@ -219,11 +222,15 @@ def test_a_sweep_certifies_each_reflector_and_corpus_once(shared_sweep):
 
 def test_the_context_store_goes_with_the_sweep(shared_sweep):
     _, seen = shared_sweep
-    assert len(seen["contexts"]) == 7  # one per context a suite asks for
-    assert all(ref() is None for ref in seen["contexts"])
-    # the pair algebras and sub-algebras went with the contexts
+    # the seven contexts the suites build certify three reflectors and
+    # three comparisons, each once
+    assert sorted(seen["certified"]) == [
+        ("_certify", "ab"), ("_certify", "burnside:2"), ("_certify", "composite:burnside:2∘ab"),
+        ("_compare", "ab", "burnside:2"), ("_compare", "ab", "burnside:3"),
+        ("_compare", "ab", "composite:burnside:2∘ab")]
+    # the pair algebras, sub-algebras and radicals went with the store
     assert seen["store-after"] is None
-    assert sorted(seen["built"]) == ["_build_pairs", "_sub_algebra"]
+    assert sorted(seen["built"]) == ["_arrow_radical", "_build_pairs", "_sub_algebra"]
     assert all(ref() is None for refs in seen["built"].values() for ref in refs)
 
 
@@ -400,6 +407,24 @@ def test_malformed_witness_is_a_clean_error(doc, error, path):
     with pytest.raises(error) as info:
         replay_witness(doc)
     assert getattr(info.value, "path", None) == path
+
+
+def test_a_unicode_digit_in_a_reflector_id_is_a_format_error():
+    # "²" passes str.isdigit but not int()
+    with pytest.raises(FormatError) as info:
+        replay_witness({"check": "idempotent-radical", "reflector": "burnside:²",
+                        "algebra": algebra_to_doc(named_algebra("c4"))})
+    assert info.value.path == "$.reflector"
+
+
+def test_a_replay_certifies_over_the_witness_algebras():
+    # c3 is abelian but not of exponent 2: it lies in ab's subcategory
+    # and not in burnside:2's, so the comparison subcategory is not
+    # inside the base, and the replay refuses the witness
+    doc = {"check": "composite-object-radical", "reflector": "composite:ab∘burnside:2",
+           "algebra": algebra_to_doc(cyclic_group(3))}
+    with pytest.raises(AlgebraError, match="comparison subcategory is not contained in the base"):
+        replay_witness(doc)
 
 
 def test_witness_label_must_be_a_known_class():
