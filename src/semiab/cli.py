@@ -7,10 +7,10 @@ Exit codes: 0 success/pass, 1 usage error, 2 property failure,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
+from functools import lru_cache
 
 from .algebra import Algebra, AlgebraError
 from .birkhoff import BirkhoffContext, hopf_homology
@@ -22,6 +22,7 @@ from .ops import direct_product
 from .reflectors import ReflectorError, reflect, reflector_by_id
 from .serialize import (
     FormatError,
+    _json_text,
     algebra_from_doc,
     algebra_to_doc,
     cube_from_doc,
@@ -51,7 +52,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _ascii_int(text: str) -> int:
+    """An integer option; int() alone would also read non-ASCII decimal digits."""
+    if text.isascii():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+@lru_cache(maxsize=1)
 def _build_parser() -> _Parser:
+    """The one parser of the process: ``parse_args`` fills a fresh namespace per call."""
     parser = _Parser(prog="semiab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
 
@@ -85,14 +98,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--variety", required=True, metavar="zmod:M")
     p.add_argument("--coeff", required=True, metavar="REFLECTOR")
     p.add_argument("--object", required=True, metavar="NAME_OR_FILE")
-    p.add_argument("--degree", required=True, type=int, choices=(2, 3))
+    p.add_argument("--degree", required=True, type=_ascii_int, choices=(2, 3))
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="run a named suite (or all of them)")
     p.add_argument("--suite", required=True)
     p.add_argument("--reflector", default=None)
     p.add_argument("--corpus", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_ascii_int, default=0)
     p.add_argument("--json", action="store_true")
     return parser
 
@@ -119,7 +132,7 @@ def _corpus(cid: str):
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, ensure_ascii=False))
+    print(_json_text(doc))
 
 
 def _module_label(H: Algebra) -> str:
@@ -194,22 +207,22 @@ def _cmd_factorize(args) -> int:
     stem, _ = os.path.splitext(os.path.basename(args.morphism))
     out_dir = args.out_dir or os.path.dirname(args.morphism) or "."
     os.makedirs(out_dir, exist_ok=True)
-    paths = {}
+    paths, docs = {}, {}
     for part, g in (("e", fac.e), ("m", fac.m)):
-        doc = morphism_to_doc(g)
+        doc = docs[part] = morphism_to_doc(g)
         # emitted files must round-trip to equal values
         if morphism_from_doc(doc) != g:
             raise AlgebraError("serialized factor failed to round-trip")
         paths[part] = os.path.join(out_dir, f"{stem}.{part}.json")
         with open(paths[part], "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, ensure_ascii=False)
+            fh.write(_json_text(doc))
     if args.json:
         _emit({
             "format": "semiab-factorisation",
             "version": JSON_VERSION,
             "reflector": R.name,
-            "e": morphism_to_doc(fac.e),
-            "m": morphism_to_doc(fac.m),
+            "e": docs["e"],
+            "m": docs["m"],
             "middle": algebra_to_doc(fac.m.dom),
             "files": paths,
         })

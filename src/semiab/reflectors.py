@@ -86,15 +86,17 @@ class TorsionDecomposition:
 
 
 def _nilradical(A: Algebra) -> Subobject:
+    # a nilpotent x has index m <= n (x, ..., x^(m-1) are distinct and
+    # nonzero) and 0.0 = 0, so x is nilpotent exactly when x^(2^k) = 0
+    # for 2^k > n: k squarings
     mul = A.sorts[0].binary[1]
     nils = set()
     for x in range(A.order):
         v = x
-        for _ in range(A.order):
-            if v == 0:
-                nils.add(x)
-                break
-            v = mul[v][x]
+        for _ in range(A.order.bit_length()):
+            v = mul[v][v]
+        if v == 0:
+            nils.add(x)
     return subobject(A, frozenset(nils))
 
 

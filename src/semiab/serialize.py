@@ -58,6 +58,28 @@ def load_json_file(path) -> object:
         raise FormatError(str(path), f"unreadable JSON: {exc}") from None
 
 
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)``, as the CLI writes it.
+
+    Arrays of plain ints, the bulk of every table, are joined in one
+    ``str.join``; dicts with string keys and lists recurse; anything else
+    is ``json.dumps`` re-indented, which is exact because JSON text holds
+    no raw newline inside a string.
+    """
+    inner = indent + "  "
+    if type(value) in (list, tuple) and value:
+        if {int}.issuperset(map(type, value)):
+            items = map(str, value)
+        else:
+            items = (_json_text(v, inner) for v in value)
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if type(value) is dict and value and {str}.issuperset(map(type, value)):
+        items = (json.dumps(k, ensure_ascii=False) + ": " + _json_text(v, inner)
+                 for k, v in value.items())
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n" + indent)
+
+
 def _need(doc, key: str, path: str, kind=None):
     if not isinstance(doc, dict):
         raise FormatError(path, f"expected an object, got {type(doc).__name__}")
@@ -71,18 +93,17 @@ def _need(doc, key: str, path: str, kind=None):
 
 
 def _int_array(value, path: str) -> tuple[int, ...]:
+    if type(value) is list and {int}.issuperset(map(type, value)):  # plain ints, one type pass
+        return tuple(value)
     if not isinstance(value, list) or not all(isinstance(x, int) and not isinstance(x, bool) for x in value):
         raise FormatError(path, "expected an array of integers")
     return tuple(value)
 
 
-def _int_table(value, path: str) -> list[list[int]]:
+def _int_table(value, path: str) -> list[tuple[int, ...]]:
     if not isinstance(value, list):
         raise FormatError(path, "expected an array of rows")
-    out = []
-    for r, row in enumerate(value):
-        out.append(list(_int_array(row, f"{path}[{r}]")))
-    return out
+    return [_int_array(row, f"{path}[{r}]") for r, row in enumerate(value)]
 
 
 def _check_header(doc, fmt: str, path: str) -> None:

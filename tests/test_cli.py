@@ -22,6 +22,7 @@ from semiab import (
     square,
     zring,
 )
+from semiab import cli
 from semiab.birkhoff import build_presentation
 from semiab.cli import run
 from semiab.corpus import CORPUS_DIR_VAR
@@ -87,9 +88,13 @@ def test_radical_unknown_name_is_usage_error(capsys):
     ["radical", "--reflector", "burnside:²", "--algebra", "c4"],
     ["homology", "--variety", "zmod:²", "--coeff", "burnside:2", "--object", "m4-c2",
      "--degree", "2"],
+    ["verify", "--suite", "thm-1.6", "--seed", "٣"],
+    ["homology", "--variety", "zmod:4", "--coeff", "burnside:2", "--object", "m4-c2",
+     "--degree", "٢", "--json"],
 ])
 def test_a_unicode_digit_in_an_id_is_a_usage_error(capsys, argv):
-    # "²" passes str.isdigit but not int()
+    # "²" passes str.isdigit but not int(); the Arabic-Indic "٣" and "٢"
+    # pass int(), and the integer options take ASCII only
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
@@ -363,3 +368,67 @@ def test_python_dash_m_semiab_runs_the_cli(module):
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "radical of c4" in proc.stdout
+
+
+def _indented(text):
+    """The JSON value in ``text`` written by ``json.dumps(indent=2, ensure_ascii=False)``."""
+    return json.dumps(json.loads(text), indent=2, ensure_ascii=False)
+
+
+def test_json_output_is_json_dumps_with_indent_2(tmp_path, capsys, monkeypatch):
+    """Every subcommand's --json stdout, and both factor files, are
+    ``json.dumps(doc, indent=2, ensure_ascii=False)``, the first plus a newline."""
+    mpath = _write(tmp_path / "f.json", morphism_to_doc(_ring_mod(12, 2)))
+    cpath = _write(tmp_path / "sq.json", cube_to_doc(_doubled(_sign(4))))
+    (tmp_path / "corpora").mkdir()
+    (tmp_path / "corpora" / "groups.json").write_text(
+        json.dumps(corpus_to_doc((dihedral_group(3), cyclic_group(2, name="c2·ünï\"q\"")))))
+    monkeypatch.setenv(CORPUS_DIR_VAR, str(tmp_path / "corpora"))
+    for argv in (
+        ["check-protoadditive", "--reflector", "ab", "--corpus", "groups"],
+        ["radical", "--reflector", "composite:burnside:2∘ab", "--algebra", "d4"],
+        ["radical", "--reflector", "pi0", "--algebra", "ind-c3"],
+        ["factorize", "--reflector", "reduced", "--morphism", mpath],
+        ["extension-check", "--reflector", "ab", "--cube", cpath, "--kind", "double"],
+        ["homology", "--variety", "zmod:4", "--coeff", "burnside:2", "--object", "m4-c2xc4",
+         "--degree", "2"],
+        ["verify", "--suite", "thm-1.6", "--reflector", "burnside:2", "--corpus", "abelian-groups"],
+    ):
+        assert run(argv + ["--json"]) in (0, 2)
+        out = capsys.readouterr().out
+        assert out == _indented(out) + "\n", argv[0]
+    for part in "em":
+        text = (tmp_path / f"f.{part}.json").read_text(encoding="utf-8")
+        assert text == _indented(text)
+
+
+def test_the_parser_is_built_once_and_keeps_nothing_between_calls(tmp_path, capsys, monkeypatch):
+    progs = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            progs.append(self.prog)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    cli._build_parser.cache_clear()
+    try:
+        assert run(["radical", "--reflector", "reduced", "--algebra", "z12", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["radical"] == [0, 6]
+        assert run(["radical", "--reflector", "reduced", "--algebra", "z12"]) == 0
+        assert capsys.readouterr().out.startswith("radical of z12 under reduced")
+        assert run(["radical", "--reflector", "reduced"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        # one parser with one sub-parser per command, built by the first call
+        assert progs.count("semiab") == 1 and len(progs) == len(set(progs)) == 7
+
+        path = _write(tmp_path / "f.json", morphism_to_doc(_ring_mod(12, 2)))
+        out_dir = tmp_path / "elsewhere"
+        assert run(["factorize", "--reflector", "reduced", "--morphism", path,
+                    "--out-dir", str(out_dir)]) == 0
+        assert run(["factorize", "--reflector", "reduced", "--morphism", path]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["f.e.json", "f.m.json"]
+        assert (tmp_path / "f.e.json").exists() and (tmp_path / "f.m.json").exists()
+        assert len(progs) == 7
+    finally:
+        cli._build_parser.cache_clear()

@@ -29,7 +29,10 @@ from semiab import (
 )
 from semiab import reflectors
 from semiab.algebra import _renamed, subobject, validate_morphism
+from semiab.homs import enumerate_homs
+from semiab.ops import direct_product, pullback
 from semiab.reflectors import known_protoadditive_on, short_exact_sequences
+from semiab.verification import _applicable, _sample
 from semiab.serialize import morphism_to_doc
 
 _TORSION_THEORY_CHECKS = {"idempotent-radical", "hom-vanishing",
@@ -213,3 +216,39 @@ def test_cached_decompositions_carry_the_callers_algebra(monkeypatch):
     assert validate_morphism(dec.unit) == dec.unit.mapping
     assert kernel(dec.unit).elements == dec.radical_part.elements
     assert subobject(B, *dec.radical_part.elements).normal == dec.radical_part.normal
+
+
+def _nilradical_by_powers(A):
+    """The nilradical by multiplying up to |A| powers of each element."""
+    mul = A.sorts[0].binary[1]
+    nils = set()
+    for x in range(A.order):
+        v = x
+        for _ in range(A.order):
+            if v == 0:
+                nils.add(x)
+                break
+            v = mul[v][x]
+    return frozenset(nils)
+
+
+def _prop_2_2_pullbacks(seed):
+    """The pullbacks that prop-2.2 reflects under reduced on rings."""
+    R = reflector_by_id("reduced")
+    algebras = _applicable(R, corpus_by_id("rings"))
+    for seq in split_exact_sequences(algebras):
+        homs = [g for C in algebras if C.variety == seq.f.cod.variety
+                for g in enumerate_homs(C, seq.f.cod)]
+        for g in _sample(homs, seed, 6):
+            yield pullback(seq.f, g)[0]
+
+
+def test_nilradical_by_squaring_agrees_with_powers():
+    rings = _applicable(reflector_by_id("reduced"), corpus_by_id("rings"))
+    products = [direct_product(A, B)[0] for A in rings for B in rings if A.order * B.order <= 400]
+    pullbacks = list(_prop_2_2_pullbacks(0))
+    checked = [*rings, *products, *pullbacks]
+    for A in checked:
+        assert reflectors._nilradical(A).elements[0] == _nilradical_by_powers(A), A.name
+    assert len(pullbacks) > 100 and max(P.order for P in pullbacks) >= 64
+    assert {len(_nilradical_by_powers(A)) > 1 for A in checked} == {True, False}

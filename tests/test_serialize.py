@@ -1,6 +1,7 @@
 """JSON round trips and format diagnostics."""
 
 import json
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +32,7 @@ from semiab import (
     zmod_free,
     zring,
 )
-from semiab.serialize import subobject_to_doc, variety_from_doc, variety_to_doc
+from semiab.serialize import _json_text, subobject_to_doc, variety_from_doc, variety_to_doc
 
 
 SAMPLES = [
@@ -217,3 +218,54 @@ def test_cube_edge_listed_twice_is_rejected():
     with pytest.raises(FormatError) as exc:
         cube_from_doc(doc)
     assert exc.value.path == f"$.edges[{real + 1}]"
+
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers()
+                | st.integers(min_value=-2**100, max_value=2**100) | st.floats() | st.text())
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: (st.lists(st.integers()) | st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)
+                   | st.dictionaries(st.integers() | st.booleans() | st.text(), inner)),
+    max_leaves=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON_VALUES)
+def test_json_text_is_json_dumps_with_indent_2(value):
+    assert _json_text(value) == json.dumps(value, indent=2, ensure_ascii=False)
+
+
+def test_json_text_of_escapes_and_nested_int_tables():
+    value = {"tab\t\"q\"\\": ["ü\n∘", [], {}, (), [[0, -1, 2**70], [True, 3]], [None, 1.5]],
+             "": {"k": [[1, 2], [3, 4]]}, "empty": ""}
+    doc = algebra_to_doc(gpd_indiscrete(symmetric_3()))
+    for v in (value, doc):
+        assert _json_text(v) == json.dumps(v, indent=2, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("entry", [True, 1.0, "1", [1]], ids=["bool", "float", "string", "list"])
+@pytest.mark.parametrize("keys, path", [
+    (["tables", "op", 1, 2], "$.tables.op[1]"),
+    (["tables", "inv", 2], "$.tables.inv"),
+], ids=["table-row", "array"])
+def test_a_non_integer_array_entry_is_named_with_its_path(entry, keys, path):
+    doc = _with_field(algebra_to_doc(cyclic_group(3)), keys, entry)
+    with pytest.raises(FormatError) as exc:
+        algebra_from_doc(doc)
+    assert str(exc.value) == f"{path}: expected an array of integers"
+
+
+class _Label(IntEnum):
+    ZERO = 0
+    ONE = 1
+    TWO = 2
+
+
+def test_int_subclass_entries_are_integers():
+    doc = algebra_to_doc(cyclic_group(3))
+    doc["tables"]["op"][1] = [_Label.ONE, _Label.TWO, _Label.ZERO]
+    doc["tables"]["inv"] = [_Label.ZERO, _Label.TWO, _Label.ONE]
+    assert algebra_from_doc(doc) == cyclic_group(3)
+    f = morphism(cyclic_group(3), cyclic_group(3), [0, 1, 2])
+    assert morphism_from_doc(dict(morphism_to_doc(f), map=list(_Label))) == f
