@@ -85,7 +85,7 @@ from .families import (
     zmod_free,
     zring,
 )
-from .homs import enumerate_homs, find_isomorphism, is_isomorphic, sections, surjections
+from .homs import enumerate_homs, sections, surjections
 from .ops import (
     ExactSequence,
     direct_product,

@@ -11,14 +11,12 @@ import os
 import re
 import sys
 from functools import lru_cache
+from math import gcd
 
 from .algebra import Algebra, AlgebraError
-from .birkhoff import BirkhoffContext, hopf_homology
+from .birkhoff import BirkhoffContext, _kills, hopf_homology
 from .corpus import corpus_by_id, corpus_ids, named_algebra
 from .factorisation import classify_em, em_factorize, is_nfold_normal, is_normal_extension, is_trivial_extension
-from .families import zmod_cyclic
-from .homs import find_isomorphism
-from .ops import direct_product
 from .reflectors import ReflectorError, reflect, reflector_by_id
 from .serialize import (
     FormatError,
@@ -136,22 +134,21 @@ def _emit(doc: dict) -> None:
 
 
 def _module_label(H: Algebra) -> str:
-    """A readable name for a small module: 0, Cd, or a product of two."""
-    if H.order == 1:
+    """0, Cd, Cd1xCd2 with d1 | d2, or ``module of order N``, by kill
+    counts (``birkhoff._kills``): with n = |H| and e its exponent, H is
+    cyclic when e = n, and C(n/e) x Ce when n/e divides e and each
+    scalar s kills gcd(s, n/e) * gcd(s, e) elements."""
+    n, kills = H.order, _kills(H)
+    if n == 1:
         return "0"
     m = H.variety.modulus
-    cyclics = [d for d in range(2, m + 1) if m % d == 0]
-    for d in cyclics:
-        if H.order == d and find_isomorphism(H, zmod_cyclic(m, d)):
-            return f"C{d}"
-    for d1 in cyclics:
-        for d2 in cyclics:
-            if d1 * d2 != H.order:
-                continue
-            P, _, _ = direct_product(zmod_cyclic(m, d1), zmod_cyclic(m, d2))
-            if find_isomorphism(H, P):
-                return f"C{d1}xC{d2}"
-    return f"module of order {H.order}"
+    e = next(s for s in range(1, m + 1) if kills[s % m] == n)
+    if e == n:
+        return f"C{n}"
+    d = n // e
+    if e % d == 0 and kills == [gcd(s, d) * gcd(s, e) for s in range(m)]:
+        return f"C{d}xC{e}"
+    return f"module of order {n}"
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,8 @@ set, pruned by element-order arithmetic (the image order must divide
 the source order), then tested on the binary tables at the rows of
 the generating set (``algebra._scan``); with several sorts, the
 product of the per-sort arrays is filtered by the structure maps.
-Isomorphism search additionally prunes on the order profile, keeps
-only injective arrays whose images have the source orders, and
-reports the first hit in enumeration order.
+Nothing here searches for isomorphisms: the package compares modules
+by their kill counts (``birkhoff._kills``) instead.
 
 Each candidate array is tested once, by ``_scan``, and the tuple that
 passed is the one the ``Morphism`` stores: a map whose arrays passed
@@ -56,19 +55,16 @@ def _element_orders(S: Sort) -> tuple[int, ...]:
     return tuple(_element_order(S, x) for x in range(S.order))
 
 
-def _sort_homs(S: Sort, T: Sort, exact: bool):
+def _sort_homs(S: Sort, T: Sort):
     """Homomorphism arrays from sort S to sort T, lazily, in product order.
 
     Each generator's image ranges over the elements whose order
-    divides its own, or equals it when ``exact``, which also keeps
-    only injective arrays.  Each candidate is tested by ``_scan``,
-    at the rows of ``S.gens``.
+    divides its own.  Each candidate is tested by ``_scan``, at the
+    rows of ``S.gens``.
     """
     plan = _generation_plan(S)
     orders, source = _element_orders(T), _element_orders(S)
-    pools = [[y for y in range(T.order)
-              if (orders[y] == source[g] if exact else source[g] % orders[y] == 0)]
-             for g, _ in plan]
+    pools = [[y for y in range(T.order) if source[g] % orders[y] == 0] for g, _ in plan]
     tb, tu = T.binary, T.unary
     for images in itertools.product(*pools):
         m = [-1] * S.order
@@ -77,28 +73,18 @@ def _sort_homs(S: Sort, T: Sort, exact: bool):
             m[g] = img
             for v, t_id, x, y in steps:
                 m[v] = tu[-1 - t_id][m[x]] if t_id < 0 else tb[t_id][m[x]][m[y]]
-        if exact and len(set(m)) != S.order:
-            continue
         m = tuple(m)
         if _scan(S, T, m) is None:
             yield m
 
 
-def _iter_homs(A: Algebra, B: Algebra, isos: bool):
+def _iter_homs(A: Algebra, B: Algebra):
     if A.variety != B.variety:
         raise ValueError("hom enumeration needs a shared variety")
-    if isos and ([sorted(_element_orders(S)) for S in A.sorts]
-                 != [sorted(_element_orders(T)) for T in B.sorts]):
-        return
-    # with matching order profiles the sorts have equal sizes, so the
-    # injective candidates that ``isos`` keeps are bijective; the product
-    # over the sorts is lazy in the first so that a search can stop early
-    rest = [tuple(_sort_homs(S, T, isos)) for S, T in zip(A.sorts[1:], B.sorts[1:])]
-    for first in _sort_homs(A.sorts[0], B.sorts[0], isos):
-        for others in itertools.product(*rest):
-            mapping = (first, *others)
-            if _respects_structure(A, B, mapping):
-                yield _unchecked(Morphism, A, B, mapping)
+    per_sort = [tuple(_sort_homs(S, T)) for S, T in zip(A.sorts, B.sorts)]
+    for mapping in itertools.product(*per_sort):
+        if _respects_structure(A, B, mapping):
+            yield _unchecked(Morphism, A, B, mapping)
 
 
 def enumerate_homs(A: Algebra, B: Algebra) -> tuple[Morphism, ...]:
@@ -108,7 +94,7 @@ def enumerate_homs(A: Algebra, B: Algebra) -> tuple[Morphism, ...]:
 
 @lru_cache(maxsize=None)
 def _homs(A: Algebra, B: Algebra) -> tuple[Morphism, ...]:
-    return tuple(_iter_homs(A, B, False))
+    return tuple(_iter_homs(A, B))
 
 
 def _between(homs: tuple[Morphism, ...], A: Algebra, B: Algebra) -> tuple[Morphism, ...]:
@@ -121,17 +107,6 @@ def _between(homs: tuple[Morphism, ...], A: Algebra, B: Algebra) -> tuple[Morphi
     if homs and (homs[0].dom is not A or homs[0].cod is not B):
         return tuple(_unchecked(Morphism, A, B, f.mapping) for f in homs)
     return homs
-
-
-def find_isomorphism(A: Algebra, B: Algebra) -> Morphism | None:
-    """First isomorphism in enumeration order, or None."""
-    for f in _iter_homs(A, B, True):
-        return f
-    return None
-
-
-def is_isomorphic(A: Algebra, B: Algebra) -> bool:
-    return find_isomorphism(A, B) is not None
 
 
 def surjections(A: Algebra, B: Algebra) -> tuple[Morphism, ...]:

@@ -146,9 +146,10 @@ class Check:
     "algebra", "morphism", "cube", "sequence" (the keys ``kernel``,
     ``epi`` and an optional ``section``; its own key is None) or a tuple
     of allowed labels.  Calling the check runs ``predicate`` on values
-    in field order; True means the check is violated.  A replay first
-    runs the ``certify`` hook, if any, on the values; it raises when
-    they are outside the theory (a sweep certifies its corpus instead).
+    in field order; True means the check is violated.  The ``certify``
+    hook, if any, takes the reflector and a tuple of algebras and raises
+    when they are outside the theory: a suite runs it on its corpus, a
+    replay on the witness's own algebras (its epi's ends, or its algebra).
     """
 
     name: str
@@ -175,7 +176,9 @@ class Check:
         """Parse the declared fields of ``doc``, certify and run the predicate."""
         values = [_read_field(doc, key, kind) for key, kind in self.fields]
         if self.certify is not None:
-            self.certify(*values)
+            named = {key: value for (key, _), value in zip(self.fields, values)}
+            f = named.get("epi")
+            self.certify(named["reflector"], (named["algebra"],) if f is None else (f.dom, f.cod))
         return self(*values)
 
 

@@ -8,6 +8,7 @@ path of the offending field, never a bare KeyError or crash.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
 
 from .algebra import (
     Algebra,
@@ -62,9 +63,10 @@ def _json_text(value, indent: str = "") -> str:
     """``json.dumps(value, indent=2, ensure_ascii=False)``, as the CLI writes it.
 
     Arrays of plain ints, the bulk of every table, are joined in one
-    ``str.join``; dicts with string keys and lists recurse; anything else
-    is ``json.dumps`` re-indented, which is exact because JSON text holds
-    no raw newline inside a string.
+    ``str.join``; dicts with string keys and lists recurse, each key
+    quoted by ``encode_basestring`` as ``json.dumps`` quotes it; anything
+    else is ``json.dumps`` re-indented, which is exact because JSON text
+    holds no raw newline inside a string.
     """
     inner = indent + "  "
     if type(value) in (list, tuple) and value:
@@ -74,7 +76,7 @@ def _json_text(value, indent: str = "") -> str:
             items = (_json_text(v, inner) for v in value)
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
     if type(value) is dict and value and {str}.issuperset(map(type, value)):
-        items = (json.dumps(k, ensure_ascii=False) + ": " + _json_text(v, inner)
+        items = (encode_basestring(k) + ": " + _json_text(v, inner)
                  for k, v in value.items())
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
     return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n" + indent)

@@ -264,21 +264,19 @@ def _criterion_vs_galois(R: Reflector, sq: NCube) -> bool:
     return nfold_normal_by_criterion(R, sq) != double_normal_by_galois(R, sq)
 
 
-@check("radical-vs-commutator", _REFLECTOR, _EPI,
-       certify=lambda R, f: BirkhoffContext(R, (f.dom, f.cod)))
+@check("radical-vs-commutator", _REFLECTOR, _EPI, certify=BirkhoffContext)
 def _radical_vs_commutator(R: Reflector, f: Morphism) -> bool:
     comm = huq_commutator(f.dom, kernel(f), full_subobject(f.dom))
     return birkhoff_radical(R, f).elements != comm.elements
 
 
-@check("normal-vs-kernel-membership", _REFLECTOR, _EPI,
-       certify=lambda R, f: BirkhoffContext(R, (f.dom, f.cod)))
+@check("normal-vs-kernel-membership", _REFLECTOR, _EPI, certify=BirkhoffContext)
 def _normal_vs_kernel_membership(R: Reflector, f: Morphism) -> bool:
     return birkhoff_radical(R, f).is_zero() != torsion_of_kernel(R, f).is_zero()
 
 
 @check("composite-normal-routes", _REFLECTOR, _EPI,
-       certify=lambda R, f: BirkhoffContext(R.inner, (f.dom, f.cod), C=R))
+       certify=lambda R, algebras: BirkhoffContext(R.inner, algebras, C=R))
 def _composite_normal_routes(R: Reflector, f: Morphism) -> bool:
     via_join = composite_radical(R.inner, R, cube_of_morphism(f)).is_zero()
     b_normal = birkhoff_radical(R.inner, f).is_zero()
@@ -287,8 +285,8 @@ def _composite_normal_routes(R: Reflector, f: Morphism) -> bool:
 
 
 @check("join-vs-direct", _REFLECTOR, _EPI,
-       certify=lambda R, f: (BirkhoffContext(R.inner, (f.dom, f.cod), C=R),
-                             BirkhoffContext(R, (f.dom, f.cod))))
+       certify=lambda R, algebras: (BirkhoffContext(R.inner, algebras, C=R),
+                                     BirkhoffContext(R, algebras)))
 def _join_vs_direct(R: Reflector, f: Morphism) -> bool:
     joined = composite_radical(R.inner, R, cube_of_morphism(f))
     direct = birkhoff_radical(R, f)
@@ -296,7 +294,7 @@ def _join_vs_direct(R: Reflector, f: Morphism) -> bool:
 
 
 @check("composite-object-radical", _REFLECTOR, ("algebra", "algebra"),
-       certify=lambda R, A: BirkhoffContext(R.inner, (A,), C=R.outer))
+       certify=lambda R, algebras: BirkhoffContext(R.inner, algebras, C=R.outer))
 def _composite_object_radical(R: Reflector, A: Algebra) -> bool:
     via_cube = composite_radical(R.inner, R.outer, object_cube(A))
     oracle = join_normal(A, radical(R.inner, A),
@@ -553,8 +551,8 @@ def _suite_thm_4_6(R: Reflector, corpus, seed: int) -> Report:
 
 def _suite_prop_5_5(R: Reflector, corpus, seed: int) -> Report:
     algebras = _applicable(R, corpus)
-    try:
-        BirkhoffContext(R, algebras)
+    try:  # both checks below certify the same base context
+        _normal_vs_kernel_membership.certify(R, algebras)
     except AlgebraError as exc:
         raise SuiteCompatibilityError(str(exc)) from None
     group_oracle = R.name == "ab"
@@ -575,7 +573,7 @@ def _suite_prop_5_5(R: Reflector, corpus, seed: int) -> Report:
 
 def _suite_thm_6_2(R: Reflector, corpus, seed: int) -> Report:
     algebras = _applicable(R, corpus)
-    BirkhoffContext(R.inner, algebras, R)
+    _composite_normal_routes.certify(R, algebras)
     surjs = _surjections_in(algebras)
     witnesses = _composite_normal_routes.violations((R, f) for f in surjs)
     return Report.scan("thm-6.2", witnesses, {"surjections": len(surjs)})
@@ -583,8 +581,7 @@ def _suite_thm_6_2(R: Reflector, corpus, seed: int) -> Report:
 
 def _suite_thm_6_5(R: Reflector, corpus, seed: int) -> Report:
     algebras = _applicable(R, corpus)
-    BirkhoffContext(R.inner, algebras, R)
-    BirkhoffContext(R, algebras)
+    _join_vs_direct.certify(R, algebras)
     surjs = _surjections_in(algebras)
     witnesses = _join_vs_direct.violations((R, f) for f in surjs)
     return Report.scan("thm-6.5", witnesses, {"surjections": len(surjs)})
@@ -595,7 +592,7 @@ def _suite_lemma_6_6(R: Reflector, corpus, seed: int) -> Report:
         raise SuiteCompatibilityError(
             "the join identity is stated for burnside:k over abelianisation")
     algebras = _applicable(R, corpus)
-    BirkhoffContext(R.inner, algebras, R.outer)
+    _composite_object_radical.certify(R, algebras)
     witnesses = _composite_object_radical.violations((R, A) for A in algebras)
     return Report.scan("lemma-6.6", witnesses, {"objects": len(algebras)})
 

@@ -1,8 +1,9 @@
 """Subvariety radicals of maps, composite radicals and low-degree homology."""
 
 import gc
+import itertools
 import weakref
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -16,7 +17,6 @@ from semiab import (
     cube_of_morphism,
     cyclic_group,
     direct_product,
-    find_isomorphism,
     full_subobject,
     hopf_homology,
     huq_commutator,
@@ -39,13 +39,15 @@ from semiab import (
 )
 from semiab import birkhoff
 from semiab.algebra import _STORE, _renamed, _store, sub_algebra, subobject
-from semiab.birkhoff import Presentation, _is_free_module, build_presentation
+from semiab.birkhoff import Presentation, _is_free_module, _kills, build_presentation
+from semiab.cli import _module_label
 from semiab.cubes import _kernel_pair_cube
 from semiab.homs import _corpus_surjections
 from semiab.ops import image_elements, power_subobject
 from semiab.reflectors import _base_radical
 from semiab.verification import _pushout_square
-from tor import module_invariant_factors, tor1
+from isomorphism import find_isomorphism
+from tor import invariant_factors, module_invariant_factors, tor1
 
 
 def _mod_map(m, n):
@@ -225,14 +227,88 @@ def test_presentation_rejects_non_free_top():
 
 @pytest.mark.parametrize("m", [*range(1, 13), 18])
 def test_freeness_test_matches_the_isomorphism_search(m):
+    """V is free exactly when its invariant factors (tests/tor.py) are
+    r copies of m, for |V| = m^r."""
     divisors = [d for d in range(1, m + 1) if m % d == 0]
     modules = [zmod_free(m, 2)] + [direct_product(zmod_cyclic(m, a), zmod_cyclic(m, b))[0]
                                    for i, a in enumerate(divisors) for b in divisors[i:]]
+    free = 0
     for V in modules:
         rank = 0
         while m ** rank < V.order:
             rank += 1
-        assert _is_free_module(V) == (find_isomorphism(V, zmod_free(m, rank)) is not None), V
+        is_free = m ** rank == V.order and module_invariant_factors(V) == (m,) * rank
+        assert _is_free_module(V) == is_free, V
+        free += is_free
+    # (Z/m)^2 twice, Z/1 x Z/1 and each Z/a x Z/b with a <= b, ab = m and
+    # gcd(a, b) = 1; every module when m = 1
+    coprime = sum(a * b == m and gcd(a, b) == 1 for i, a in enumerate(divisors) for b in divisors[i:])
+    assert free == (3 + coprime if m > 1 else len(modules))
+
+
+def _synthesized_modules():
+    """Every direct sum of one to three cyclic Z/d, d | m, of order at
+    most 256, for m in 2, 3, 4, 6, 8, 9, 12, 16, with its summands."""
+    out = []
+    for m in (2, 3, 4, 6, 8, 9, 12, 16):
+        divisors = [d for d in range(1, m + 1) if m % d == 0]
+        for r in (1, 2, 3):
+            for orders in itertools.combinations_with_replacement(divisors, r):
+                if prod(orders) <= 256:
+                    M = zmod_cyclic(m, orders[0])
+                    for d in orders[1:]:
+                        M = direct_product(M, zmod_cyclic(m, d))[0]
+                    out.append((orders, M))
+    return out
+
+
+_MODULES = _synthesized_modules()
+
+
+def test_module_label_is_named_by_the_invariant_factors():
+    """The label from kill counts equals the one spelled out from the
+    invariant factors that tests/tor.py computes."""
+    assert len(_MODULES) == 246
+    names = {(): "0"}
+    for orders, M in _MODULES:
+        factors = module_invariant_factors(M)
+        assert factors == invariant_factors(orders), orders
+        names[factors] = _module_label(M)
+        if len(factors) == 1:
+            assert _module_label(M) == f"C{factors[0]}", orders
+        elif len(factors) == 2:
+            assert _module_label(M) == f"C{factors[0]}xC{factors[1]}", orders
+        else:
+            assert _module_label(M) == ("0" if not factors else f"module of order {M.order}"), orders
+    assert names[(2, 4)] == "C2xC4" and names[(2, 2, 2)] == "module of order 8"
+
+
+def test_kill_counts_decide_isomorphism():
+    """Equal kill counts, on every pair of equal-order synthesized
+    modules up to order 64, exactly when the search finds an isomorphism."""
+    verdicts = []
+    for (_, M), (_, N) in itertools.combinations(_MODULES, 2):
+        if M.variety == N.variety and M.order == N.order <= 64:
+            iso = find_isomorphism(M, N) is not None
+            assert (_kills(M) == _kills(N)) == iso, (M, N)
+            verdicts.append(iso)
+    assert len(verdicts) == 340 and sum(verdicts) == 170
+
+
+def test_presentations_that_disagree_fail_the_homology(monkeypatch):
+    """H2(C2 x C2) over Z/4 is C2 x C2; a second presentation giving the
+    cyclic group of the same order is caught."""
+    hopf_once = birkhoff._hopf_once
+
+    def disagreeing(B, A, degree, variant, presentations):
+        H = hopf_once(B, A, degree, variant, presentations)
+        return zmod_cyclic(4, 4) if variant else H
+
+    b2, A = reflector_by_id("burnside:2"), named_algebra("m4-c2xc2")
+    assert _module_label(hopf_homology(b2, A, 2)) == "C2xC2"
+    monkeypatch.setattr(birkhoff, "_hopf_once", disagreeing)
+    with pytest.raises(AlgebraError, match="presentation independence failed"):
+        hopf_homology(b2, A, 2)
 
 
 def _module_squares():

@@ -7,7 +7,6 @@ from semiab import (
     AlgebraError,
     cyclic_group,
     dihedral_group,
-    find_isomorphism,
     gpd_discrete,
     gpd_indiscrete,
     gpd_one_object,
@@ -23,6 +22,8 @@ from semiab import (
     zring,
 )
 from semiab.algebra import _element_order, closure_under_ops
+
+from isomorphism import find_isomorphism
 
 
 @settings(max_examples=25, deadline=None)

@@ -10,16 +10,11 @@ from semiab import (
     compose,
     corpus_by_id,
     cyclic_group,
-    dihedral_group,
-    direct_product,
     enumerate_homs,
-    find_isomorphism,
     gpd_discrete,
     gpd_indiscrete,
     identity_morphism,
-    is_isomorphic,
     morphism,
-    quaternion_8,
     sections,
     surjections,
     symmetric_3,
@@ -90,14 +85,6 @@ def test_nonsplit_surjection_has_no_sections():
     c4, c2 = cyclic_group(4), cyclic_group(2)
     (f,) = surjections(c4, c2)
     assert sections(f) == ()
-
-
-def test_isomorphism_search():
-    klein, _, _ = direct_product(cyclic_group(2), cyclic_group(2))
-    assert find_isomorphism(cyclic_group(4), klein) is None
-    assert not is_isomorphic(dihedral_group(4), quaternion_8())
-    c2xc3, _, _ = direct_product(cyclic_group(2), cyclic_group(3))
-    assert find_isomorphism(cyclic_group(6), c2xc3) is not None
 
 
 def test_ring_homs_respect_multiplication():

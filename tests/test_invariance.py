@@ -19,7 +19,6 @@ from semiab import (
     corpus_by_id,
     corpus_ids,
     enumerate_homs,
-    is_isomorphic,
     radical,
     reflector_by_id,
     surjections,
@@ -75,7 +74,7 @@ _PAIRS = [(A, B) for cid in corpus_ids() for A in corpus_by_id(cid) for B in cor
 @given(st.integers(0, 2**32 - 1))
 def test_hom_sets_are_carried_by_a_relabelling(seed):
     """On every same-variety corpus pair with |A|.|B| <= 600: the hom
-    set, the surjections and the isomorphism verdict."""
+    set and the surjections."""
     rng = random.Random(seed)
     assert len(_PAIRS) > 1000
     for A, B in _PAIRS:
@@ -86,8 +85,6 @@ def test_hom_sets_are_carried_by_a_relabelling(seed):
         onto, onto2 = surjections(A, B), surjections(A2, B2)
         assert len(onto2) == len(onto), (A, B)
         assert {f.mapping for f in onto2} == _carried_homs(onto, pa, pb), (A, B)
-        assert is_isomorphic(A2, B2) == is_isomorphic(A, B), (A, B)
-        assert is_isomorphic(A2, A) and is_isomorphic(B, B2), (A, B)
 
 
 _RADICAL_CASES = [(R, A) for cid in _CORPORA for A in corpus_by_id(cid)

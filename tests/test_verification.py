@@ -427,6 +427,33 @@ def test_a_replay_certifies_over_the_witness_algebras():
         replay_witness(doc)
 
 
+@pytest.mark.parametrize("suite, name, rid, cid, witness", [
+    ("prop-5.5", "normal-vs-kernel-membership", "burnside:2", "zmod4-modules", ("m4-c4", "m4-c2")),
+    ("thm-6.2", "composite-normal-routes", "composite:burnside:2∘ab", "groups", ("s3", "c2")),
+    ("thm-6.5", "join-vs-direct", "composite:burnside:2∘ab", "groups", ("s3", "c2")),
+    ("lemma-6.6", "composite-object-radical", "composite:burnside:2∘ab", "groups", ("s3",)),
+])
+def test_a_suite_and_a_replay_certify_through_the_checks_hook(monkeypatch, suite, name, rid,
+                                                             cid, witness):
+    """A suite runs its check's ``certify`` on the reflector and its
+    applicable algebras; a replay runs the same hook on the witness's
+    epi ends, or its algebra."""
+    entry, calls = CHECKS[name], []
+    recording = replace(entry, certify=lambda R, algebras: calls.append((R.name, algebras))
+                        or entry.certify(R, algebras))
+    attr = next(k for k, v in vars(verification).items() if v is entry)
+    monkeypatch.setattr(verification, attr, recording)
+    monkeypatch.setitem(CHECKS, name, recording)
+    R, corpus = reflector_by_id(rid), corpus_by_id(cid)
+    verify_suite(suite, reflector=R, corpus=corpus)
+    assert calls == [(rid, tuple(A for A in corpus if R.applies_to(A.variety)))]
+    calls.clear()
+    algebras = tuple(map(named_algebra, witness))
+    value = surjections(*algebras)[0] if len(algebras) == 2 else algebras[0]
+    replay_witness(json.loads(json.dumps(recording.witness(R, value))))
+    assert calls == [(rid, algebras)]
+
+
 def test_witness_label_must_be_a_known_class():
     seq = short_exact_sequences([named_algebra("bool2")])[0]
     doc = CHECKS["class-extension-closure"].witness(reflector_by_id("boole"), seq, "free")
