@@ -2,8 +2,8 @@
 
 The radical of a surjection is built from its kernel pair: restrict
 the reflector's radical to the pair object, cut it down by the first
-projection's kernel, push forward along the second projection and
-take the normal closure.  Iterating this construction over cubes of
+projection's kernel and push forward along the second projection,
+where it is already normal.  Iterating this construction over cubes of
 kernel pairs gives the higher radicals, and quotients of free-module
 presentations by them give exact homology in degrees 2 and 3.  Kill
 counts (``_kills``) decide freeness and the agreement of presentations.
@@ -165,10 +165,16 @@ def _module_radical(k: tuple, a1: Morphism, a2: Morphism | None = None) -> Subob
 
 
 def _pushed_forward(top: Algebra, inner: Subobject, p1: Morphism, p2: Morphism) -> Subobject:
-    """``inner``, in the kernel pair (p1, p2), cut by the kernel of p1,
-    pushed forward along p2 and normally closed in top."""
+    """``inner``, in the kernel pair (p1, p2), cut by the kernel of p1
+    and pushed forward along p2 into top.
+
+    ``inner`` is a radical, so normal, and so is its meet with a kernel.
+    p2 is split by the diagonal, so a regular epi, and the image of a
+    normal subobject along a regular epi is normal: the image is its own
+    normal closure, which the radical is defined as.
+    """
     cut = meet_subobjects(p1.dom, inner, kernel(p1))
-    return normal_closure(top, *image_elements(p2, cut))
+    return _derived_subobject(top, image_elements(p2, cut), True)
 
 
 def _arrow_radical(B: Reflector, f: Morphism) -> Subobject:
@@ -186,8 +192,8 @@ def radical_n(B: Reflector, c: NCube) -> Subobject:
     Take the kernel pair along the last axis: of the arrow in dimension
     one, levelwise as a cube one dimension down above that.  Its
     radical (B's object radical in dimension one, this radical of the
-    smaller cube above) is cut by the first projection's kernel,
-    pushed forward along the second and normally closed.
+    smaller cube above) is cut by the first projection's kernel and
+    pushed forward along the second (``_pushed_forward``).
     When the top vertex is a Z/m-module and the radical acts by a scalar
     k (``burnside:k``, or ``id`` as k = 0), arrows and squares run this
     recursion on the points and pairs of the top vertex and build no

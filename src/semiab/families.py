@@ -2,8 +2,9 @@
 
 Every builder funnels through the validating constructors in
 :mod:`semiab.algebra`, so a malformed table or action is rejected at
-build time.  Products go through :func:`semiab.ops.direct_product`,
-which also builds the free Z/m-modules (``zmod_free``) and the arrow
+build time, except the free Z/m-modules (``zmod_free``), whose tables
+are those of a product written down in closed form.  Products go
+through :func:`semiab.ops.direct_product`, which builds the arrow
 groups of indiscrete groupoids.
 """
 
@@ -17,7 +18,7 @@ from .algebra import (
     COMM_RING,
     NONASSOC_RING,
     RING_KINDS,
-    _renamed,
+    _free_module,
     group_algebra,
     gpd_algebra,
     module_algebra,
@@ -112,17 +113,13 @@ def split_witness_ring(name: str | None = None) -> Algebra:
 def zmod_free(m: int, rank: int, name: str | None = None) -> Algebra:
     """The free Z/m-module of the given rank; little-endian digit indexing.
 
-    Built by ``rank`` direct products with Z/m, whose lexicographic
-    pairs (a, b) are labelled a*m + b, so the digits of label x, lowest
-    first, are its coordinates.
+    The digits of label x, lowest first, are its coordinates; the tables
+    are those of ``rank`` direct products with Z/m, written down in
+    closed form (``algebra._free_module``).
     """
     if rank < 0:
         raise AlgebraError("rank must be >= 0")
-    free, factor = module_algebra(m, [[0]], [[0]] * m), zmod_cyclic(m, m)
-    for _ in range(rank):
-        free = direct_product(free, factor)[0]
-    name = name or f"zmod{m}^({rank})"
-    return _renamed(free, name, name)
+    return _free_module(m, rank, name or f"zmod{m}^({rank})")
 
 
 def zmod_cyclic(m: int, d: int, name: str | None = None) -> Algebra:

@@ -41,6 +41,7 @@ from semiab import birkhoff
 from semiab.algebra import _STORE, _renamed, _store, sub_algebra, subobject
 from semiab.birkhoff import Presentation, _is_free_module, _kills, build_presentation
 from semiab.cli import _module_label
+from semiab.corpus import corpus_ids
 from semiab.cubes import _kernel_pair_cube
 from semiab.homs import _corpus_surjections
 from semiab.ops import image_elements, power_subobject
@@ -379,6 +380,48 @@ def test_module_square_radical_matches_the_materialised_recursion(rid, module_ar
         arrows += not rad.is_zero()
     # non-zero radicals, squares and arrows
     assert (squares, arrows) == {"burnside:2": (3, 299), "id": (0, 0), "burnside:4": (0, 80)}[rid]
+
+
+_BASE_RIDS = ("ab", "reduced", "zerorng", "boole", "pi0", "id", "burnside:2")
+
+
+def test_the_pushed_forward_radical_is_normal_without_a_closure(monkeypatch):
+    """``_pushed_forward`` takes the image of the cut radical along p2 as
+    a normal subobject and takes no normal closure.  Over the radical of
+    every surjection of every corpus under every base reflector that
+    applies to it, and of pushout squares of groups of order <= 8 onto
+    C2 under ab (non-zero for d3, d4, s3 and q8), each result passes the closure and normality tests of a checked
+    ``subobject`` and equals the normal closure of that image."""
+    calls = []
+    pushed = birkhoff._pushed_forward
+
+    def recorded(top, inner, p1, p2):
+        rad = pushed(top, inner, p1, p2)
+        calls.append((top, inner, p1, p2, rad))
+        return rad
+
+    monkeypatch.setattr(birkhoff, "_pushed_forward", recorded)
+    for cid in corpus_ids():
+        corpus = corpus_by_id(cid)
+        for rid in _BASE_RIDS:
+            B = reflector_by_id(rid)
+            if corpus[0].kind in B.kinds:
+                for f in _corpus_surjections(corpus):
+                    radical_n(B, cube_of_morphism(f))
+    groups = [A for A in corpus_by_id("groups") if A.order <= 8]
+    for A in groups:
+        fs = [f for B in groups if B.order == 2 for f in surjections(A, B)]
+        for i, f in enumerate(fs):
+            for g in fs[i:]:
+                radical_n(reflector_by_id("ab"), _pushout_square(f, g))
+    nonzero = dict.fromkeys(("group", "comm-ring", "rng-star", "nonassoc-ring", "gpd-in-group"), 0)
+    for top, inner, p1, p2, rad in calls:
+        closed = normal_closure(top, *image_elements(p2, meet_subobjects(p1.dom, inner, kernel(p1))))
+        assert rad.parent is top and rad.normal
+        assert subobject(top, *rad.elements).normal
+        assert rad.elements == closed.elements
+        nonzero[top.kind] += not rad.is_zero()
+    assert all(nonzero.values()), nonzero
 
 
 @pytest.mark.parametrize("rid, name", [("burnside:2", "m4-c2xc4"), ("burnside:2", "m8-c2"),

@@ -283,6 +283,55 @@ def test_a_module_action_that_is_not_a_repeated_sum_is_rejected():
         module_algebra(4, add, act)
 
 
+def _module_identities_hold(add, act, m: int) -> bool:
+    """The module identities, each at every scalar and element."""
+    n = len(add)
+    return (all(act[1 % m][x] == x for x in range(n))
+            and all(act[s * t % m][x] == act[s][act[t][x]]
+                    and act[(s + t) % m][x] == add[act[s][x]][act[t][x]]
+                    for s in range(m) for t in range(m) for x in range(n))
+            and all(act[s][add[x][y]] == add[act[s][x]][act[s][y]]
+                    for s in range(m) for x in range(n) for y in range(n)))
+
+
+def test_the_module_check_agrees_with_the_identities_one_by_one():
+    """``_check_module`` decides by 0x = 0 and (s+1)x = sx + x; on
+    abelian groups of order <= 8 under every modulus 1..8, with the
+    repeated-sum action, that action one entry or one row off, and that
+    action translated by an element, it accepts exactly the actions that
+    pass every identity."""
+    rng = random.Random(7)
+    groups = [_cyclic_table(n) for n in (1, 2, 3, 4, 6, 8)]
+    groups += [[[x ^ y for y in range(4)] for x in range(4)],
+               direct_product(cyclic_group(2), cyclic_group(4))[0].sorts[0].binary[0]]
+    verdicts = {True: 0, False: 0}
+    for add in groups:
+        n = len(add)
+        sums = [[0] * n]
+        for _ in range(7):
+            sums.append([add[v][x] for x, v in enumerate(sums[-1])])
+        for m in range(1, 9):
+            act = [list(row) for row in sums[:m]]
+            trials = [act]
+            for _ in range(6):
+                off = [list(row) for row in act]
+                off[rng.randrange(m)][rng.randrange(n)] = rng.randrange(n)
+                trials.append(off)
+            trials.append([act[-1 % m] if s == 1 % m else row for s, row in enumerate(act)])
+            # sx + z for a fixed z: (s+1)x = sx + x holds, 0x = 0 fails unless z = 0
+            trials.append([[add[n - 1][v] for v in row] for row in act])
+            for trial in trials:
+                expected = _module_identities_hold(add, trial, m)
+                try:
+                    module_algebra(m, add, trial)
+                except AlgebraError:
+                    assert not expected, (add, m, trial)
+                else:
+                    assert expected, (add, m, trial)
+                verdicts[expected] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 300, verdicts
+
+
 def _perfbench_gen():
     """perfbench's input generator, which imports nothing of the package."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"

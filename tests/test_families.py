@@ -1,5 +1,7 @@
 """Structure checks for the built-in algebra constructors."""
 
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,10 +9,12 @@ from semiab import (
     AlgebraError,
     cyclic_group,
     dihedral_group,
+    direct_product,
     gpd_discrete,
     gpd_indiscrete,
     gpd_one_object,
     is_normal_subset,
+    module_algebra,
     quaternion_8,
     split_witness_ring,
     subobject,
@@ -21,6 +25,7 @@ from semiab import (
     zmod_free,
     zring,
 )
+from semiab import algebra, ops
 from semiab.algebra import _element_order, closure_under_ops
 
 from isomorphism import find_isomorphism
@@ -114,6 +119,53 @@ def test_free_module_labels_are_little_endian_digits(m, rank):
     assert free.name == free.sorts[0].name == f"zmod{m}^({rank})"
     if rank == 0:
         assert free.order == 1
+
+
+_FREE_SHAPES = [(m, rank) for m in (1, 2, 3, 4, 8) for rank in range(4)] + [(2, 6), (3, 4), (4, 5)]
+
+
+def _product_route(m: int, rank: int):
+    """The free module as ``rank`` direct products of Z/m with the zero module."""
+    free, factor = module_algebra(m, [[0]], [[0]] * m), zmod_cyclic(m, m)
+    for _ in range(rank):
+        free = direct_product(free, factor)[0]
+    return free
+
+
+@pytest.mark.parametrize("m, rank", _FREE_SHAPES)
+def test_the_closed_form_free_module_is_the_iterated_product(monkeypatch, m, rank):
+    """``zmod_free`` writes the tables down and skips the checks; they
+    equal the product route's entry by entry, with its ``gens``, and up
+    to order 256 the checked constructor, with the intern emptied so
+    that every identity check runs, gives an equal sort."""
+    free, product = zmod_free(m, rank), _product_route(m, rank)
+    (S,), (P,) = free.sorts, product.sorts
+    assert S.binary == P.binary and S.unary == P.unary and S.gens == P.gens
+    assert S.gens == (tuple(m ** k for k in reversed(range(rank))) if m > 1 else ())
+    assert free == product and hash(free) == hash(product) and hash(S) == hash(P)
+    assert free.name == S.name == f"zmod{m}^({rank})"
+    assert zmod_free(m, rank, name="F").name == "F"
+    if free.order <= 256:
+        monkeypatch.setattr(algebra, "_CHECKED", weakref.WeakValueDictionary())
+        (add,), (_, *act) = S.binary, S.unary
+        assert module_algebra(m, add, act).sorts[0] == S
+
+
+def test_a_free_module_builds_no_pair_algebra(monkeypatch):
+    def refused(*args):
+        raise AssertionError("built a pair algebra")
+
+    monkeypatch.setattr(ops, "_build_pairs", refused)
+    assert zmod_free(4, 4).order == 256
+    with pytest.raises(AssertionError, match="pair algebra"):
+        direct_product(zmod_free(4, 1), zmod_free(4, 1))
+
+
+def test_free_module_arguments_are_checked():
+    with pytest.raises(AlgebraError, match="rank must be >= 0"):
+        zmod_free(4, -1)
+    with pytest.raises(AlgebraError, match="modulus must be >= 1"):
+        zmod_free(0, 2)
 
 
 def test_trivial_of_variety_matches_kind():
