@@ -16,9 +16,11 @@ cube with its top vertex quotiented and the initial ribs induced.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
-from .algebra import Algebra, AlgebraError, Morphism, Subobject, compose, is_surjective
+from .algebra import Algebra, AlgebraError, Morphism, Subobject, _composite, compose, is_surjective
 from .ops import (
     induced_on_quotient,
     into_pullback,
@@ -63,9 +65,10 @@ class NCube:
                 for j in range(i + 1, n):
                     if mask & (1 << j):
                         continue
-                    via_i = compose(self.edges[(mask | (1 << i), j)], self.edges[(mask, i)])
-                    via_j = compose(self.edges[(mask | (1 << j), i)], self.edges[(mask, j)])
-                    if via_i != via_j:
+                    # the endpoints match, so the two composites agree
+                    # exactly when their arrays do
+                    if (_composite(self.edges[(mask | (1 << i), j)], self.edges[(mask, i)])
+                            != _composite(self.edges[(mask | (1 << j), i)], self.edges[(mask, j)])):
                         raise AlgebraError(f"face at ({mask}; {i},{j}) does not commute")
 
     # -- accessors ---------------------------------------------------------
@@ -192,24 +195,36 @@ def _limit_comparison(cube: NCube, mask: int, k: int) -> tuple[bool, bool]:
     """(surjective, injective) for sort k of the map from vertex(mask)
     into the limit of the vertices strictly below it.
 
-    The limit is joined atom by atom over the vertices mask|{i}, each
-    later atom's elements indexed by their image at the first atom's
-    level and the other equations tested on each match; the last join
-    only counts, and stops once it passes the image.  ``NCube`` checks
-    that every face commutes, so the image lies in the limit, and the
-    map is onto exactly when the two have the same size.
+    ``NCube`` checks that every face commutes, so the image lies in the
+    limit, and the map is onto exactly when the two have the same size.
+    Over one free atom i the limit is vertex mask|{i} itself.  Over two,
+    i and j, it is the pullback over mask|{i,j}, whose size is the sum,
+    over the elements of mask|{i}, of the size of their fibre in
+    mask|{j}: counted, with no pair built.  Over more, it is joined atom
+    by atom over the vertices mask|{i}, each later atom's elements
+    indexed by their image at the first atom's level and the other
+    equations tested on each match; the last join only counts, and
+    stops once it passes the image.
     """
     maps = {key: f.mapping[k] for key, f in cube.edges.items()}
     atoms = [i for i in range(cube.dim) if not mask & (1 << i)]
     image = set(zip(*(maps[(mask, i)] for i in atoms)))
     injective = len(image) == cube.vertices[mask].sorts[k].order
-    tuples = list(zip(range(cube.vertices[mask | (1 << atoms[0])].sorts[k].order)))
+    first = mask | (1 << atoms[0])
+    if len(atoms) == 1:
+        return len(image) == cube.vertices[first].sorts[k].order, injective
+    if len(atoms) == 2:
+        j = atoms[1]
+        fibres = Counter(maps[(mask | (1 << j), atoms[0])])
+        size = sum(map(fibres.get, maps[(first, j)], repeat(0)))
+        return size == len(image), injective
+    tuples = list(zip(range(cube.vertices[first].sorts[k].order)))
     size = len(tuples)
     for b, j in enumerate(atoms[1:], 1):
         fibres: dict[int, list[int]] = {}
         for x, y in enumerate(maps[(mask | (1 << j), atoms[0])]):
             fibres.setdefault(y, []).append(x)
-        key = maps[(mask | (1 << atoms[0]), j)]
+        key = maps[(first, j)]
         equations = [(c, maps[(mask | (1 << atoms[c]), j)], maps[(mask | (1 << j), atoms[c])])
                      for c in range(1, b)]
         last, size, joined = b == len(atoms) - 1, 0, []

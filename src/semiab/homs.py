@@ -3,12 +3,14 @@
 Candidates are generated sort by sort by images of a small generating
 set, pruned by element-order arithmetic (the image order must divide
 the source order), then tested on the binary tables at the rows of
-the generating set (``algebra._scan``); with several sorts, the
-product of the per-sort arrays is filtered by the structure maps.
+the generating set (``algebra._passes``); a single-sort algebra's
+arrays are its homs as they come, and with several sorts the product
+of the per-sort arrays is filtered by the structure maps.
 Nothing here searches for isomorphisms: the package compares modules
 by their kill counts (``birkhoff._kills``) instead.
 
-Each candidate array is tested once, by ``_scan``, and the tuple that
+Each candidate array is tested once, by ``_passes``, which names no
+failure, so a dropped candidate costs no message.  The tuple that
 passed is the one the ``Morphism`` stores: a map whose arrays passed
 and that commutes with the structure maps is built without
 ``validate_morphism``, which would test the same things again.  The
@@ -27,8 +29,8 @@ from .algebra import (
     Sort,
     _element_order,
     _generators,
+    _passes,
     _respects_structure,
-    _scan,
     _unchecked,
     compose,
     identity_morphism,
@@ -59,8 +61,8 @@ def _sort_homs(S: Sort, T: Sort):
     """Homomorphism arrays from sort S to sort T, lazily, in product order.
 
     Each generator's image ranges over the elements whose order
-    divides its own.  Each candidate is tested by ``_scan``, at the
-    rows of ``S.gens``.
+    divides its own.  Each candidate is tested by ``_passes``, at the
+    rows of ``S.gens``; one that fails is dropped unnamed.
     """
     plan = _generation_plan(S)
     orders, source = _element_orders(T), _element_orders(S)
@@ -74,13 +76,17 @@ def _sort_homs(S: Sort, T: Sort):
             for v, t_id, x, y in steps:
                 m[v] = tu[-1 - t_id][m[x]] if t_id < 0 else tb[t_id][m[x]][m[y]]
         m = tuple(m)
-        if _scan(S, T, m) is None:
+        if _passes(S, T, m):
             yield m
 
 
 def _iter_homs(A: Algebra, B: Algebra):
     if A.variety != B.variety:
         raise ValueError("hom enumeration needs a shared variety")
+    if len(A.sorts) == 1:  # no structure maps to commute with
+        for m in _sort_homs(A.sorts[0], B.sorts[0]):
+            yield _unchecked(Morphism, A, B, (m,))
+        return
     per_sort = [tuple(_sort_homs(S, T)) for S, T in zip(A.sorts, B.sorts)]
     for mapping in itertools.product(*per_sort):
         if _respects_structure(A, B, mapping):

@@ -439,13 +439,12 @@ def induced_on_quotient(q: Morphism, f: Morphism) -> Morphism:
 
 
 def _induced_array(qm, fm, size: int) -> tuple[int, ...]:
-    out = [-1] * size
-    for x, qx in enumerate(qm):
-        if out[qx] < 0:
-            out[qx] = fm[x]
-        elif out[qx] != fm[x]:
-            raise AlgebraError("map does not factor through the quotient")
-    if any(v < 0 for v in out):
+    # g(q(x)) = f(x) is well defined when no q-fibre meets two f-values:
+    # then there are as many (q(x), f(x)) pairs as q-values
+    out = dict(zip(qm, fm))
+    if len(set(zip(qm, fm))) != len(out):
+        raise AlgebraError("map does not factor through the quotient")
+    if len(out) != size:
         raise AlgebraError("quotient map is not surjective")
-    return tuple(out)
+    return tuple(map(out.__getitem__, range(size)))
 

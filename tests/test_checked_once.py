@@ -7,9 +7,10 @@ These tests pin down that the intern changes no verdict and that no
 sort grows a record of its own, that the derived constructions and the
 identity and zero maps pass every check they skip when it is called
 directly, past the intern, that they really skip it, that the homomorphism test on
-generator rows (``_scan``), which reads no unary map, agrees with the
-test at every pair and every unary map (``_full_scan``), which the
-direct checks use, that the maps hom enumeration finds and the maps
+generator rows (``_passes``, and ``_scan`` with its message), which
+reads no unary map, agrees with the test at every pair and every unary
+map (``_full_scan``), which the direct checks use, that the maps hom
+enumeration finds and the maps
 induced through quotients, built without ``validate_morphism``, pass
 the direct checks, that normality tested on generators agrees with the
 test over the carrier, and that a ``Sort`` or an ``Algebra`` made
@@ -81,6 +82,7 @@ from semiab.algebra import (
     _close,
     _closed_subset,
     _full_scan,
+    _passes,
     _respects_structure,
     _scan,
     _structure_images,
@@ -226,10 +228,13 @@ def _corpus_algebras():
 def test_the_generator_test_agrees_with_the_pairwise_scan():
     """On every corpus hom with |A|.|B| <= 600, and on three random
     one-entry mutations of each, ``_scan`` (generator rows only) and
-    ``_full_scan`` (every pair) give the same verdict and message."""
+    ``_full_scan`` (every pair) give the same verdict and message, and
+    ``_passes`` the same verdict.  Sorts of order 1 and 2 are among the
+    sources: there an ``itemgetter`` of one index returns an int."""
     rng = random.Random(2008)
     algebras = _corpus_algebras()
     verdicts = {"pass": 0, "fail": 0}
+    orders = set()
     for A in algebras:
         for B in algebras:
             if A.variety != B.variety or A.order * B.order > 600:
@@ -243,8 +248,11 @@ def test_the_generator_test_agrees_with_the_pairwise_scan():
                     for a in arrays:
                         bad = _scan(D, C, a)
                         assert bad == _full_scan(D, C, a), (A, B, a)
+                        assert _passes(D, C, a) == (bad is None), (A, B, a)
                         verdicts["pass" if bad is None else "fail"] += 1
+                    orders.add(D.order)
     assert verdicts["pass"] > 5000 and verdicts["fail"] > 5000, verdicts
+    assert {1, 2} <= orders
 
 
 def _binary_preserved(D, C, m) -> bool:

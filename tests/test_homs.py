@@ -72,6 +72,26 @@ def test_cached_hom_sets_carry_the_callers_algebras(monkeypatch):
     assert all(f.dom is A and f.cod is A for f in enumerate_homs(A, A))
 
 
+def test_hom_search_names_no_candidate_it_drops(monkeypatch):
+    """Hom search tests its candidates by ``_passes`` alone: with
+    ``_full_scan``, which names a failure, made to raise, it still finds
+    every hom between the members of two corpora, fresh from empty
+    caches.  The counts are pinned by their totals and the totals of
+    their squares over the 676 and 100 ordered pairs."""
+    corpora = [(list(corpus_by_id(cid)), want) for cid, want in
+               (("groups", (676, 3340, 68720)), ("zmod8-modules", (100, 10065, 19684375)))]
+
+    def named(*args):
+        raise AssertionError("a dropped candidate was named")
+
+    homs._homs.cache_clear()
+    homs._surjections.cache_clear()
+    monkeypatch.setattr(algebra, "_full_scan", named)
+    for algebras, want in corpora:
+        counts = [len(enumerate_homs(A, B)) for A in algebras for B in algebras]
+        assert (len(counts), sum(counts), sum(c * c for c in counts)) == want
+
+
 def test_sections_of_s3_onto_c2():
     s3, c2 = symmetric_3(), cyclic_group(2)
     (f,) = surjections(s3, c2)

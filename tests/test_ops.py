@@ -149,8 +149,20 @@ def test_induced_on_quotient_requires_containment():
     c4 = cyclic_group(4)
     q_alg, q = quotient(c4, subobject(c4, {0, 2}))
     idm = identity_morphism(c4)
-    with pytest.raises(AlgebraError):
+    with pytest.raises(AlgebraError, match="^map does not factor through the quotient$"):
         induced_on_quotient(q, idm)  # K[q] not inside K[id]
+
+
+def test_induced_on_quotient_names_a_failure_to_factor_before_one_to_be_onto():
+    """The doubling map of C4 is not onto, and the identity does not
+    factor through it: that comes first.  The doubling map itself
+    factors through it, and then it is named as not onto."""
+    c4 = cyclic_group(4)
+    double = morphism(c4, c4, [0, 2, 0, 2])
+    with pytest.raises(AlgebraError, match="^map does not factor through the quotient$"):
+        induced_on_quotient(double, identity_morphism(c4))
+    with pytest.raises(AlgebraError, match="^quotient map is not surjective$"):
+        induced_on_quotient(double, double)
 
 
 def _brute_commutator(A, H, K):
