@@ -3,7 +3,10 @@
 A cube of dimension n has vertices indexed by bitmasks 0..2^n-1 (mask 0
 is the top vertex) and one edge per (mask, free axis) pair pointing in
 the increasing direction.  The initial ribs are the n edges out of the
-top vertex.  Every square face is checked to commute elementwise at
+top vertex.  A 0-cube is one vertex and no edge, the object itself:
+the base of the chain of higher extensions, so a 1-cube's faces and
+kernel-pair cube are cubes and each construction is written once for
+every n.  Every square face is checked to commute elementwise at
 construction, which puts the image of each vertex inside the limit of
 the vertices below it: so whether a cube is an n-fold extension, or a
 square a pullback, is decided by counting on the edges' arrays, and no
@@ -20,7 +23,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 
-from .algebra import Algebra, AlgebraError, Morphism, Subobject, _composite, compose, is_surjective
+from .algebra import (Algebra, AlgebraError, Morphism, Subobject, _composite, compose,
+                      full_subobject, is_surjective)
 from .ops import (
     induced_on_quotient,
     into_pullback,
@@ -34,14 +38,16 @@ from .ops import (
 
 @dataclass(frozen=True, eq=False)
 class NCube:
+    """A commuting n-cube of morphisms, n >= 0; a 0-cube is one object."""
+
     dim: int
     vertices: dict[int, Algebra] = field(repr=False)
     edges: dict[tuple[int, int], Morphism] = field(repr=False)
 
     def __post_init__(self) -> None:
         n = self.dim
-        if n < 1:
-            raise AlgebraError("cube dimension must be >= 1")
+        if n < 0:
+            raise AlgebraError("cube dimension must be >= 0")
         if set(self.vertices) != set(range(1 << n)):
             raise AlgebraError("cube is missing vertices")
         variety = self.vertices[0].variety
@@ -56,7 +62,7 @@ class NCube:
                     raise AlgebraError(f"cube is missing edge ({mask}, {i})")
                 if f.dom != self.vertices[mask] or f.cod != self.vertices[mask | (1 << i)]:
                     raise AlgebraError(f"edge ({mask}, {i}) has wrong endpoints")
-        if len(self.edges) != n * (1 << (n - 1)):
+        if len(self.edges) != (n << n) >> 1:
             raise AlgebraError("cube has extra edges")
         for mask in range(1 << n):
             for i in range(n):
@@ -94,29 +100,18 @@ class NCube:
 
     def face(self, axis: int, side: int) -> NCube:
         """The (dim-1)-cube with the given axis frozen to side 0 or 1."""
-        if self.dim < 2:
-            raise AlgebraError("faces need dimension >= 2")
         if axis < 0 or axis >= self.dim or side not in (0, 1):
             raise AlgebraError("bad face request")
-        rest = [a for a in range(self.dim) if a != axis]
-        fixed = side << axis
+        low = (1 << axis) - 1
 
         def expand(small: int) -> int:
-            out = fixed
-            for k, a in enumerate(rest):
-                if small & (1 << k):
-                    out |= 1 << a
-            return out
+            # the face's bits from ``axis`` up move one place up
+            return small & low | (small & ~low) << 1 | side << axis
 
         m = self.dim - 1
-        verts = {s: self.vertices[expand(s)] for s in range(1 << m)}
-        edges = {}
-        for s in range(1 << m):
-            for k in range(m):
-                if s & (1 << k):
-                    continue
-                edges[(s, k)] = self.edges[(expand(s), rest[k])]
-        return NCube(m, verts, edges)
+        return NCube(m, {s: self.vertices[expand(s)] for s in range(1 << m)},
+                     {(s, k): self.edges[(expand(s), k + (k >= axis))]
+                      for s in range(1 << m) for k in range(m) if not s & (1 << k)})
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +152,10 @@ def _kernel_pair_cube(c: NCube) -> tuple[NCube, Morphism, Morphism]:
     """Levelwise kernel pairs of the last-axis connecting maps.
 
     Returns the cube one dimension down together with the top-level
-    projection pair.
+    projection pair; for a 1-cube, the 0-cube of its arrow's kernel pair.
     """
-    if c.dim < 2:
-        raise AlgebraError("kernel-pair cubes need dimension >= 2")
+    if c.dim < 1:
+        raise AlgebraError("kernel-pair cubes need dimension >= 1")
     last = c.dim - 1
     verts: dict[int, Algebra] = {}
     proj1: dict[int, Morphism] = {}
@@ -269,8 +264,11 @@ def is_pushout_square(sq: NCube) -> bool:
     return kernel(diag).elements == joined.elements
 
 
-def rib_kernel_meet(cube: NCube):
-    """The intersection of the kernels of all initial ribs."""
+def rib_kernel_meet(cube: NCube) -> Subobject:
+    """The intersection of the kernels of all initial ribs; for a 0-cube,
+    an empty meet, the whole top vertex."""
+    if not cube.dim:
+        return full_subobject(cube.top_vertex)
     inter = kernel(cube.rib(0))
     for i in range(1, cube.dim):
         inter = meet_subobjects(cube.top_vertex, inter, kernel(cube.rib(i)))

@@ -28,7 +28,6 @@ from .cubes import (
     _kernel_pair_cube,
     _quotient_top,
     cube_between,
-    cube_of_morphism,
     is_nfold_extension,
     is_pullback_square,
     rib_kernel_meet,
@@ -167,45 +166,37 @@ def nfold_normal_by_criterion(R: Reflector, c: NCube) -> bool:
 
 
 def double_normal_by_galois(R: Reflector, c: NCube) -> bool:
-    """Normality of a square via the derived reflection on arrows.
+    """Normality of an n-fold extension, n >= 1, via the derived reflection.
 
-    The square is read as a map of vertical arrows; its levelwise
-    self-pullback projects back onto it, and that projection is tested
-    for arrow-level triviality.  Since arrow units have identity
-    bottom components, triviality reduces to the top square, from the
-    kernel pair's top vertex through its torsion quotient, being a
-    pullback.
+    The cube is read as an arrow along its last axis between two
+    (n-1)-cubes, objects when n = 1.  Its levelwise kernel pair projects
+    back onto the domain face, and that projection is tested for
+    triviality one dimension down, where the reflection quotients only
+    the top vertex, by the torsion of the rib-kernel meet: so the top
+    square, through the two torsion quotients, must be a pullback.
     """
-    if c.dim != 2:
-        raise AlgebraError("the derived-reflection route is for squares")
-    a1 = c.rib(0)
     rcube, pt1, _ = _kernel_pair_cube(c)
-    r = rcube.arrow
-    Tu = torsion_of_kernel(R, r)
-    Tv = torsion_of_kernel(R, a1)
+    Tu = cube_torsion_meet(R, rcube)
+    Tv = cube_torsion_meet(R, c.face(c.dim - 1, 0))
     if not (Tu.normal and Tv.normal):
         raise AlgebraError("torsion parts of the kernels are not normal")
-    _, qu = quotient(r.dom, Tu)
-    _, qv = quotient(a1.dom, Tv)
+    _, qu = quotient(rcube.top_vertex, Tu)
+    _, qv = quotient(c.top_vertex, Tv)
     reflected = induced_on_quotient(qu, compose(qv, pt1))
     return is_pullback_square(square(qu, pt1, reflected, qv))
 
 
 def is_nfold_normal(R: Reflector, c: NCube) -> bool:
-    """Normality of an n-fold extension: torsion-free rib-kernel meet.
+    """Normality of an n-fold extension, n >= 1: torsion-free rib-kernel meet.
 
-    For dimensions 1 and 2 the answer is recomputed along the direct
-    pullback route and the two must agree.
+    The answer is recomputed along the derived-reflection route, in
+    every dimension, and the two must agree.
     """
     if not is_nfold_extension(c):
         raise AlgebraError("normality test expects an n-fold extension")
     verdict = nfold_normal_by_criterion(R, c)
-    if c.dim == 1:
-        if is_normal_extension(R, c.arrow) != verdict:
-            raise AlgebraError("kernel criterion and pullback route disagree")
-    elif c.dim == 2:
-        if double_normal_by_galois(R, c) != verdict:
-            raise AlgebraError("kernel criterion and derived-reflection route disagree")
+    if double_normal_by_galois(R, c) != verdict:
+        raise AlgebraError("kernel criterion and derived-reflection route disagree")
     return verdict
 
 
@@ -222,16 +213,10 @@ def nfold_factorize(R: Reflector, c: NCube) -> tuple[NCube, NCube]:
     if not T.normal:
         raise AlgebraError("torsion part is not normal in the top vertex")
     q, m_cube = _quotient_top(c, T)
-    if c.dim == 1:
-        e_cube = cube_of_morphism(q)
-    else:
-        last = c.dim - 1
-        dom_face = c.face(last, 0)
-        components = {0: q}
-        for mask in dom_face.vertices:
-            if mask:
-                components[mask] = identity_morphism(dom_face.vertex(mask))
-        e_cube = cube_between(dom_face, m_cube.face(last, 0), components)
+    last = c.dim - 1
+    dom_face = c.face(last, 0)
+    components = {mask: identity_morphism(dom_face.vertex(mask)) for mask in dom_face.vertices if mask}
+    e_cube = cube_between(dom_face, m_cube.face(last, 0), components | {0: q})
     if not is_nfold_extension(e_cube) or not is_nfold_extension(m_cube):
         raise AlgebraError("factorisation lost the extension property")
     if not is_nfold_normal(R, m_cube):

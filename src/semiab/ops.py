@@ -423,6 +423,10 @@ class ExactSequence:
                 raise AlgebraError("splitting is not a section")
 
 
+class NoFactorError(AlgebraError):
+    """A map that does not factor through the quotient map given for it."""
+
+
 def induced_on_quotient(q: Morphism, f: Morphism) -> Morphism:
     """The unique map through a quotient: q surjective, ker q <= ker f.
 
@@ -443,7 +447,7 @@ def _induced_array(qm, fm, size: int) -> tuple[int, ...]:
     # then there are as many (q(x), f(x)) pairs as q-values
     out = dict(zip(qm, fm))
     if len(set(zip(qm, fm))) != len(out):
-        raise AlgebraError("map does not factor through the quotient")
+        raise NoFactorError("map does not factor through the quotient")
     if len(out) != size:
         raise AlgebraError("quotient map is not surjective")
     return tuple(map(out.__getitem__, range(size)))

@@ -267,7 +267,15 @@ def morphism_from_doc(doc, path: str = "$") -> Morphism:
 # cubes
 
 
+def _cube_dim(dim: int, path: str) -> int:
+    """A semiab-cube's dimension: 0-cubes and cubes above 3 have none."""
+    if dim < 1 or dim > 3:
+        raise FormatError(f"{path}.dim", f"dimension {dim} out of range 1..3")
+    return dim
+
+
 def cube_to_doc(cube) -> dict:
+    """The semiab-cube document of a cube the reader accepts back."""
     vertices = {str(mask): algebra_to_doc(V) for mask, V in cube.vertices.items()}
     edges = []
     for (mask, axis), f in sorted(cube.edges.items()):
@@ -275,7 +283,7 @@ def cube_to_doc(cube) -> dict:
     return {
         "format": CUBE_FORMAT,
         "version": FORMAT_VERSION,
-        "dim": cube.dim,
+        "dim": _cube_dim(cube.dim, "$"),
         "vertices": vertices,
         "edges": edges,
     }
@@ -283,9 +291,7 @@ def cube_to_doc(cube) -> dict:
 
 def cube_from_doc(doc, path: str = "$") -> NCube:
     _check_header(doc, CUBE_FORMAT, path)
-    dim = _need(doc, "dim", path, int)
-    if dim < 1 or dim > 3:
-        raise FormatError(f"{path}.dim", f"dimension {dim} out of range 1..3")
+    dim = _cube_dim(_need(doc, "dim", path, int), path)
     raw_vertices = _need(doc, "vertices", path, dict)
     vertices: dict[int, Algebra] = {}
     for mask in range(1 << dim):

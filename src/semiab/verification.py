@@ -48,6 +48,7 @@ from .families import trivial_of_variety
 from .homs import _corpus_surjections, enumerate_homs, surjections
 from .ops import (
     ExactSequence,
+    NoFactorError,
     huq_commutator,
     image,
     image_elements,
@@ -463,10 +464,11 @@ def _orthogonality_witnesses(R: Reflector, es, ms, seed: int, cap: int):
 
 
 def _induced_on_cod(e: Morphism, through: Morphism) -> Morphism | None:
-    """The map on cod(e) acting like ``through`` on e-fibres, if well defined."""
+    """The map on cod(e) acting like ``through`` on e-fibres, if well
+    defined; any other fault of the construction propagates."""
     try:
         return induced_on_quotient(e, through)
-    except AlgebraError:
+    except NoFactorError:
         return None
 
 

@@ -32,6 +32,7 @@ from semiab import (
     is_trivial_extension,
     join_normal,
     kernel,
+    kernel_pair,
     morphism,
     named_algebra,
     pullback,
@@ -47,7 +48,7 @@ from semiab import (
     zero_morphism,
 )
 from semiab import factorisation
-from semiab.cubes import _limit_comparison
+from semiab.cubes import _kernel_pair_cube, _limit_comparison
 from semiab.factorisation import double_normal_by_galois, unit_square
 from semiab.homs import _corpus_surjections
 from semiab.verification import _applicable, _derived_squares
@@ -130,6 +131,44 @@ def test_cube_of_morphism_is_one_dim():
     c = cube_of_morphism(f)
     assert c.dim == 1
     assert is_nfold_extension(c)
+
+
+# ---------------------------------------------------------------------------
+# 0-cubes: one object, the base of the chain of higher extensions
+
+
+def test_zero_cube_is_one_vertex_and_no_edge():
+    c2 = cyclic_group(2)
+    point = NCube(0, {0: c2}, {})
+    assert point.dim == 0 and point.top_vertex == c2 and point.edges == {}
+    with pytest.raises(AlgebraError, match="dimension"):
+        NCube(-1, {0: c2}, {})
+    with pytest.raises(AlgebraError, match="extra edges"):
+        NCube(0, {0: c2}, {(0, 0): identity_morphism(c2)})
+    with pytest.raises(AlgebraError):
+        point.face(0, 0)
+
+
+def test_faces_of_an_arrow_are_the_zero_cubes_of_its_ends():
+    f = _mod_map(8, 4)
+    for side, end in ((0, f.dom), (1, f.cod)):
+        face = cube_of_morphism(f).face(0, side)
+        assert (face.dim, face.top_vertex, face.edges) == (0, end, {})
+
+
+def test_kernel_pair_cube_of_an_arrow_is_its_kernel_pair():
+    f = _mod_map(8, 4)
+    rcube, p1, p2 = _kernel_pair_cube(cube_of_morphism(f))
+    P, q1, q2 = kernel_pair(f)
+    assert (rcube.dim, rcube.top_vertex, rcube.edges) == (0, P, {})
+    assert (p1, p2) == (q1, q2)
+
+
+def test_zero_cube_is_an_extension_with_the_whole_meet():
+    for A in (cyclic_group(4), named_algebra("c2xc2"), corpus_by_id("groupoids")[-1]):
+        point = NCube(0, {0: A}, {})
+        assert rib_kernel_meet(point).is_whole()
+        assert is_nfold_extension(point)
 
 
 def test_one_dim_extension_is_surjectivity():

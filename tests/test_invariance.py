@@ -11,19 +11,25 @@ carried element by element.
 """
 
 import random
+from functools import cache
 
 from hypothesis import given, settings, strategies as st
 
 from semiab import (
     Algebra,
+    NCube,
     corpus_by_id,
     corpus_ids,
     enumerate_homs,
+    is_nfold_normal,
+    morphism,
     radical,
     reflector_by_id,
     surjections,
 )
 from semiab.algebra import _MAP_ENDS, Sort
+
+from higher_extensions import THM_4_6, glued_cubes, thm_4_6_squares
 
 _REFLECTORS = [reflector_by_id(rid) for rid in (
     "id", "ab", "burnside:2", "burnside:3", "reduced", "zerorng", "boole", "pi0",
@@ -102,3 +108,39 @@ def test_radicals_are_carried_by_a_relabelling(seed):
         T, T2 = radical(R, A), radical(R, A2)
         carried = tuple(frozenset(p[x] for x in X) for p, X in zip(perms, T.elements))
         assert T2.elements == carried and T2.normal == T.normal, (R.name, A)
+
+
+def _relabelled_cube(c: NCube, rng) -> NCube:
+    """c with each vertex relabelled by its own permutations, and each
+    edge carried through the permutations at its two ends."""
+    new = {m: _relabelled(V, rng) for m, V in c.vertices.items()}
+    edges = {}
+    for (m, a), f in c.edges.items():
+        (A, pa), (B, pb) = new[m], new[m | 1 << a]
+        edges[(m, a)] = morphism(A, B, *map(_carry, pa, pb, f.mapping))
+    return NCube(c.dim, {m: A for m, (A, _) in new.items()}, edges)
+
+
+@cache
+def _normality_cases():
+    """(R, cube, verdict) for every thm-4.6 double extension and every
+    eighth 3-fold extension glued from them."""
+    cases = []
+    for rid, cid in THM_4_6:
+        R, squares = thm_4_6_squares(rid, cid)
+        cubes = squares + [c for sq in squares for c in glued_cubes(sq)][::8]
+        cases += [(R, c, is_nfold_normal(R, c)) for c in cubes]
+    return cases
+
+
+@settings(max_examples=2, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_normality_is_carried_by_a_relabelling(seed):
+    """Both normality routes, compared inside ``is_nfold_normal``, give
+    the same verdict on a cube whose vertices are all relabelled."""
+    rng = random.Random(seed)
+    cases = _normality_cases()
+    assert {c.dim for _, c, _ in cases} == {2, 3}
+    assert {verdict for _, _, verdict in cases} == {True, False}
+    for R, c, verdict in cases:
+        assert is_nfold_normal(R, _relabelled_cube(c, rng)) == verdict, R.name

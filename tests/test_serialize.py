@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from semiab import (
     FormatError,
+    NCube,
     algebra_from_doc,
     algebra_to_doc,
     corpus_from_doc,
     corpus_to_doc,
+    cube_between,
     cube_from_doc,
     cube_of_morphism,
     cube_to_doc,
@@ -207,6 +209,25 @@ def test_empty_carrier_is_rejected(which):
     with pytest.raises(FormatError) as exc:
         algebra_from_doc(_empty_algebra_doc(which))
     assert exc.value.path == "$.tables"
+
+
+def _doubled(c):
+    """c glued to itself along identities: one dimension up."""
+    return cube_between(c, c, {m: identity_morphism(V) for m, V in c.vertices.items()})
+
+
+def test_only_cubes_the_reader_accepts_are_written():
+    """0-cubes exist in the library only, and the format stops at 3."""
+    c2 = cyclic_group(2)
+    point = NCube(0, {0: c2}, {})
+    four = _doubled(_doubled(_doubled(_doubled(point))))
+    assert four.dim == 4
+    for cube in (point, four):
+        with pytest.raises(FormatError) as exc:
+            cube_to_doc(cube)
+        assert exc.value.path == "$.dim"
+    three = _doubled(_doubled(_doubled(point)))
+    assert cube_from_doc(json.loads(json.dumps(cube_to_doc(three)))).dim == 3
 
 
 def test_cube_edge_listed_twice_is_rejected():

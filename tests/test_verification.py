@@ -32,7 +32,7 @@ from semiab import (
 from semiab import birkhoff, verification
 from semiab.algebra import _STORE
 from semiab.homs import _corpus_surjections
-from semiab.ops import kernel_pair
+from semiab.ops import NoFactorError, kernel_pair
 from semiab.report import CHECKS
 from semiab.verification import (
     SUITES,
@@ -532,3 +532,33 @@ def test_every_check_replays_its_own_predicate():
         assert replay_witness(doc) == live, name
         outcomes.add(live)
     assert outcomes == {True, False}
+
+
+def test_only_a_map_that_does_not_factor_is_skipped_as_no_square(monkeypatch):
+    """``_induced_on_cod`` reads ``NoFactorError`` as "no such map"; any
+    other fault of ``induced_on_quotient`` propagates out of the
+    orthogonality scan instead of shrinking its count."""
+    R = reflector_by_id("reduced")
+    es, ms = verification._em_classes(R, corpus_by_id("rings"))
+    outcomes = []
+    real = verification.induced_on_quotient
+
+    def recorded(q, f):
+        try:
+            out = real(q, f)
+        except NoFactorError:
+            outcomes.append(False)
+            raise
+        outcomes.append(True)
+        return out
+
+    monkeypatch.setattr(verification, "induced_on_quotient", recorded)
+    _, checked = verification._orthogonality_witnesses(R, es, ms, 0, 60)
+    assert checked == outcomes.count(True) and set(outcomes) == {True, False}
+
+    def planted(q, f):
+        raise AlgebraError("planted fault")
+
+    monkeypatch.setattr(verification, "induced_on_quotient", planted)
+    with pytest.raises(AlgebraError, match="planted fault"):
+        verification._orthogonality_witnesses(R, es, ms, 0, 60)
