@@ -192,22 +192,22 @@ def _limit_comparison(cube: NCube, mask: int, k: int) -> tuple[bool, bool]:
 
     ``NCube`` checks that every face commutes, so the image lies in the
     limit, and the map is onto exactly when the two have the same size.
-    Over one free atom i the limit is vertex mask|{i} itself.  Over two,
-    i and j, it is the pullback over mask|{i,j}, whose size is the sum,
-    over the elements of mask|{i}, of the size of their fibre in
-    mask|{j}: counted, with no pair built.  Over more, it is joined atom
-    by atom over the vertices mask|{i}, each later atom's elements
-    indexed by their image at the first atom's level and the other
-    equations tested on each match; the last join only counts, and
-    stops once it passes the image.
+    Over two free atoms, i and j, the limit is the pullback over
+    mask|{i,j}, whose size is the sum, over the elements of mask|{i},
+    of the size of their fibre in mask|{j}: counted, with no pair
+    built.  Otherwise it is joined atom by atom over the vertices
+    mask|{i}, each later atom's elements indexed by their image at the
+    first atom's level and the other equations tested on each match;
+    the last join only counts, and stops once it passes the image.
+    Over one atom there is no later one, and the limit is the vertex
+    mask|{i} itself (``is_nfold_extension`` counts that case on the
+    edge alone).
     """
     maps = {key: f.mapping[k] for key, f in cube.edges.items()}
     atoms = [i for i in range(cube.dim) if not mask & (1 << i)]
     image = set(zip(*(maps[(mask, i)] for i in atoms)))
     injective = len(image) == cube.vertices[mask].sorts[k].order
     first = mask | (1 << atoms[0])
-    if len(atoms) == 1:
-        return len(image) == cube.vertices[first].sorts[k].order, injective
     if len(atoms) == 2:
         j = atoms[1]
         fibres = Counter(maps[(mask | (1 << j), atoms[0])])
@@ -238,10 +238,19 @@ def _limit_comparison(cube: NCube, mask: int, k: int) -> tuple[bool, bool]:
 
 def is_nfold_extension(cube: NCube) -> bool:
     """The inductive extension property: every vertex above the bottom
-    maps onto the limit of the vertices strictly below it."""
-    return all(_limit_comparison(cube, mask, k)[0]
-               for k in range(len(cube.top_vertex.sorts))
-               for mask in range((1 << cube.dim) - 1))
+    maps onto the limit of the vertices strictly below it.
+
+    A vertex one step above the bottom has one free atom i, and its
+    limit is the bottom vertex itself, so it passes exactly when its
+    edge along i is onto, on each sort; the higher vertices go through
+    ``_limit_comparison``.
+    """
+    n, bottom = cube.dim, (1 << cube.dim) - 1
+    return (all(len(set(cube.edges[(bottom ^ 1 << i, i)].mapping[k])) == B.order
+                for k, B in enumerate(cube.vertices[bottom].sorts) for i in range(n))
+            and all(_limit_comparison(cube, mask, k)[0]
+                    for k in range(len(cube.top_vertex.sorts))
+                    for mask in range(bottom) if mask.bit_count() < n - 1))
 
 
 def is_pullback_square(sq: NCube) -> bool:

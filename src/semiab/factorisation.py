@@ -46,7 +46,14 @@ from .reflectors import Reflector, map_reflect, radical, reflect
 
 def _radical_within(R: Reflector, A: Algebra, S: Subobject) -> Subobject:
     """The radical of the sub-algebra S, pushed forward into A: closed,
-    as the image of a subobject under a morphism; normality is tested."""
+    as the image of a subobject under a morphism; normality is tested.
+
+    When S is all of A, the sub-algebra would be a copy of A with A's
+    tables, and its radical is A's own, a normal subobject: so that is
+    returned, with no copy built.
+    """
+    if S.is_whole():
+        return radical(R, A)
     sub, incl = sub_algebra(A, S)
     return _derived_subobject(A, image_elements(incl, radical(R, sub)))
 

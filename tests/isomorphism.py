@@ -26,7 +26,7 @@ def find_isomorphism(A, B):
     if A.variety != B.variety or S.order != T.order:
         return None
     source, target = _element_orders(S), _element_orders(T)
-    plan = _generation_plan(S)
+    plan, _ = _generation_plan(S)
     pools = [[y for y in range(T.order) if target[y] == source[g]] for g, _ in plan]
     for images in itertools.product(*pools):
         m = [0] * S.order

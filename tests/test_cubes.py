@@ -53,6 +53,8 @@ from semiab.factorisation import double_normal_by_galois, unit_square
 from semiab.homs import _corpus_surjections
 from semiab.verification import _applicable, _derived_squares
 
+from higher_extensions import THM_4_6, glued_cubes, thm_4_6_squares
+
 
 def _walk_surjective(cube, mask, k):
     """Oracle: every tuple of the product of the vertices one level below
@@ -67,6 +69,13 @@ def _walk_surjective(cube, mask, k):
             if tup not in hit:
                 return False
     return True
+
+
+def _onto_every_limit(cube):
+    """The definition ``is_nfold_extension`` shortens: ``_limit_comparison``
+    at every vertex above the bottom, one free atom or more, sort by sort."""
+    return all(_limit_comparison(cube, mask, k)[0] for k in range(len(cube.top_vertex.sorts))
+               for mask in range((1 << cube.dim) - 1))
 
 
 def _comparison(sq):
@@ -90,6 +99,7 @@ def _checked(cube):
             assert _limit_comparison(cube, mask, k)[0] == _walk_surjective(cube, mask, k)
     extension = is_nfold_extension(cube)
     assert extension == all(_walk_surjective(cube, m, k) for k in sorts for m in masks)
+    assert extension == _onto_every_limit(cube)
     if cube.dim != 2:
         return extension, None
     cmp = _comparison(cube)
@@ -332,6 +342,14 @@ def test_non_extension_squares_match_the_oracles():
     assert _checked(square(f, f, identity_morphism(f.cod), identity_morphism(f.cod))) == (True, False)
     i8 = identity_morphism(c8)
     assert _checked(square(i8, f, f, identity_morphism(f.cod))) == (True, True)
+    # the squares thm-4.6 draws, collapsed ones among them, against the
+    # definition at every vertex
+    verdicts = []
+    for rid, cid in THM_4_6:
+        for sq in _derived_squares(_applicable(reflector_by_id(rid), corpus_by_id(cid)), 0, 120):
+            verdicts.append(is_nfold_extension(sq))
+            assert verdicts[-1] == _onto_every_limit(sq)
+    assert verdicts.count(False) > 0 and verdicts.count(True) > 100
 
 
 def test_three_cubes_match_the_oracles():
@@ -351,6 +369,9 @@ def test_three_cubes_match_the_oracles():
     cube = cube_between(top, bottom, {0: p3, 1: to_zero, 2: to_zero, 3: i0})
     assert all(is_nfold_extension(cube.face(a, s)) for a in range(3) for s in (0, 1))
     assert _checked(cube) == (False, None)
+    # every 3-fold extension glued from the thm-4.6 squares
+    glued = [c for rid, cid in THM_4_6 for sq in thm_4_6_squares(rid, cid)[1] for c in glued_cubes(sq)]
+    assert len(glued) == 1155 and all(map(_onto_every_limit, glued))
 
 
 def _coordinate_cube(top):

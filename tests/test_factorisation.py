@@ -27,14 +27,20 @@ from semiab import (
     named_algebra,
     nfold_factorize,
     quotient,
+    radical,
     reflector_by_id,
+    rib_kernel_meet,
     square,
+    sub_algebra,
     surjections,
     zero_morphism,
     zring,
 )
-from semiab.factorisation import condition_N_check, nfold_normal_by_criterion
+from semiab.algebra import _derived_subobject
+from semiab.cubes import _kernel_pair_cube
+from semiab.factorisation import _radical_within, condition_N_check, nfold_normal_by_criterion
 from semiab.homs import _corpus_surjections
+from semiab.ops import image_elements
 from semiab.verification import _applicable, _derived_squares
 
 from higher_extensions import THM_4_6, glued_cubes, thm_4_6_squares
@@ -76,8 +82,6 @@ def test_em_factorisation_is_unique_up_to_the_middle():
     assert is_surjective(fac.e)
     assert kernel(fac.m).is_zero() or not is_injective(fac.m)
     # kernel of e is exactly the torsion part of K[f]
-    from semiab import radical, sub_algebra
-
     sub, _ = sub_algebra(f.dom, kernel(f))
     rad = radical(RED, sub)
     assert kernel(fac.e).size == rad.size
@@ -174,6 +178,25 @@ def test_one_fold_normality_matches_single_map_check():
             if R.torsion_theory:
                 assert is_nfold_normal(R, c) == verdicts[-1], (rid, f)
         assert set(verdicts) == {True, False}, rid
+
+
+@pytest.mark.parametrize("rid, cid", [
+    ("reduced", "rings"), ("zerorng", "rng-star"), ("pi0", "groupoids"), ("ab", "groups"),
+    ("burnside:2", "zmod4-modules"), ("boole", "nonassoc-rings")])
+def test_the_radical_within_a_whole_subobject_is_the_copy_routes(rid, cid):
+    """On the kernel-pair 0-cube of every corpus surjection, whose
+    rib-kernel meet is whole, ``_radical_within`` takes the radical of
+    the kernel pair itself; the skipped route, through the sub-algebra
+    copy, gives the same elements and ``normal`` flag."""
+    R = reflector_by_id(rid)
+    for f in _corpus_surjections(_applicable(R, corpus_by_id(cid))):
+        rcube, _, _ = _kernel_pair_cube(cube_of_morphism(f))
+        P, S = rcube.top_vertex, rib_kernel_meet(rcube)
+        assert S.is_whole()
+        sub, incl = sub_algebra(P, S)
+        copy = _derived_subobject(P, image_elements(incl, radical(R, sub)))
+        got = _radical_within(R, P, S)
+        assert (got.parent, got.elements, got.normal) == (P, copy.elements, copy.normal), (rid, f)
 
 
 def test_three_fold_normality_routes_agree():

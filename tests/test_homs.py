@@ -25,6 +25,8 @@ from semiab import algebra, homs
 from semiab.algebra import _renamed, validate_morphism
 from semiab.serialize import morphism_to_doc
 
+from test_invariance import _relabel
+
 
 def test_hom_counts_between_cyclic_groups():
     c4, c2, c3 = cyclic_group(4), cyclic_group(2), cyclic_group(3)
@@ -73,7 +75,8 @@ def test_cached_hom_sets_carry_the_callers_algebras(monkeypatch):
 
 
 def test_hom_search_names_no_candidate_it_drops(monkeypatch):
-    """Hom search tests its candidates by ``_passes`` alone: with
+    """Hom search tests its candidates, where it tests them at all, by
+    ``_passes`` alone: with
     ``_full_scan``, which names a failure, made to raise, it still finds
     every hom between the members of two corpora, fresh from empty
     caches.  The counts are pinned by their totals and the totals of
@@ -161,3 +164,38 @@ def _accepted_maps(A, B):
         "m4c4-m4c2", "m4c2-m4c4", "ind-dis", "dis-ind"])
 def test_enumerate_homs_matches_brute_force(A, B):
     assert {f.mapping for f in enumerate_homs(A, B)} == _accepted_maps(A, B)
+
+
+def test_hom_sets_from_a_basis_into_an_abelian_target_are_the_tested_ones(monkeypatch):
+    """``_sort_homs`` skips ``_passes`` when its source is built on a
+    basis and its target is abelian.  On every same-variety pair of four
+    corpora, and from and into an ``m4-c4xc4`` relabelled so that its
+    greedy generators are no basis: every array found without the test
+    passes ``_full_scan``, and each hom set is, in arrays and in order,
+    the one the tested path finds.  Abelian sources into ``s3``, ``d4``
+    and ``q8`` and the relabelled source keep the test."""
+    c4xc4 = _algebra("zmod4-modules", "m4-c4xc4")  # x = (x // 4, x % 4)
+    swap = list(range(16))
+    swap[2], swap[9] = 9, 2  # label 2 is now (2, 1): the greedy set is (0,1), (2,1), (1,0)
+    twisted = _relabel(c4xc4, (swap,))
+    assert not homs._generation_plan(twisted.sorts[0])[1]
+    pairs = [(A, B) for cid in ("zmod4-modules", "zmod8-modules", "abelian-groups", "groups")
+             for A in corpus_by_id(cid) for B in corpus_by_id(cid) if A.variety == B.variety]
+    pairs += [(twisted, B) for B in corpus_by_id("zmod4-modules")]
+    pairs += [(B, twisted) for B in corpus_by_id("zmod4-modules")]
+    plan, passes = homs._generation_plan, homs._passes
+    tested = []
+    monkeypatch.setattr(homs, "_passes", lambda S, T, m: tested.append((S, T)) or passes(S, T, m))
+    skipped = []
+    for A, B in pairs:
+        del tested[:]
+        found = [f.mapping[0] for f in homs._iter_homs(A, B)]
+        skipped.append(not tested)
+        if not tested:
+            assert all(algebra._full_scan(A.sorts[0], B.sorts[0], m) is None for m in found)
+        with monkeypatch.context() as m:
+            m.setattr(homs, "_generation_plan", lambda S: (plan(S)[0], False))
+            assert found == [f.mapping[0] for f in homs._iter_homs(A, B)], (A, B)
+    nonabelian = {"d3", "d4", "d5", "d6", "d7", "d8", "s3", "q8"}
+    assert skipped == [A is not twisted and not {A.name, B.name} & nonabelian for A, B in pairs]
+    assert skipped.count(True) == 36 + 100 + 18 * 18 + 18 * 18 + 6
