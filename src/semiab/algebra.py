@@ -37,7 +37,10 @@ made tuples, once.  Its sorts are still interned, with ``gens`` from
 where they are cheapest: the (g, 0) and (0, h) of the factors' ``gens``
 for a product, the nonzero images of the parent's for a quotient, and
 the greedy set, taken by ``_check_sort`` coset by coset, for a pullback
-or a sub-algebra.  The free Z/m-modules (``_free_module``) are iterated
+or a sub-algebra.  Where such a construction would copy its input (a
+quotient by zero, a pullback with a leg that is the identity array), it
+is the unnamed view of that input (``_renamed``), and nothing is
+built.  The free Z/m-modules (``_free_module``) are iterated
 products whose tables are written down in closed form, with no pair
 algebra; they skip the same checks and take the product's ``gens``.
 Under the same rule, projections, inclusions, quotient maps,
@@ -648,8 +651,17 @@ def _check_structure(built, maps, what: str) -> None:
                         raise AlgebraError(f"{what}: kernels of c and d do not commute at ({g},{h})")
 
 
-def _renamed(A: Algebra, name: str, *sort_names: str) -> Algebra:
-    """A under another name, and its sorts under ``sort_names`` if given."""
+def _renamed(A: Algebra, name: str | None, *sort_names: str) -> Algebra:
+    """A under another name, and its sorts under ``sort_names`` if given.
+
+    With no name and no sort names it is the unnamed view of A, sorts
+    unnamed too, as a derived algebra is: the constructions of ``ops``
+    return it where they would build a copy of A (A itself if unnamed).
+    """
+    if name is None and not sort_names:
+        if A.name is None and all(S.name is None for S in A.sorts):
+            return A
+        sort_names = (None,) * len(A.sorts)
     sorts = tuple(map(_renamed_sort, A.sorts, sort_names)) if sort_names else A.sorts
     return _unchecked(Algebra, A.variety, sorts, A.maps, name)
 
@@ -720,8 +732,9 @@ def _free_module(modulus: int, rank: int, name: str) -> Algebra:
 
 
 def _shifted_copies(row, blocks) -> list[tuple[int, ...]]:
-    """``row`` read in each block of consecutive labels: the row shifted
-    by each block's first label, with the blocks' int objects."""
+    """``row`` read in each block, with the blocks' int objects: in a
+    block of consecutive labels, the row shifted by its first label
+    (``ops._rectangle_table`` reads it in rows of a pair index)."""
     if len(row) == 1:  # itemgetter of one index returns the entry, not a 1-tuple
         return [(B[row[0]],) for B in blocks]
     return list(map(itemgetter(*row), blocks))

@@ -41,7 +41,7 @@ from .ops import (
     kernel_pair,
     quotient,
 )
-from .reflectors import Reflector, map_reflect, radical, reflect
+from .reflectors import Reflector, ReflectorError, map_reflect, radical, reflect
 
 
 def _radical_within(R: Reflector, A: Algebra, S: Subobject) -> Subobject:
@@ -193,12 +193,22 @@ def double_normal_by_galois(R: Reflector, c: NCube) -> bool:
     return is_pullback_square(square(qu, pt1, reflected, qv))
 
 
+def _torsion_theory_only(R: Reflector) -> None:
+    """The kernel criterion is the paper's for torsion theories only."""
+    if not R.torsion_theory:
+        raise ReflectorError(f"{R.name} is not a torsion theory, so the kernel "
+                             "criterion of n-fold normality does not apply")
+
+
 def is_nfold_normal(R: Reflector, c: NCube) -> bool:
     """Normality of an n-fold extension, n >= 1: torsion-free rib-kernel meet.
 
     The answer is recomputed along the derived-reflection route, in
-    every dimension, and the two must agree.
+    every dimension, and the two must agree.  R must be a torsion
+    theory; any other reflector raises ``ReflectorError`` before either
+    route runs.
     """
+    _torsion_theory_only(R)
     if not is_nfold_extension(c):
         raise AlgebraError("normality test expects an n-fold extension")
     verdict = nfold_normal_by_criterion(R, c)
@@ -212,8 +222,10 @@ def nfold_factorize(R: Reflector, c: NCube) -> tuple[NCube, NCube]:
 
     The normal part is the cube with the top vertex quotiented by the
     torsion of the rib-kernel meet; the other factor connects the
-    original and quotiented domains.
+    original and quotiented domains.  R must be a torsion theory, as
+    for ``is_nfold_normal``.
     """
+    _torsion_theory_only(R)
     if not is_nfold_extension(c):
         raise AlgebraError("factorisation expects an n-fold extension")
     T = cube_torsion_meet(R, c)

@@ -9,11 +9,17 @@ and (0, h) of its factors' ``gens``, a quotient's by the images of its
 parent's.  Quotient carriers are cosets indexed in
 first-appearance order, so the class of the constant is always index 0,
 and pair carriers (products, pullbacks, kernel pairs) are sorted
-lexicographically for the same reason.  A pair algebra looks pair
-(a, b) up as ``index[a][b]``, with no per-entry tuple or hash: a row
-whose pairs' runs are short is one chain of ``map``s, and one whose
-runs are long is a concatenation of blocks shared with the other rows
-of its second component (``_pair_table``).
+lexicographically for the same reason.  A construction that would
+copy an input returns its unnamed view instead (``algebra._renamed``):
+the quotient by zero, and a pair algebra one of whose legs is
+``range(order)`` on every sort (``_build_pairs``).  A pair algebra
+looks pair (a, b) up as ``index[a][b]``, with no per-entry tuple or
+hash: the table of a rectangle K x L of pairs, a product above all, is
+written in closed form, each row a concatenation of shifted copies of
+one row (``_rectangle_table``); otherwise a row whose pairs' runs are
+short is one chain of ``map``s, and one whose runs are long is a
+concatenation of blocks shared with the other rows of its second
+component (``_pair_table``).
 
 Kernels, preimages, images, meets and normal closures are closed by
 construction, and each says why in its docstring; they go through
@@ -47,6 +53,8 @@ from .algebra import (
     _normal_demands,
     _one_per_sort,
     _rebuild,
+    _renamed,
+    _shifted_copies,
     _stored,
     _structure_images,
     _unchecked,
@@ -116,17 +124,30 @@ def _cosets(S: Sort, elems) -> tuple[list[int], list[int]]:
 
 
 def quotient(A: Algebra, N: Subobject) -> tuple[Algebra, Morphism]:
-    """The quotient by a normal subobject plus its projection."""
+    """The quotient by a normal subobject plus its projection.
+
+    By zero every coset is a singleton, so the quotient is the unnamed
+    view of A (``algebra._renamed``) with the identity arrays as its
+    map, and no table is built.  Otherwise row r of a table is row r
+    of A's read at the representatives, by one ``itemgetter``, and
+    carried to the cosets.
+    """
     _check_parent(A, N)
     if not N.normal:
         raise AlgebraError("can only quotient by a normal subobject")
+    if N.is_zero():
+        Q = _renamed(A, None)
+        return Q, _unchecked(Morphism, A, Q, identity_morphism(A).mapping)
     sorts, qmaps, legs = [], [], []
     for S, X in zip(A.sorts, N.elements):
         qmap, reps = _cosets(S, X)
+        # itemgetter of one index returns the entry, not a 1-tuple; the
+        # one representative is then 0
+        pick = itemgetter(*reps) if len(reps) > 1 else lambda row: (row[0],)
         sorts.append(_rebuild(
             (S,),
-            lambda t: [[qmap[t[rx][ry]] for ry in reps] for rx in reps],
-            lambda u: [qmap[u[r]] for r in reps],
+            lambda t: [list(map(qmap.__getitem__, pick(t[r]))) for r in reps],
+            lambda u: list(map(qmap.__getitem__, pick(u))),
             tuple(dict.fromkeys(qmap[g] for g in S.gens if qmap[g]))))
         qmaps.append(qmap)
         legs.append((reps,))
@@ -252,6 +273,13 @@ class _Blocks(dict):
 def _pair_table(index, firsts, seconds, tA, tB) -> list[tuple[int, ...]]:
     """The table on the pairs (firsts[k], seconds[k]) from the tables tA, tB.
 
+    When the pairs number their distinct first components times their
+    distinct second components, they are a rectangle K x L, and the
+    table is written in closed form (``_rectangle_table``): products,
+    and pullbacks along a zero map, such as A x ker g.  Other pair sets
+    are unions of several fibres, such as the kernel pairs that
+    homology builds, and are built as follows.
+
     The pairs are those of ``_fibre_pairs``, so they fall into runs of
     columns, one per first component a, each holding the fibre of the
     second leg that a lies over.  Entry (x1, x2) times (a, b) is
@@ -279,7 +307,10 @@ def _pair_table(index, firsts, seconds, tA, tB) -> list[tuple[int, ...]]:
     workload's queries.
     """
     heads = list(dict.fromkeys(firsts))
-    if len(firsts) < 4 * max(len(heads), len(set(seconds))):
+    n_seconds = len(set(seconds))
+    if len(firsts) == len(heads) * n_seconds:
+        return _rectangle_table(index, heads, seconds[:n_seconds], tA, tB)
+    if len(firsts) < 4 * max(len(heads), n_seconds):
         rows = []
         for x1, run in groupby(zip(firsts, seconds), key=itemgetter(0)):
             halves = list(map(index.__getitem__, map(tA[x1].__getitem__, firsts)))
@@ -303,6 +334,27 @@ def _pair_table(index, firsts, seconds, tA, tB) -> list[tuple[int, ...]]:
             if k >= 0:
                 rows[k] = tuple(list(chain.from_iterable(
                     map(get, map(add, map(tA[x1].__getitem__, heads), offsets)))))
+    return rows
+
+
+def _rectangle_table(index, K, L, tA, tB) -> list[tuple[int, ...]]:
+    """The table on the pairs K x L, lexicographic, from the tables tA, tB.
+
+    Pair (K[i], L[j]) is i * len(L) + j, and K is closed under tA, so
+    row (x1, x2) is, for each a of K in turn, the copy of row x2 of tB
+    over L read in the pairs of tA[x1][a]: the copies of one x2 are
+    ``algebra._shifted_copies`` of it, read in the rows of ``index`` at
+    K, and each row is one concatenation of them, as in
+    ``algebra._free_module``.  Only one x2's copies are alive at a time.
+    """
+    at = {a: i for i, a in enumerate(K)}
+    moves = [list(map(at.__getitem__, map(tA[x1].__getitem__, K))) for x1 in K]
+    pairs_of = [index[a] for a in K]
+    rows = [None] * (len(K) * len(L))
+    for j, x2 in enumerate(L):
+        get = _shifted_copies(list(map(tB[x2].__getitem__, L)), pairs_of).__getitem__
+        for i, move in enumerate(moves):
+            rows[i * len(L) + j] = tuple(list(chain.from_iterable(map(get, move))))
     return rows
 
 
@@ -342,9 +394,20 @@ def _pairs_algebra(A: Algebra, B: Algebra, sort_maps) -> tuple[Algebra, Morphism
 
 
 def _build_pairs(A: Algebra, B: Algebra, sort_maps) -> tuple[Algebra, tuple, tuple]:
-    sorts, legs, backs = [], [], []
-    for SA, SB, (fm, gm) in zip(A.sorts, B.sorts, sort_maps):
-        firsts, seconds = _fibre_pairs(fm, gm)
+    """The pair algebra of ``_pairs_algebra`` with its two legs' arrays.
+
+    When one leg is ``range(order)`` on every sort, each element of that
+    factor lies in exactly one pair, pair k is the k-th, and the pair
+    algebra's tables and structure maps are exactly that factor's: the
+    unnamed view of the factor (``algebra._renamed``) is returned, and
+    no table is built.
+    """
+    legs = [_fibre_pairs(fm, gm) for fm, gm in sort_maps]
+    for factor, leg in zip((A, B), zip(*legs)):
+        if all(k == tuple(range(S.order)) for k, S in zip(leg, factor.sorts)):
+            return (_renamed(factor, None), *zip(*legs))
+    sorts, backs = [], []
+    for SA, SB, (firsts, seconds) in zip(A.sorts, B.sorts, legs):
         index = [[-1] * SB.order for _ in range(SA.order)]
         for k, (a, b) in enumerate(zip(firsts, seconds)):
             index[a][b] = k
@@ -353,7 +416,6 @@ def _build_pairs(A: Algebra, B: Algebra, sort_maps) -> tuple[Algebra, tuple, tup
                 if len(firsts) == SA.order * SB.order else None)
         sorts.append(_rebuild((SA, SB), partial(_pair_table, index, firsts, seconds),
                               partial(_pair_map, index, firsts, seconds), gens))
-        legs.append((firsts, seconds))
         backs.append(lambda a, b, index=index: index[a][b])
     return (_assemble((A, B), sorts, legs, backs), *zip(*legs))
 

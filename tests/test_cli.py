@@ -217,8 +217,6 @@ def _doubled(f):
     ("ab", "normal", lambda: _sign(3), "fail"),
     ("reduced", "double", lambda: _doubled(_ring_mod(4, 2)), "fail"),
     ("reduced", "double", lambda: _doubled(_ring_mod(12, 2)), "fail"),
-    ("ab", "double", lambda: _doubled(_sign(4)), "pass"),
-    ("burnside:2", "double", lambda: _doubled(_module_map("m4-c4", "m4-c2", [0, 1] * 2)), "pass"),
 ])
 def test_extension_check_json_verdicts(tmp_path, capsys, rid, kind, build, verdict):
     """Ring reductions, module projections, dihedral sign maps and doubled
@@ -232,6 +230,20 @@ def test_extension_check_json_verdicts(tmp_path, capsys, rid, kind, build, verdi
         "format": "semiab-extension-check", "version": 1, "reflector": rid, "kind": kind,
         "verdict": verdict}
     assert code == (0 if verdict == "pass" else 2)
+
+
+@pytest.mark.parametrize("rid, build", [
+    ("ab", lambda: _doubled(_sign(4))),
+    ("burnside:2", lambda: _doubled(_module_map("m4-c4", "m4-c2", [0, 1] * 2))),
+])
+def test_extension_check_double_needs_a_torsion_theory(tmp_path, capsys, rid, build):
+    """The kernel criterion of a double check is the paper's only for
+    torsion theories: any other reflector is a usage error, exit 1."""
+    path = _write(tmp_path / "in.json", cube_to_doc(build()))
+    code = run(["extension-check", "--reflector", rid, "--cube", path, "--kind", "double", "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith(f"error: {rid} is not a torsion theory")
 
 
 _MOD2 = _ring_mod(4, 2)
@@ -379,7 +391,7 @@ def test_json_output_is_json_dumps_with_indent_2(tmp_path, capsys, monkeypatch):
     """Every subcommand's --json stdout, and both factor files, are
     ``json.dumps(doc, indent=2, ensure_ascii=False)``, the first plus a newline."""
     mpath = _write(tmp_path / "f.json", morphism_to_doc(_ring_mod(12, 2)))
-    cpath = _write(tmp_path / "sq.json", cube_to_doc(_doubled(_sign(4))))
+    cpath = _write(tmp_path / "sq.json", cube_to_doc(_doubled(_ring_mod(12, 2))))
     (tmp_path / "corpora").mkdir()
     (tmp_path / "corpora" / "groups.json").write_text(
         json.dumps(corpus_to_doc((dihedral_group(3), cyclic_group(2, name="c2·ünï\"q\"")))))
@@ -389,7 +401,7 @@ def test_json_output_is_json_dumps_with_indent_2(tmp_path, capsys, monkeypatch):
         ["radical", "--reflector", "composite:burnside:2∘ab", "--algebra", "d4"],
         ["radical", "--reflector", "pi0", "--algebra", "ind-c3"],
         ["factorize", "--reflector", "reduced", "--morphism", mpath],
-        ["extension-check", "--reflector", "ab", "--cube", cpath, "--kind", "double"],
+        ["extension-check", "--reflector", "reduced", "--cube", cpath, "--kind", "double"],
         ["homology", "--variety", "zmod:4", "--coeff", "burnside:2", "--object", "m4-c2xc4",
          "--degree", "2"],
         ["verify", "--suite", "thm-1.6", "--reflector", "burnside:2", "--corpus", "abelian-groups"],

@@ -1,9 +1,12 @@
 """Torsion factorisations, orthogonality, and extension classes."""
 
+import re
+
 import pytest
 
 from semiab import (
     AlgebraError,
+    ReflectorError,
     check_orthogonal,
     classify_em,
     compose,
@@ -38,6 +41,7 @@ from semiab import (
 )
 from semiab.algebra import _derived_subobject
 from semiab.cubes import _kernel_pair_cube
+from semiab import factorisation
 from semiab.factorisation import _radical_within, condition_N_check, nfold_normal_by_criterion
 from semiab.homs import _corpus_surjections
 from semiab.ops import image_elements
@@ -178,6 +182,33 @@ def test_one_fold_normality_matches_single_map_check():
             if R.torsion_theory:
                 assert is_nfold_normal(R, c) == verdicts[-1], (rid, f)
         assert set(verdicts) == {True, False}, rid
+
+
+@pytest.mark.parametrize("rid, cid", [("ab", "groups"), ("burnside:2", "zmod4-modules")])
+def test_nfold_normality_needs_a_torsion_theory(monkeypatch, rid, cid):
+    """The kernel criterion is the paper's only for torsion theories:
+    under any other reflector ``is_nfold_normal`` and ``nfold_factorize``
+    raise ``ReflectorError`` naming it before either route runs, on the
+    1-cube and the doubled square of every corpus surjection (under
+    ``ab``, 24 of the 398 ``groups`` 1-cubes used to raise "kernel
+    criterion and derived-reflection route disagree")."""
+    def no_route(*args):
+        raise AssertionError("a normality route ran")
+
+    for name in ("nfold_normal_by_criterion", "double_normal_by_galois", "cube_torsion_meet",
+                 "is_nfold_extension"):
+        monkeypatch.setattr(factorisation, name, no_route)
+    R = reflector_by_id(rid)
+    assert not R.torsion_theory
+    seen = 0
+    for f in _corpus_surjections(_applicable(R, corpus_by_id(cid))):
+        one = identity_morphism(f.cod)
+        for c in (cube_of_morphism(f), square(f, f, one, one)):
+            for check in (is_nfold_normal, nfold_factorize):
+                with pytest.raises(ReflectorError, match=f"^{re.escape(R.name)} is not a torsion"):
+                    check(R, c)
+                seen += 1
+    assert seen >= 4 * 100
 
 
 @pytest.mark.parametrize("rid, cid", [

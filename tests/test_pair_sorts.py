@@ -3,7 +3,8 @@
 ``_check_sort`` takes the greedy generating set of a group table coset
 by coset (``algebra._coset_generators``), ``generating_set`` does the
 same for group and module sorts, and
-``ops._pair_table`` builds a table from blocks shared by the rows with
+``ops._pair_table`` writes the table of a rectangle K x L of pairs in
+closed form and builds any other from blocks shared by the rows with
 one second component when the pairs' runs are long.  The loops they
 replaced are kept here as oracles: the greedy loop over ``_close``,
 which multiplies each new element by every closed one, the table
@@ -219,6 +220,21 @@ def block_builds(monkeypatch):
     return made
 
 
+@pytest.fixture
+def rectangle_builds(monkeypatch):
+    """(tA, tB, |K|, |L|) of each table that ``_pair_table`` writes as a
+    rectangle K x L."""
+    made = []
+    inner = ops._rectangle_table
+
+    def counted(index, K, L, tA, tB):
+        made.append((tA, tB, len(K), len(L)))
+        return inner(index, K, L, tA, tB)
+
+    monkeypatch.setattr(ops, "_rectangle_table", counted)
+    return made
+
+
 def _check_pair_sorts(A, B, maps, P):
     """Every table and unary map of P, the algebra on the pairs that ``maps``
     identify, equals the oracle built from the scanned pair list.  Returns
@@ -252,28 +268,65 @@ def _check_product(A, B):
                                     for SA, SB in zip(A.sorts, B.sorts)], P)
 
 
-def test_product_tables_match_the_row_oracle(block_builds):
+def test_product_tables_match_the_row_oracle(block_builds, rectangle_builds):
+    """A product is the rectangle A x B, written in closed form, whether
+    its runs are short (C3 x C2) or long."""
     assert not _check_product(cyclic_group(3), cyclic_group(2))
-    assert not block_builds
     assert _check_product(named_algebra("s3"), named_algebra("q8"))
     assert _check_product(named_algebra("d4"), cyclic_group(4))
-    assert block_builds
+    assert len(rectangle_builds) == 6 and not block_builds
 
 
-def test_a_ring_product_builds_its_multiplication_table_from_blocks(block_builds):
-    """Blocks read ``index`` at any binary table, not only a group's."""
-    assert _check_product(zring(6), zring(4))
-    assert _check_product(named_algebra("bool2xbool2"), named_algebra("example-2.8.3-ring"))
-    assert block_builds
+def test_a_ring_product_builds_its_multiplication_table_as_a_rectangle(block_builds,
+                                                                       rectangle_builds):
+    """The closed form reads ``index`` at any binary table, not only a group's."""
+    pairs = [(zring(6), zring(4)),
+             (named_algebra("bool2xbool2"), named_algebra("example-2.8.3-ring"))]
+    for A, B in pairs:
+        assert _check_product(A, B)
+        assert (A.sorts[0].binary[1], B.sorts[0].binary[1], A.order, B.order) in rectangle_builds
+    assert not block_builds
 
 
-def test_kernel_pair_tables_match_the_row_oracle(block_builds):
+def test_a_rectangle_a_by_a_kernel_matches_the_row_oracle(block_builds, rectangle_builds):
+    """Pulling g back along a zero map gives A x ker g, a rectangle that
+    is no product, on either side."""
+    cases = [(named_algebra("q8"), surjections(named_algebra("d4"), named_algebra("c2xc2"))[0]),
+             (zring(6), morphism(zring(12), zring(4), [x % 4 for x in range(12)])),
+             (zmod_cyclic(4, 4), morphism(zmod_cyclic(4, 4), zmod_cyclic(4, 2), [0, 1, 0, 1]))]
+    for A, g in cases:
+        zero = zero_morphism(A, g.cod)
+        for f1, f2 in ((zero, g), (g, zero)):
+            _check_pullback(f1, f2)
+            P = pullback(f1, f2)[0]
+            assert P.order == A.order * ops.kernel(g).size < A.order * g.dom.order
+    assert len(rectangle_builds) >= 2 * 3 * 2 and not block_builds
+
+
+def test_a_rectangle_with_a_one_element_side_matches_the_row_oracle(rectangle_builds):
+    """Maps into C2 x C2 whose images meet only at 0: C2 -> (x, 0) against
+    C4 -> (0, x mod 2) pairs {0} x {0, 2}, and two injections pair {0} x {0}."""
+    Z = direct_product(cyclic_group(2), cyclic_group(2))[0]  # (a, b) is 2a + b
+    f = morphism(cyclic_group(2), Z, [0, 2])
+    g = morphism(cyclic_group(4), Z, [0, 1, 0, 1])
+    h = morphism(cyclic_group(2), Z, [0, 1])
+    for f1, f2, order in ((f, g, 2), (g, f, 2), (f, h, 1)):
+        _check_pullback(f1, f2)
+        assert pullback(f1, f2)[0].order == order
+    assert {r[2:] for r in rectangle_builds} >= {(1, 2), (2, 1), (1, 1)}
+
+
+def test_kernel_pair_tables_match_the_row_oracle(block_builds, rectangle_builds):
+    """The kernel pair of an injection is its domain (tests/test_copies.py),
+    that of a zero map the rectangle G x G, and that of a surjection
+    with fibres of four a union of fibres, built from blocks."""
     injective = morphism(cyclic_group(4), cyclic_group(8), [0, 2, 4, 6])
     assert not _check_pullback(injective, injective)
-    assert not block_builds
+    assert not block_builds and not rectangle_builds
     G = named_algebra("d8")
     zero = zero_morphism(G, cyclic_group(2))
     assert _check_pullback(zero, zero)
+    assert rectangle_builds and not block_builds
     onto = surjections(G, named_algebra("c2xc2"))[0]
     assert _check_pullback(onto, onto)
     assert block_builds
